@@ -381,8 +381,8 @@ class ReconstructionAuditor:
             first-order decoder (:func:`repro.reconstruction.l2_decode.
             l2_decode`) and only escalates to the confirming LP solve when
             the screened agreement lands within ``screen_margin`` of the
-            trip threshold — so routine passes cost two matvecs per
-            iteration instead of an LP, while any pass that could possibly
+            trip threshold — so routine passes cost a first-order solve
+            instead of an LP, while any pass that could possibly
             trip is still decided by the exact same LP solve (and therefore
             the same agreement value and verdict) as ``screen="lp"``.
         screen_margin: how far below the threshold the l2 agreement must
@@ -396,7 +396,9 @@ class ReconstructionAuditor:
             outright.  Off by default: a warm-started screen can converge
             to a *different* (equally valid) fractional point, so enabling
             it may change screened agreement values; verdicts near the trip
-            threshold are still decided by the exact LP either way.
+            threshold are still decided by the exact LP either way.  The
+            pass that trips an analyst's breaker discards that analyst's
+            warm state.
     """
 
     def __init__(
@@ -507,7 +509,6 @@ class ReconstructionAuditor:
             with self._lock:
                 warm = self._warm.get(analyst)
         escalated = False
-        final_fractional: np.ndarray | None = None
         if self.screen == "l2":
             screened = l2_decode(workload, answers, self.alpha, x0=warm)
             agreement = screened.agreement_with(self._data)
@@ -538,9 +539,6 @@ class ReconstructionAuditor:
             agreement = result.agreement_with(self._data)
             mode = result.mode
             final_fractional = result.fractional
-        if self.warm_start_passes and final_fractional is not None:
-            with self._lock:
-                self._warm[analyst] = np.asarray(final_fractional, dtype=np.float64)
         elapsed = time.perf_counter() - start
         report = AuditReport(
             analyst=analyst,
@@ -555,6 +553,14 @@ class ReconstructionAuditor:
         )
         with self._lock:
             self._reports.append(report)
-            if report.flagged:
-                self._tripped.setdefault(analyst, report)
+            trips = report.flagged and analyst not in self._tripped
+            if trips:
+                self._tripped[analyst] = report
+            if self.warm_start_passes:
+                if trips:
+                    # maybe_audit never runs another pass for a tripped
+                    # analyst, so its warm start would be kept for nothing.
+                    self._warm.pop(analyst, None)
+                else:
+                    self._warm[analyst] = np.asarray(final_fractional, dtype=np.float64)
         return report

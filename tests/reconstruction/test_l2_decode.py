@@ -6,8 +6,10 @@ import pytest
 from repro.queries.mechanism import BoundedNoiseAnswerer, ExactAnswerer
 from repro.queries.workload import Workload
 from repro.reconstruction.l2_decode import (
+    GRAM_MAX_N,
     L2ReconstructionResult,
     _lipschitz_bound,
+    _prefers_gram,
     l2_decode,
     l2_decode_batch,
 )
@@ -107,6 +109,76 @@ class TestL2Decode:
         assert result.queries_used == 384
         assert result.iterations >= 1
         assert result.hamming_distance(data) == 0
+
+
+def _csr_fista(workload, answers, alpha=None, max_iters=2000, tol=1e-6):
+    """Reference FISTA with the gradient as two CSR matvecs, A^T (A y - a)."""
+    matrix = workload.matrix(sparse=True)
+    step = 1.0 / _lipschitz_bound(matrix)
+    bound = np.inf if alpha is None else alpha
+    z = np.full(matrix.shape[1], 0.5)
+    y, t, iterations = z.copy(), 1.0, 0
+    for iterations in range(1, max_iters + 1):
+        z_next = np.clip(y - step * (matrix.T @ (matrix @ y - answers)), 0.0, 1.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        shift = float(np.max(np.abs(z_next - z)))
+        z, t = z_next, t_next
+        if np.isfinite(bound) and iterations % 25 == 0:
+            rounded = (z >= 0.5).astype(np.float64)
+            if np.max(np.abs(matrix @ rounded - answers)) <= bound:
+                break
+        if shift < tol:
+            break
+    return z, iterations
+
+
+class TestGramForm:
+    """The ``G y - A^T a`` gradient follows the CSR iteration step for step."""
+
+    @staticmethod
+    def _noisy(n, m, seed, density=0.5):
+        rng = derive_rng(seed, "gram", n, m)
+        data = rng.integers(0, 2, size=n)
+        workload = Workload.random(n, m, density=density, rng=rng)
+        answers = workload.matrix(sparse=True) @ data + rng.laplace(0.0, 4.0, m)
+        return workload, answers
+
+    @pytest.mark.parametrize(
+        "n, m, density, gram",
+        [
+            (128, 256, 0.5, True),  # tall, fill ~1: an audit transcript, scaled down
+            (96, 64, 0.5, True),  # wide, fill ~0.33
+            (128, 32, 0.5, False),  # fill ~0.125
+            (512, 2048, 16 / 512, False),  # sparse, fill ~0.125
+            (GRAM_MAX_N + 8, 256, 0.9, False),  # fill ~0.36, but n too large
+        ],
+    )
+    def test_matches_csr_iteration(self, n, m, density, gram):
+        workload, answers = self._noisy(n, m, seed=n + m, density=density)
+        assert _prefers_gram(workload.matrix(sparse=True)) is gram
+        max_iters = 300 if n > GRAM_MAX_N else 2000
+        result = l2_decode(workload, answers, max_iters=max_iters)
+        fractional, iterations = _csr_fista(workload, answers, max_iters=max_iters)
+        assert result.iterations == iterations
+        np.testing.assert_array_equal(result.reconstruction, fractional >= 0.5)
+        np.testing.assert_allclose(result.fractional, fractional, rtol=0, atol=1e-9)
+
+    def test_certificate_exit_matches(self):
+        # The compliance verifier's mode: l2_decode(workload, answers, 0.5)
+        # on exact answers, exiting at the first certifying check.
+        rng = derive_rng(0, "gram-certificate")
+        data = rng.integers(0, 2, size=96)
+        workload = Workload.random(96, 192, rng=rng)
+        answers = ExactAnswerer(data).answer_workload(workload).astype(float)
+        assert _prefers_gram(workload.matrix(sparse=True))
+        result = l2_decode(workload, answers, 0.5)
+        fractional, iterations = _csr_fista(workload, answers, alpha=0.5)
+        assert result.certified
+        assert 0 < result.iterations < 2000
+        assert result.iterations == iterations
+        np.testing.assert_array_equal(result.reconstruction, data)
+        np.testing.assert_allclose(result.fractional, fractional, rtol=0, atol=1e-9)
 
 
 class TestL2DecodeBatch:

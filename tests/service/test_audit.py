@@ -267,6 +267,28 @@ class TestWarmStartPasses:
         assert set(auditor._warm) == {"attacker"}
         assert auditor._warm["attacker"].shape == data.shape
 
+    def test_tripping_pass_frees_warm_state(self):
+        data, log, _ = self._growing_log()
+        benign = Workload.random(64, 24, rng=derive_rng(1, "benign"))
+        _log_workload(log, "benign", benign, ExactAnswerer(data).answer_workload(benign))
+        auditor = ReconstructionAuditor(
+            data,
+            agreement_threshold=0.99,
+            audit_every=8,
+            min_queries=16,
+            alpha=0.0,
+            screen="l2",
+            warm_start_passes=True,
+        )
+        assert auditor.maybe_audit(log, "benign").flagged is False
+        assert auditor.maybe_audit(log, "attacker").flagged is True
+        # The tripped analyst is never audited again: its state is gone,
+        # while the analyst still under audit keeps its own.
+        assert set(auditor._warm) == {"benign"}
+        _log_workload(log, "attacker", benign, ExactAnswerer(data).answer_workload(benign))
+        assert auditor.maybe_audit(log, "attacker") is None
+        assert set(auditor._warm) == {"benign"}
+
     def test_cold_auditor_keeps_no_state(self):
         data, log, _ = self._growing_log()
         auditor, _ = self._replay_passes(data, log, warm_start_passes=False)
