@@ -34,14 +34,6 @@ cache hits, driven by worker threads over
 registry/admission path at session counts the per-analyst-dict design has
 to survive, and reports end-to-end sessions/sec (setup included).
 
-**Uncached backend scaling.**  Noise-drawing traffic (every ask a fresh
-query: fingerprint, charge, Laplace draw) at the highest session count,
-served through each :class:`~repro.service.ExecutionBackend` — inline,
-thread pool, fork-based process pool — with answers asserted bit-identical
-across all three.  Full mode gates ``process > inline`` when the box has
-more than one core; on a single core the fork hop is pure overhead and
-the recorded ``cpu_count`` documents why the gate is waived.
-
 **Auditor overhead.**  The same attacker-style batched workload stream is
 served with the reconstruction auditor disabled and enabled (audit pass
 every ``n/8`` fresh queries); the slowdown is the price of online LP
@@ -68,7 +60,8 @@ certification cost it amortizes.
 **Baseline guard (full mode only).**  The kernel-delegated answering paths
 must stay within ``GUARD_TOLERANCE`` of the recorded baselines: the
 cached-replay and batched numbers in ``BENCH_service.json``, the
-16-session concurrent cached number, and the batched-answering numbers in
+concurrent cached numbers, the uncached (noise-drawing) number at the top
+session count, and the batched-answering numbers in
 ``BENCH_reconstruction.json`` (replicated via
 ``bench_lp_reconstruction.bench_answering``, best of three passes).
 
@@ -141,7 +134,6 @@ def _make_server(
 def _make_sharded(
     n: int,
     seed: int,
-    execution: str | None = None,
     auditor: ReconstructionAuditor | None = None,
     audit_dispatch: str | None = None,
 ) -> ShardedQueryServer:
@@ -152,7 +144,6 @@ def _make_sharded(
         mechanism_params={"epsilon_per_query": 0.25},
         seed=seed,
         shards=SHARDS,
-        execution=execution,
         auditor=auditor,
         audit_dispatch=audit_dispatch,
     )
@@ -378,71 +369,6 @@ def bench_concurrent(
         "queries_total": total,
         "uncached_qps": total / max(uncached_elapsed, 1e-9),
         "cached_qps": total / max(cached_elapsed, 1e-9),
-    }
-
-
-def bench_uncached_scaling(
-    n: int, per_session: int, sessions: int, seed: int
-) -> dict:
-    """Noise-drawing traffic at ``sessions`` threads, per execution backend.
-
-    Every ask is a distinct query — fingerprint, budget charge, a fresh
-    Laplace draw — so this measures the Execute stage itself, not the
-    cache.  The same stream is served three ways: ``inline`` (the serving
-    thread draws the noise under the analyst lock), ``thread`` (the draw
-    runs on a shared worker pool), and ``process`` (the draw crosses a
-    fork-pool with the analyst's RNG state and comes back bit-identical).
-    On a single-core box the process hop is pure overhead and the recorded
-    ``cpu_count`` says so honestly; with real parallelism the fork pool is
-    the only backend that escapes the GIL on the mechanism call.
-    """
-    import os
-
-    streams = [
-        list(Workload.random(n, per_session, rng=derive_rng(seed, "bench-x", n, i)))
-        for i in range(sessions)
-    ]
-
-    results = {}
-    reference = None
-    for backend in ("inline", "thread", "process"):
-        server = _make_sharded(n, seed, execution=backend)
-        entries = [
-            (server.session(f"analyst-{index}"), stream)
-            for index, stream in enumerate(streams)
-        ]
-        answers: list[list[float]] = [[] for _ in range(sessions)]
-
-        def run(index, entry=None):
-            session, queries = entry
-            answers[index].extend(session.ask(query) for query in queries)
-
-        threads = [
-            threading.Thread(target=run, args=(index,), kwargs={"entry": entry})
-            for index, entry in enumerate(entries)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        server.close()
-        if reference is None:
-            reference = answers
-        else:
-            assert answers == reference, f"{backend} diverged from inline answers"
-        results[backend] = (per_session * sessions) / max(elapsed, 1e-9)
-
-    return {
-        "n": n,
-        "sessions": sessions,
-        "queries_total": per_session * sessions,
-        "cpu_count": os.cpu_count(),
-        "inline_qps": results["inline"],
-        "thread_qps": results["thread"],
-        "process_qps": results["process"],
-        "process_vs_inline": results["process"] / max(results["inline"], 1e-9),
     }
 
 
@@ -723,7 +649,6 @@ def guard_against_baselines(
     repo_root: Path,
     seed: int,
     compliance: dict | None = None,
-    uncached_scaling: dict | None = None,
     background: dict | None = None,
 ) -> list[str]:
     """Assert the kernel-delegated answering paths hold the recorded numbers.
@@ -789,27 +714,23 @@ def guard_against_baselines(
                     f"concurrent cached_qps @{live['sessions']}: "
                     f"{live['cached_qps']:,.0f} q/s >= {floor:,.0f} q/s"
                 )
-
-        # Execution-backend guard: the inline backend on noise-drawing
-        # traffic is the reference path every other backend must match
-        # bit-for-bit, so it is the one whose throughput is pinned.
-        base = service.get("uncached_scaling", {})
-        if (
-            uncached_scaling is not None
-            and base.get("n") == uncached_scaling["n"]
-            and base.get("sessions") == uncached_scaling["sessions"]
-        ):
-            floor = base["inline_qps"] * (1.0 - GUARD_TOLERANCE)
-            assert uncached_scaling["inline_qps"] >= floor, (
-                f"uncached inline_qps regressed: "
-                f"{uncached_scaling['inline_qps']:,.0f} q/s < {floor:,.0f} q/s "
-                f"({(1 - GUARD_TOLERANCE):.0%} of the recorded "
-                f"{base['inline_qps']:,.0f} q/s baseline)"
-            )
-            checks.append(
-                f"uncached inline_qps @{uncached_scaling['sessions']}: "
-                f"{uncached_scaling['inline_qps']:,.0f} q/s >= {floor:,.0f} q/s"
-            )
+            # Uncached guard: at the top session count every ask is a fresh
+            # query (fingerprint, charge, Laplace draw on the serving
+            # thread), so this pins the noise-drawing path's throughput.
+            top = concurrent[-1]
+            base = base_concurrent.get(top["sessions"])
+            if base and base.get("n") == top["n"]:
+                floor = base["uncached_qps"] * (1.0 - GUARD_TOLERANCE)
+                assert top["uncached_qps"] >= floor, (
+                    f"concurrent uncached_qps at {top['sessions']} sessions "
+                    f"regressed: {top['uncached_qps']:,.0f} q/s < {floor:,.0f} q/s "
+                    f"({(1 - GUARD_TOLERANCE):.0%} of the recorded "
+                    f"{base['uncached_qps']:,.0f} q/s baseline)"
+                )
+                checks.append(
+                    f"concurrent uncached_qps @{top['sessions']}: "
+                    f"{top['uncached_qps']:,.0f} q/s >= {floor:,.0f} q/s"
+                )
         # Background-audit guard: audited serving throughput holds its
         # recorded number (the <2x target itself is asserted in main()).
         base = service.get("auditor", {}).get("background", {})
@@ -991,30 +912,6 @@ def main(argv: list[str] | None = None) -> int:
             f"at {high['sessions']} sessions"
         )
 
-    scaling_sessions = session_counts[-1]
-    uncached_scaling = bench_uncached_scaling(
-        n, per_session, scaling_sessions, args.seed
-    )
-    print(
-        f"uncached @{scaling_sessions} sessions: "
-        f"inline {uncached_scaling['inline_qps']:,.0f} q/s, "
-        f"thread {uncached_scaling['thread_qps']:,.0f} q/s, "
-        f"process {uncached_scaling['process_qps']:,.0f} q/s "
-        f"({uncached_scaling['process_vs_inline']:.2f}x inline, "
-        f"{uncached_scaling['cpu_count']} cpu)",
-        flush=True,
-    )
-    if not args.smoke and (uncached_scaling["cpu_count"] or 1) > 1:
-        # With real cores the fork pool is the only backend that escapes the
-        # GIL on the mechanism call; on one core the hop is pure overhead
-        # and the recorded cpu_count documents why the gate is waived.
-        assert uncached_scaling["process_qps"] > uncached_scaling["inline_qps"], (
-            f"process backend ({uncached_scaling['process_qps']:,.0f} q/s) "
-            f"did not beat inline ({uncached_scaling['inline_qps']:,.0f} q/s) "
-            f"at {scaling_sessions} sessions on "
-            f"{uncached_scaling['cpu_count']} cpus"
-        )
-
     audit = bench_auditor_overhead(n, args.seed)
     print(
         f"auditor: {audit['audit_passes']} passes, "
@@ -1057,7 +954,6 @@ def main(argv: list[str] | None = None) -> int:
             repo_root,
             args.seed,
             compliance=compliance,
-            uncached_scaling=uncached_scaling,
             background=background,
         )
         for line in guard_checks:
@@ -1087,7 +983,6 @@ def main(argv: list[str] | None = None) -> int:
             "scaling_ok": scaling_ok,
             "load_generator": loadgen,
         },
-        "uncached_scaling": uncached_scaling,
         "auditor": audit,
     }
     if not args.no_write:

@@ -8,9 +8,8 @@ subpackage is that interface, in-process:
 
 * :mod:`repro.service.pipeline` — the staged serve path every server
   drives requests through (Admission -> Compliance -> CacheLookup ->
-  BudgetReserve -> Execute -> CachePut -> AuditAppend), with pluggable
-  :class:`ExecutionBackend` (inline / thread / process) for the Execute
-  stage;
+  BudgetReserve -> Execute -> CachePut -> AuditAppend), one single-ask
+  path and one workload path over the same stages;
 * :mod:`repro.service.server` — :class:`QueryServer`, multi-analyst
   sessions routing queries and workloads to a configured mechanism;
 * :mod:`repro.privacy.accounting` — pluggable per-analyst/global epsilon
@@ -68,18 +67,7 @@ from repro.service.cache import (
     query_fingerprint,
     workload_fingerprints,
 )
-from repro.service.pipeline import (
-    EXECUTION_BACKENDS,
-    AdmissionControl,
-    ExecutionBackend,
-    InlineExecutionBackend,
-    Outcome,
-    ProcessExecutionBackend,
-    Request,
-    ServePipeline,
-    ThreadExecutionBackend,
-    resolve_execution_backend,
-)
+from repro.service.pipeline import AdmissionControl, ServePipeline
 from repro.service.server import (
     MECHANISM_FACTORIES,
     AnalystSession,
@@ -112,20 +100,14 @@ __all__ = [
     "CertificateRecord",
     "CircuitBreakerTripped",
     "DenialRecord",
-    "EXECUTION_BACKENDS",
-    "ExecutionBackend",
     "InlineAuditDispatch",
-    "InlineExecutionBackend",
     "MECHANISM_FACTORIES",
     "NullAuditDispatch",
-    "Outcome",
-    "ProcessExecutionBackend",
     "QueryServer",
     "RateLimit",
     "ReconstructionAuditor",
     "Rejected",
     "ReleaseRecord",
-    "Request",
     "ServePipeline",
     "ServiceAccountant",
     "ShardedAccountant",
@@ -133,12 +115,10 @@ __all__ = [
     "ShardedQueryServer",
     "StripedAnswerCache",
     "SyntheticFallback",
-    "ThreadExecutionBackend",
     "make_answerer",
     "per_query_epsilon",
     "query_fingerprint",
     "resolve_audit_dispatch",
-    "resolve_execution_backend",
     "stable_shard",
     "workload_fingerprints",
 ]

@@ -1,64 +1,31 @@
-"""The staged serve pipeline: one fixed stage list, many drivers.
+"""The staged serve pipeline: one fixed stage list, two serve paths.
 
-PRs 3-8 grew ``QueryServer._serve``/``_serve_workload`` into a ~250-line
-monolith where admission, compliance, caching, budget reservation, noise
-sampling, and audit logging interleaved under one lock discipline — which
-blocked both remaining scale items (a front end that escapes the GIL for
-uncached traffic, and background audit workers).  This module decomposes
-the serve path into the fixed sequence
+The serve path once lived in ``QueryServer._serve``/``_serve_workload``
+as a ~250-line monolith where admission, compliance, caching, budget
+reservation, noise sampling, and audit logging interleaved under one lock
+discipline.  This module decomposes it into the fixed sequence
 
     Admission -> Compliance -> CacheLookup -> BudgetReserve -> Execute
               -> CachePut -> AuditAppend
 
 where each stage is a small, separately testable unit and every server
 (:class:`~repro.service.server.QueryServer`, the sharded front end) is a
-thin driver over the same stage list.  The frozen :class:`Request` /
-:class:`Outcome` pair is the typed boundary an external (async, RPC)
-front end drives the pipeline through; the in-process servers call the
-drivers directly.
+thin driver over the same stage list.
 
 **Bit-identity contract.**  The stages perform exactly the operations of
 the pre-refactor monolith, in exactly the same order, under the same
 per-analyst lock window (``Compliance`` through ``AuditAppend``; admission
 runs outside it and has zero budget/cache/audit footprint).  Golden tests
 pin served answers, budget-exhaustion points, compliance denials, and E18
-headlines across the refactor and across every execution backend.
+headlines across the refactor.
 
-**Execution backends.**  The ``Execute`` stage delegates mechanism calls
-to a pluggable :class:`ExecutionBackend`:
-
-``"inline"``
-    The calling thread answers (the pre-refactor behavior, and the
-    default).
-``"thread"``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor` answers.
-    NumPy noise sampling releases the GIL, so serving threads stay
-    responsive while big uncached batches draw.
-``"process"``
-    A persistent fork-based process pool
-    (:func:`repro.utils.parallel.shared_fork_executor`) answers.  Noise
-    is bit-identical to inline because the per-analyst ``Generator``
-    *state* travels with each call: the parent ships the analyst's
-    current ``bit_generator.state`` plus the packed query masks (already
-    produced by fingerprinting), the worker rebuilds the analyst's
-    answerer from the same ``derive_rng(seed, "service", analyst)``
-    construction path, restores the stream position, answers, and ships
-    the advanced state back.  Workers cache one answerer per
-    (server, analyst), so steady-state traffic moves only a few hundred
-    bytes per call.  Select per server via the ``execution`` argument or
-    globally via the ``REPRO_EXEC_BACKEND`` environment variable.
+The ``Execute`` stage calls the analyst's answerer on the serving thread:
+handing the call to a thread pool or a fork pool measured slower on every
+box the benchmarks ran on, one core or two.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import pickle
-import threading
-import warnings
-from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -75,8 +42,6 @@ from repro.telemetry.instrument import (
     TelemetryStage,
     analyst_digest_prefix,
 )
-from repro.utils.parallel import fork_available, shared_fork_executor
-from repro.utils.rng import derive_rng
 
 if TYPE_CHECKING:
     from repro.service.server import QueryServer, _AnalystState
@@ -87,7 +52,6 @@ if TYPE_CHECKING:
 _HIT_SAMPLE_MASK = 7
 
 __all__ = [
-    "EXECUTION_BACKENDS",
     "AdmissionControl",
     "AuditAppendStage",
     "BudgetReserveStage",
@@ -96,63 +60,8 @@ __all__ = [
     "ComplianceStage",
     "ExecuteStage",
     "Exchange",
-    "ExecutionBackend",
-    "InlineExecutionBackend",
-    "Outcome",
-    "ProcessExecutionBackend",
-    "Request",
     "ServePipeline",
-    "ThreadExecutionBackend",
-    "resolve_execution_backend",
 ]
-
-#: Recognized execution backend names, in documentation order.
-EXECUTION_BACKENDS = ("inline", "thread", "process")
-
-#: Environment variable selecting the default execution backend.
-EXEC_BACKEND_ENV = "REPRO_EXEC_BACKEND"
-
-
-# ---------------------------------------------------------------------------
-# Typed request/outcome boundary
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Request:
-    """One unit of serve work: a single query or a packed workload."""
-
-    analyst: str
-    query: SubsetQuery | None = None
-    workload: Workload | None = None
-
-    def __post_init__(self) -> None:
-        if (self.query is None) == (self.workload is None):
-            raise ValueError("a Request carries exactly one of query/workload")
-
-    @property
-    def single(self) -> bool:
-        """Whether this is a single-query request."""
-        return self.query is not None
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """What the pipeline released for one :class:`Request`.
-
-    ``answer`` is set for single-query requests, ``answers`` (a tuple, so
-    the outcome stays hashable/frozen) for workloads.  ``epsilon_charged``
-    is the total budget this request consumed (0 for pure replay and for
-    synthetic-fallback service).
-    """
-
-    analyst: str
-    answer: float | None
-    answers: tuple[float, ...] | None
-    cached: bool
-    synthetic: bool
-    fresh_queries: int
-    epsilon_charged: float
 
 
 class Exchange:
@@ -168,22 +77,18 @@ class Exchange:
         "server",
         "state",
         "analyst",
-        "single",
         # single-query shape
         "query",
         "mask",
         "fingerprint",
         "packed",
         "size",
-        "cached_answer",
-        "done",
         "answer",
         # workload shape
         "workload",
         "fingerprints",
         "packed_rows",
         "sizes",
-        "looked_up",
         "miss_rows",
         "miss_fps",
         "answer_by_fp",
@@ -207,20 +112,16 @@ class Exchange:
         self.server = server
         self.state = state
         self.analyst = analyst
-        self.single = workload is None
         self.query = query
         self.workload = workload
         self.mask = None
         self.fingerprint = None
         self.packed = None
         self.size = 0
-        self.cached_answer = None
-        self.done = False
         self.answer = None
         self.fingerprints = None
         self.packed_rows = None
         self.sizes = None
-        self.looked_up = None
         self.miss_rows = None
         self.miss_fps = None
         self.answer_by_fp = None
@@ -289,9 +190,6 @@ class ComplianceStage:
         if self._auditor is not None:
             self._auditor.check(analyst)
 
-    def single(self, x: Exchange) -> None:
-        self.check(x.analyst)
-
     def batch(self, x: Exchange) -> None:
         self.check(x.analyst)
 
@@ -300,9 +198,8 @@ class CacheLookupStage:
     """Fingerprint the request and consult the analyst's answer cache.
 
     Budget footprint: none (hits are post-processing).  Cache footprint:
-    read + LRU touch.  Produces the packed mask bytes the later stages
-    reuse (audit records, process-backend wire format) so bit-packing
-    runs exactly once per request.
+    read + LRU touch.  Produces the packed mask bytes the audit records
+    reuse, so bit-packing runs exactly once per request.
     """
 
     __slots__ = ()
@@ -316,21 +213,12 @@ class CacheLookupStage:
         size = int(np.count_nonzero(mask))
         return fingerprint, packed, size, state.cache.get(fingerprint)
 
-    def single(self, x: Exchange) -> None:
-        mask = x.query.mask
-        x.mask = mask
-        x.fingerprint, x.packed, x.size, cached = self.probe(x.state, mask)
-        if cached is not None:
-            x.cached_answer = cached
-            x.done = True
-
     def batch(self, x: Exchange) -> None:
         fingerprints, packed_rows, sizes = workload_fingerprints_packed(x.workload)
         x.fingerprints = fingerprints
         x.packed_rows = packed_rows
         x.sizes = sizes
         looked_up = x.state.cache.lookup_many(fingerprints)
-        x.looked_up = looked_up
         miss_rows: list[int] = []
         miss_fps: list[bytes] = []
         seen: set[bytes] = set()
@@ -354,7 +242,8 @@ class BudgetReserveStage:
     Verdicts (including the :class:`BudgetExhausted` raise points and
     messages) are bit-identical to the pre-refactor direct ``charge``;
     the lease only adds the rollback path the driver invokes when a later
-    stage fails, so budget is never burned for answers never released.
+    stage fails before the release is logged, so budget is never burned
+    for answers never released.  ``AuditAppend`` commits the lease.
     With a synthetic fallback configured, a refused charge flips the
     exchange to synthetic service (zero further epsilon) instead of
     propagating.
@@ -390,28 +279,20 @@ class ExecuteStage:
     """Run the mechanism (or the synthetic fallback) for the misses.
 
     The only stage that draws noise; everything else is bookkeeping.
-    Mechanism calls go through the bound :class:`ExecutionBackend`;
-    synthetic-fallback answers are exact post-processing of the pre-paid
-    release and always compute inline.
+    Mechanism calls run on the serving thread, on the analyst's own
+    answerer; synthetic-fallback answers are exact post-processing of the
+    pre-paid release.
     """
 
-    __slots__ = ("_bound",)
+    __slots__ = ()
 
     name = "execute"
-
-    def __init__(self, bound: "BoundExecution"):
-        self._bound = bound
-
-    @property
-    def bound(self) -> "BoundExecution":
-        """The backend binding answering this server's mechanism calls."""
-        return self._bound
 
     def single(self, x: Exchange) -> None:
         if x.synthetic:
             x.answer = float(x.server._fallback().answer(x.mask))
         else:
-            x.answer = self._bound.answer(x.state, x.analyst, x.query, x.packed)
+            x.answer = x.state.answerer.answer(x.query)
 
     def batch(self, x: Exchange) -> None:
         if not x.miss_rows:
@@ -422,10 +303,7 @@ class ExecuteStage:
             for fingerprint, answer in zip(x.miss_fps, fresh):
                 x.answer_by_fp[fingerprint] = float(answer)
         else:
-            packed_rows = [x.packed_rows[row] for row in x.miss_rows]
-            fresh = self._bound.answer_workload(
-                x.state, x.analyst, sub_workload, packed_rows
-            )
+            fresh = x.state.answerer.answer_workload(sub_workload)
             x.fresh_entries = [
                 (fingerprint, float(answer))
                 for fingerprint, answer in zip(x.miss_fps, fresh)
@@ -454,7 +332,8 @@ class CachePutStage:
 
 
 class AuditAppendStage:
-    """Append every release to the audit log, then poke the auditor.
+    """Append every release to the audit log, commit the charge, then
+    poke the auditor.
 
     The append itself stays on the hot path (the log *is* the server's
     evidence trail); what happens after is the pluggable part — the
@@ -462,6 +341,12 @@ class AuditAppendStage:
     runs ``maybe_audit`` inline (pre-refactor behavior) or wakes a
     background audit worker.  Cached single replays append but do not
     poke (they add no unique record, matching the monolith).
+
+    The ``BudgetReserve`` lease is committed as soon as the records are
+    in the log, *before* the dispatch runs: once an answer is logged (and
+    cached) it has been released, so an audit pass that raises afterwards
+    (an LP solver failure, say) propagates without refunding the charge.
+    A logged answer is always a charged answer.
     """
 
     __slots__ = ("_log", "_dispatch")
@@ -491,11 +376,6 @@ class AuditAppendStage:
         )
 
     def single(self, x: Exchange) -> None:
-        if x.done:
-            self.append_hit(
-                x.analyst, x.fingerprint, x.mask, x.cached_answer, x.packed, x.size
-            )
-            return
         synthetic = x.synthetic
         self._log.append(
             x.analyst,
@@ -508,6 +388,8 @@ class AuditAppendStage:
             packed_mask=x.packed,
             query_size=x.size,
         )
+        if x.lease is not None:
+            x.lease.commit()
         self._dispatch.after_append(self._log, x.analyst)
 
     def batch(self, x: Exchange) -> None:
@@ -533,298 +415,9 @@ class AuditAppendStage:
                 packed_mask=x.packed_rows[row],
                 query_size=int(x.sizes[row]),
             )
+        if x.lease is not None:
+            x.lease.commit()
         self._dispatch.after_append(self._log, x.analyst)
-
-
-# ---------------------------------------------------------------------------
-# Execution backends
-# ---------------------------------------------------------------------------
-
-
-class BoundExecution(ABC):
-    """A backend bound to one server: the ``Execute`` stage's call target."""
-
-    @abstractmethod
-    def answer(self, state, analyst: str, query: SubsetQuery, packed: bytes) -> float:
-        """Answer one query on the analyst's answerer."""
-
-    @abstractmethod
-    def answer_workload(
-        self, state, analyst: str, workload: Workload, packed_rows: Sequence[bytes]
-    ) -> np.ndarray:
-        """Answer a deduplicated miss workload on the analyst's answerer."""
-
-
-class ExecutionBackend(ABC):
-    """Where the ``Execute`` stage runs mechanism calls.
-
-    A backend is *bound* to a server once (:meth:`bind`), yielding the
-    per-server call target; every backend must be bit-identical to
-    inline execution for a fixed server seed, which the backend suite
-    pins across single asks, workloads, and interleaved sessions.
-    """
-
-    name: str = "?"
-
-    @abstractmethod
-    def bind(self, server: "QueryServer") -> BoundExecution:
-        """Bind to one server, returning its execution call target."""
-
-    def close(self) -> None:
-        """Release backend resources (shared pools persist; default no-op)."""
-
-
-class _InlineBound(BoundExecution):
-    __slots__ = ()
-
-    def answer(self, state, analyst, query, packed):
-        return state.answerer.answer(query)
-
-    def answer_workload(self, state, analyst, workload, packed_rows):
-        return state.answerer.answer_workload(workload)
-
-
-class InlineExecutionBackend(ExecutionBackend):
-    """The calling thread answers: zero indirection, the reference."""
-
-    name = "inline"
-
-    _BOUND = _InlineBound()
-
-    def bind(self, server):
-        return self._BOUND
-
-
-_POOL_GUARD = threading.Lock()
-_THREAD_POOL: ThreadPoolExecutor | None = None
-
-
-def _shared_thread_pool() -> ThreadPoolExecutor:
-    global _THREAD_POOL
-    with _POOL_GUARD:
-        if _THREAD_POOL is None:
-            _THREAD_POOL = ThreadPoolExecutor(
-                max_workers=min(32, 4 * (os.cpu_count() or 1)),
-                thread_name_prefix="repro-exec",
-            )
-        return _THREAD_POOL
-
-
-class _ThreadBound(BoundExecution):
-    __slots__ = ()
-
-    def answer(self, state, analyst, query, packed):
-        return _shared_thread_pool().submit(state.answerer.answer, query).result()
-
-    def answer_workload(self, state, analyst, workload, packed_rows):
-        return (
-            _shared_thread_pool()
-            .submit(state.answerer.answer_workload, workload)
-            .result()
-        )
-
-
-class ThreadExecutionBackend(ExecutionBackend):
-    """A shared thread pool answers.
-
-    Same objects, same calls, same noise stream as inline (the analyst
-    lock already serializes per-analyst work), so bit-identity is free;
-    the point is that NumPy sampling releases the GIL, keeping serving
-    threads responsive under big uncached batches — and it is the shape
-    an asyncio front end awaits on.
-    """
-
-    name = "thread"
-
-    def bind(self, server):
-        return _ThreadBound()
-
-
-# Worker-process side of the process backend.  Both dicts live in the
-# forked children only; keyed by the parent-assigned server token.
-_POOL_INITS: dict[int, tuple] = {}
-_POOL_ANSWERERS: dict[tuple[int, str], object] = {}
-
-_BIND_TOKENS = itertools.count(1)
-
-
-def _pool_answer(token, analyst, init, rng_state, packed_rows, n, single):
-    """Worker body: rebuild the analyst's answerer, position its noise
-    stream at the shipped state, answer, and return the advanced state.
-
-    Returns ``None`` when this worker has not yet seen ``token``'s init
-    payload — the parent resubmits with it attached (a one-time double
-    round trip per worker, so steady-state calls stay small).
-    """
-    spec = _POOL_INITS.get(token)
-    if spec is None:
-        if init is None:
-            return None
-        spec = pickle.loads(init)
-        _POOL_INITS[token] = spec
-    mechanism, params, data, seed = spec
-    key = (token, analyst)
-    answerer = _POOL_ANSWERERS.get(key)
-    if answerer is None:
-        from repro.service.server import make_answerer
-
-        # The same construction path the parent took at registration:
-        # construction-time draws (e.g. a subsample mask) replay from the
-        # same derived stream, then the shipped state repositions it.
-        answerer = make_answerer(
-            mechanism, data, rng=derive_rng(seed, "service", analyst), **params
-        )
-        _POOL_ANSWERERS[key] = answerer
-    rng = getattr(answerer, "_rng", None)
-    if rng is not None and rng_state is not None:
-        rng.bit_generator.state = rng_state
-    rows = np.frombuffer(b"".join(packed_rows), dtype=np.uint8)
-    masks = np.unpackbits(
-        rows.reshape(len(packed_rows), -1), axis=1, count=n
-    ).astype(bool)
-    if single:
-        result = answerer.answer(SubsetQuery(masks[0]))
-    else:
-        result = answerer.answer_workload(Workload(masks, copy=False))
-    new_state = rng.bit_generator.state if rng is not None else None
-    return result, new_state
-
-
-class _ProcessBound(BoundExecution):
-    __slots__ = ("_token", "_init", "_n", "_workers", "_degraded", "_lock")
-
-    def __init__(self, token: int, init: bytes, n: int, workers: int | None):
-        self._token = token
-        self._init = init
-        self._n = n
-        self._workers = workers
-        self._degraded = False
-        self._lock = threading.Lock()
-
-    def _degrade(self, error: BaseException) -> None:
-        with self._lock:
-            if not self._degraded:
-                self._degraded = True
-                warnings.warn(
-                    f"process execution backend degraded to inline ({error!r})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-
-    def _roundtrip(self, state, analyst, packed_rows, single):
-        answerer = state.answerer
-        rng = getattr(answerer, "_rng", None)
-        rng_state = rng.bit_generator.state if rng is not None else None
-        pool = shared_fork_executor(self._workers)
-        reply = pool.submit(
-            _pool_answer, self._token, analyst, None, rng_state, packed_rows,
-            self._n, single,
-        ).result()
-        if reply is None:
-            reply = pool.submit(
-                _pool_answer, self._token, analyst, self._init, rng_state,
-                packed_rows, self._n, single,
-            ).result()
-        result, new_state = reply
-        if rng is not None and new_state is not None:
-            # The worker consumed the draws; adopt its advanced stream so
-            # the analyst's next answer continues bit-exactly.
-            rng.bit_generator.state = new_state
-        lock = getattr(answerer, "_answer_lock", None)
-        count = 1 if single else len(packed_rows)
-        if lock is not None:
-            with lock:
-                answerer.queries_answered += count
-        return result
-
-    def answer(self, state, analyst, query, packed):
-        if self._degraded:
-            return state.answerer.answer(query)
-        try:
-            return self._roundtrip(state, analyst, [packed], True)
-        except Exception as error:  # pool broke or payload would not cross
-            self._degrade(error)
-            return state.answerer.answer(query)
-
-    def answer_workload(self, state, analyst, workload, packed_rows):
-        if self._degraded:
-            return state.answerer.answer_workload(workload)
-        try:
-            return self._roundtrip(state, analyst, list(packed_rows), False)
-        except Exception as error:
-            self._degrade(error)
-            return state.answerer.answer_workload(workload)
-
-
-class ProcessExecutionBackend(ExecutionBackend):
-    """A persistent fork pool answers: uncached traffic escapes the GIL.
-
-    Binding pickles the server's ``(mechanism, params, data, seed)`` once;
-    workers lazily rebuild each analyst's answerer from it and cache the
-    result, so steady-state calls ship only packed masks and a generator
-    state.  Bit-identity with inline holds because answers are a pure
-    function of (construction path, stream position) and both travel with
-    the call.  Degrades to inline — bit-identically, thanks to the same
-    state-based contract — with a ``RuntimeWarning`` when ``fork`` is
-    unavailable, the server's mechanism cannot cross a process boundary
-    (an unpicklable callable), or the pool breaks mid-flight.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None):
-        self._workers = workers
-
-    def bind(self, server):
-        if not fork_available():
-            warnings.warn(
-                "process execution backend needs the fork start method; "
-                "executing inline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return _InlineBound()
-        try:
-            init = pickle.dumps(
-                (server.mechanism, server.mechanism_params, server._data, server.seed)
-            )
-        except Exception as error:  # lambdas, closures, local classes
-            warnings.warn(
-                f"mechanism cannot cross a process boundary ({error!r}); "
-                "executing inline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return _InlineBound()
-        # Fork the shared pool now, before the server spawns or joins any
-        # serving threads — forking a threaded parent risks inheriting
-        # held locks.
-        shared_fork_executor(self._workers)
-        return _ProcessBound(next(_BIND_TOKENS), init, server.n, self._workers)
-
-
-def resolve_execution_backend(
-    execution: str | ExecutionBackend | None,
-) -> ExecutionBackend:
-    """Normalize an ``execution`` argument into a backend instance.
-
-    ``None`` consults the ``REPRO_EXEC_BACKEND`` environment variable
-    (default ``"inline"``) — which is how CI pins backend bit-identity by
-    running the whole tier-1 suite under ``REPRO_EXEC_BACKEND=process``.
-    """
-    if isinstance(execution, ExecutionBackend):
-        return execution
-    if execution is None:
-        execution = os.environ.get(EXEC_BACKEND_ENV, "inline") or "inline"
-    if execution == "inline":
-        return InlineExecutionBackend()
-    if execution == "thread":
-        return ThreadExecutionBackend()
-    if execution == "process":
-        return ProcessExecutionBackend()
-    raise ValueError(
-        f"unknown execution backend {execution!r}; known: {EXECUTION_BACKENDS}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -845,22 +438,23 @@ class ServePipeline:
       ``AuditAppendStage.append_hit``) as straight-line code, because at
       ~8 us/ask a generic stage loop is measurable overhead; the miss
       branch (dominated by the mechanism call) runs the staged sequence.
-      ``submit``/``_staged_single`` is the unfused reference the tests
-      hold it bit-identical to.
+      A one-row :meth:`serve_workload` is its reference: the tests hold
+      the two bit-identical, answers and audit records alike.
     * :meth:`serve_workload` — the batched path, fully staged.
 
-    Both drivers settle the ``BudgetReserve`` stage's lease: committed
-    after ``AuditAppend``, rolled back if any stage after the reserve
-    raises — the pipeline never burns budget for answers never released.
+    Both paths hold the ``BudgetReserve`` stage's lease until
+    ``AuditAppend`` commits it, and roll it back if any stage before the
+    commit raises — the pipeline never burns budget for answers never
+    released, and never releases an answer it did not charge for.
     """
 
-    def __init__(self, server: "QueryServer", bound: BoundExecution, dispatch):
+    def __init__(self, server: "QueryServer", dispatch):
         self._server = server
         self._admission: AdmissionControl | None = None
         self._compliance = ComplianceStage(server.auditor)
         self._cache_lookup = CacheLookupStage()
         self._budget = BudgetReserveStage()
-        self._execute = ExecuteStage(bound)
+        self._execute = ExecuteStage()
         self._cache_put = CachePutStage()
         self._audit_append = AuditAppendStage(server.audit_log, dispatch)
         self._serving = (
@@ -880,8 +474,9 @@ class ServePipeline:
         # Telemetry attaches at this one seam: the stage tuples get wrapped
         # (the raw stage attributes above stay raw, so identity-sensitive
         # consumers — execute_stage, audit_stage, the fused fast path —
-        # keep the unwrapped units), and the disabled path pays exactly
-        # one `is None` check per request.
+        # keep the unwrapped units), and the disabled single-ask path pays
+        # two `is None` checks per request.
+        self._clock = None
         telemetry = getattr(server, "telemetry", None)
         if telemetry is not None and telemetry.enabled:
             self._telemetry = telemetry
@@ -928,9 +523,6 @@ class ServePipeline:
         # does not need every data point — while misses, dominated by the
         # >=50 us mechanism call, are always recorded.
         self._hit_tick = 0
-        # Shadow the fused single-query path with its timed twin so the
-        # untimed body never has to test for telemetry per request.
-        self._single_locked = self._single_locked_instrumented
         # Pre-created at zero so the reject families are present in every
         # snapshot, not only after the first refusal.
         self._reject_counters = {
@@ -987,9 +579,9 @@ class ServePipeline:
     def with_admission(self, admission: AdmissionControl) -> "ServePipeline":
         """A view of this pipeline with an admission stage in front.
 
-        Serving stages are shared (same caches, same audit log, same
-        backend binding); only the pre-lock admission slot differs, which
-        is how per-session bucket/gate pairs ride one shard pipeline.
+        Serving stages are shared (same caches, same audit log); only the
+        pre-lock admission slot differs, which is how per-session
+        bucket/gate pairs ride one shard pipeline.
         """
         clone = object.__new__(ServePipeline)
         clone.__dict__.update(self.__dict__)
@@ -1016,13 +608,30 @@ class ServePipeline:
             admission.exit(analyst)
 
     def _single_locked(self, state, analyst: str, query: SubsetQuery) -> float:
-        # With telemetry enabled, ``_instrument`` shadows this method with
-        # ``_single_locked_instrumented`` on the instance, so neither mode
-        # pays a per-request dispatch branch here.
+        """Serve one query under the analyst lock; timed when telemetry is on.
+
+        With telemetry on (``self._clock`` set), the cached-replay branch
+        samples one histogram record (``stage="cache_hit_fastpath"``) on
+        every ``_HIT_SAMPLE_MASK + 1``-th hit, first hit always included,
+        so the family is non-zero after a single replay.  A full record
+        (clock read + bucket observe) costs ~10% of the ~8 us hit itself;
+        sampling keeps the steady-state telemetry tax to one clock read
+        and a counter bump per hit, while the recorded distribution stays
+        representative.  The miss branch records whole-request latency
+        (``stage="single_miss"``) on every miss and lets the wrapped miss
+        stages time themselves; its pre-mechanism compliance/lookup work
+        is sub-microsecond against a >=50 us mechanism call, so it carries
+        no per-unit split here — the batched path provides that.  Timing
+        never reorders an operation, so answers, charges, and audit
+        records are bit-identical with telemetry on or off.
+        """
         server = self._server
         if query.n != server.n:
             raise ValueError(f"query addresses n={query.n}, data has n={server.n}")
+        clock = self._clock
         with state.lock:
+            if clock is not None:
+                start = clock()
             self._compliance.check(analyst)
             mask = query.mask
             fingerprint, packed, size, cached = self._cache_lookup.probe(state, mask)
@@ -1032,74 +641,26 @@ class ServePipeline:
                 self._audit_append.append_hit(
                     analyst, fingerprint, mask, cached, packed, size
                 )
-                return cached
-            x = Exchange(self._server, state, analyst, query=query)
-            x.mask = mask
-            x.fingerprint = fingerprint
-            x.packed = packed
-            x.size = size
-            self._run_miss_single(x)
-            return x.answer
-
-    def _single_locked_instrumented(
-        self, state, analyst: str, query: SubsetQuery
-    ) -> float:
-        """The same operations as :meth:`_single_locked`, timed.
-
-        The cached-replay branch samples one histogram record
-        (``stage="cache_hit_fastpath"``) on every ``_HIT_SAMPLE_MASK +
-        1``-th hit, first hit always included, so the family is non-zero
-        after a single replay.  A full record (clock read + bucket
-        observe) costs ~10% of the ~8 us hit itself; sampling keeps the
-        steady-state telemetry tax to one clock read and a counter bump
-        per hit, well inside the bench guard band, while the recorded
-        distribution stays representative.  The miss branch records
-        whole-request latency (``stage="single_miss"``) on every miss and
-        lets the wrapped miss stages time themselves; its pre-mechanism
-        compliance/lookup work is sub-microsecond against a >=50 us
-        mechanism call, so it carries no per-unit split here — the
-        batched path provides that.  Operation order is identical to the
-        uninstrumented body, so answers, charges, and audit records stay
-        bit-identical.
-        """
-        server = self._server
-        if query.n != server.n:
-            raise ValueError(f"query addresses n={query.n}, data has n={server.n}")
-        clock = self._clock
-        with state.lock:
-            start = clock()
-            self._compliance.check(analyst)
-            mask = query.mask
-            fingerprint, packed, size, cached = self._cache_lookup.probe(state, mask)
-            if cached is not None:
-                self._audit_append.append_hit(
-                    analyst, fingerprint, mask, cached, packed, size
-                )
-                tick = self._hit_tick + 1
-                self._hit_tick = tick
-                if (tick & _HIT_SAMPLE_MASK) == 1:
-                    self._hit_observe(clock() - start)
+                if clock is not None:
+                    tick = self._hit_tick + 1
+                    self._hit_tick = tick
+                    if (tick & _HIT_SAMPLE_MASK) == 1:
+                        self._hit_observe(clock() - start)
                 return cached
             x = Exchange(server, state, analyst, query=query)
             x.mask = mask
             x.fingerprint = fingerprint
             x.packed = packed
             x.size = size
-            self._run_miss_single(x)
-            self._single_miss_observe(clock() - start)
+            try:
+                for stage in self._miss_stages:
+                    stage.single(x)
+            except BaseException:
+                _rollback(x.lease)
+                raise
+            if clock is not None:
+                self._single_miss_observe(clock() - start)
             return x.answer
-
-    def _run_miss_single(self, x: Exchange) -> None:
-        try:
-            for stage in self._miss_stages:
-                stage.single(x)
-        except BaseException:
-            lease = x.lease
-            if lease is not None and not lease.settled:
-                lease.rollback()
-            raise
-        if x.lease is not None:
-            x.lease.commit()
 
     # -- workload driver ----------------------------------------------------
 
@@ -1108,14 +669,14 @@ class ServePipeline:
     ) -> np.ndarray:
         admission = self._admission
         if admission is None:
-            return self._workload_locked(state, analyst, workload).answers
+            return self._workload_locked(state, analyst, workload)
         admission.enter(analyst)
         try:
-            return self._workload_locked(state, analyst, workload).answers
+            return self._workload_locked(state, analyst, workload)
         finally:
             admission.exit(analyst)
 
-    def _workload_locked(self, state, analyst: str, workload) -> Exchange:
+    def _workload_locked(self, state, analyst: str, workload) -> np.ndarray:
         workload = Workload.coerce(workload)
         server = self._server
         if workload.n != server.n:
@@ -1128,89 +689,16 @@ class ServePipeline:
                 for stage in self._serving:
                     stage.batch(x)
             except BaseException:
-                lease = x.lease
-                if lease is not None and not lease.settled:
-                    lease.rollback()
+                _rollback(x.lease)
                 raise
-            if x.lease is not None:
-                x.lease.commit()
-            return x
-
-    # -- typed boundary -----------------------------------------------------
-
-    def submit(self, request: Request) -> Outcome:
-        """Drive one :class:`Request` through the full staged sequence.
-
-        The entry point for out-of-process front ends (and the unfused
-        reference path the hot-path fusion is tested against).  Resolves
-        the analyst's serving state through the server registry, so a
-        first request performs registration (including the compliance
-        gate) exactly like ``QueryServer.session`` does.
-        """
-        state = self._server._state(request.analyst)
-        if request.single:
-            x = self._staged_single(state, request.analyst, request.query)
-            if x.done:
-                return Outcome(
-                    analyst=request.analyst,
-                    answer=x.cached_answer,
-                    answers=None,
-                    cached=True,
-                    synthetic=False,
-                    fresh_queries=0,
-                    epsilon_charged=0.0,
-                )
-            return Outcome(
-                analyst=request.analyst,
-                answer=x.answer,
-                answers=None,
-                cached=False,
-                synthetic=x.synthetic,
-                fresh_queries=1,
-                epsilon_charged=0.0 if x.synthetic else x.epsilon,
-            )
-        admission = self._admission
-        if admission is not None:
-            admission.enter(request.analyst)
-        try:
-            x = self._workload_locked(state, request.analyst, request.workload)
-        finally:
-            if admission is not None:
-                admission.exit(request.analyst)
-        fresh = len(x.miss_rows)
-        return Outcome(
-            analyst=request.analyst,
-            answer=None,
-            answers=tuple(float(a) for a in x.answers),
-            cached=fresh == 0,
-            synthetic=x.synthetic,
-            fresh_queries=fresh,
-            epsilon_charged=0.0 if x.synthetic else fresh * x.epsilon,
-        )
-
-    def _staged_single(self, state, analyst: str, query: SubsetQuery) -> Exchange:
-        server = self._server
-        admission = self._admission
-        if admission is not None:
-            admission.enter(analyst)
-        try:
-            if query.n != server.n:
-                raise ValueError(
-                    f"query addresses n={query.n}, data has n={server.n}"
-                )
-            x = Exchange(server, state, analyst, query=query)
-            with state.lock:
-                self._compliance.single(x)
-                self._cache_lookup.single(x)
-                if x.done:
-                    self._audit_append.single(x)
-                else:
-                    self._run_miss_single(x)
-        finally:
-            if admission is not None:
-                admission.exit(analyst)
-        return x
+        return x.answers
 
     def __repr__(self) -> str:
         names = " -> ".join(stage.name for stage in self.stages)
         return f"ServePipeline({names})"
+
+
+def _rollback(lease: BudgetLease | None) -> None:
+    """Refund a lease no stage has committed yet (a failed request)."""
+    if lease is not None and not lease.settled:
+        lease.rollback()

@@ -19,13 +19,11 @@ without side effects from the later ones)::
 
 ``QueryServer`` itself is a thin driver over that stage list: it owns the
 cross-request state (accountant, audit log, analyst registry, synthetic
-fallback) and delegates serving to its pipeline.  The ``execution``
-argument picks where the ``Execute`` stage runs mechanism calls
-(inline / thread / process; see :mod:`repro.service.pipeline`), and
-``audit_dispatch`` picks whether reconstruction-audit passes run on the
-serving thread or on background workers
-(:mod:`repro.service.audit_worker`).  Both are bit-identical to the
-defaults by construction and by test.
+fallback) and delegates serving to its pipeline, whose ``Execute`` stage
+answers on the serving thread.  ``audit_dispatch`` picks whether
+reconstruction-audit passes run on that thread or on background workers
+(:mod:`repro.service.audit_worker`); verdicts are bit-identical either
+way, by construction and by test.
 
 When a :class:`~repro.compliance.gate.ComplianceGate` is configured, one
 step precedes all of the above — at session *registration* (not per
@@ -69,11 +67,7 @@ from repro.queries.workload import Workload
 from repro.service.audit import AuditLog, ReconstructionAuditor
 from repro.service.audit_worker import AuditDispatch, resolve_audit_dispatch
 from repro.service.cache import AnalystCacheView, AnswerCache
-from repro.service.pipeline import (
-    ExecutionBackend,
-    ServePipeline,
-    resolve_execution_backend,
-)
+from repro.service.pipeline import ServePipeline
 from repro.synth.binary import BinaryRelease, synthesize_binary
 from repro.telemetry import NullTelemetry, Telemetry, resolve_telemetry
 from repro.utils.rng import RngSeed, derive_rng
@@ -281,12 +275,6 @@ class QueryServer:
             budget/cache/answer footprint, and both approvals and denials
             are noted in the audit log.  The check runs at registration
             and activation only — never on the per-query hot path.
-        execution: where the Execute stage runs mechanism calls — an
-            :class:`~repro.service.pipeline.ExecutionBackend` instance or
-            one of ``"inline"``/``"thread"``/``"process"``; ``None``
-            (default) consults the ``REPRO_EXEC_BACKEND`` environment
-            variable, falling back to inline.  Bit-identical across
-            backends for a fixed seed.
         audit_dispatch: how reconstruction-audit passes run — an
             :class:`~repro.service.audit_worker.AuditDispatch` instance,
             ``"inline"`` (default: passes run on the serving thread, the
@@ -316,7 +304,6 @@ class QueryServer:
         seed: int = 0,
         synthetic_fallback: SyntheticFallback | bool | None = None,
         compliance: ComplianceGate | None = None,
-        execution: str | ExecutionBackend | None = None,
         audit_dispatch: str | AuditDispatch | None = None,
         telemetry: Telemetry | NullTelemetry | bool | None = None,
         shard_index: int = 0,
@@ -344,7 +331,6 @@ class QueryServer:
         self._states_lock = threading.Lock()
         self.telemetry = resolve_telemetry(telemetry)
         self.shard_index = int(shard_index)
-        self.execution = resolve_execution_backend(execution)
         self.audit_dispatch = resolve_audit_dispatch(audit_dispatch, self.auditor)
         if self.telemetry.enabled:
             # Shared components (the sharded accountant, the gate, a
@@ -354,9 +340,7 @@ class QueryServer:
                 bind = getattr(component, "bind_telemetry", None)
                 if bind is not None:
                     bind(self.telemetry)
-        self._pipeline = ServePipeline(
-            self, self.execution.bind(self), self.audit_dispatch
-        )
+        self._pipeline = ServePipeline(self, self.audit_dispatch)
 
     @property
     def n(self) -> int:
@@ -515,14 +499,11 @@ class QueryServer:
     def close(self) -> None:
         """Drain and release serving resources.
 
-        Flushes and stops background audit workers (so every signalled
-        pass has published its verdict) and closes the execution backend.
-        Shared process/thread pools persist across servers by design and
-        are not torn down here.
+        Flushes and stops background audit workers, so every signalled
+        pass has published its verdict.
         """
         self.audit_dispatch.flush()
         self.audit_dispatch.close()
-        self.execution.close()
 
     def __enter__(self) -> "QueryServer":
         return self

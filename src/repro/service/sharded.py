@@ -56,7 +56,7 @@ from repro.queries.workload import Workload
 from repro.service.audit import AuditLog, ReconstructionAuditor
 from repro.service.audit_worker import resolve_audit_dispatch
 from repro.service.cache import AnalystCacheView, StripedAnswerCache
-from repro.service.pipeline import AdmissionControl, resolve_execution_backend
+from repro.service.pipeline import AdmissionControl
 from repro.service.server import AnalystSession, QueryServer, SyntheticFallback
 from repro.synth.binary import BinaryRelease
 from repro.telemetry import resolve_telemetry
@@ -273,7 +273,6 @@ class ShardedQueryServer:
         rate_limit: RateLimit | None = None,
         max_inflight_per_shard: int | None = None,
         clock: Callable[[], float] = time.monotonic,
-        execution=None,
         audit_dispatch=None,
         telemetry=None,
     ):
@@ -288,10 +287,8 @@ class ShardedQueryServer:
         self.rate_limit = rate_limit
         self._clock = clock
         self.telemetry = resolve_telemetry(telemetry)
-        # One execution backend and one audit dispatch for the whole front
-        # end: shards bind the same backend (sharing its pools/workers) and
-        # publish audit signals through the same worker pool.
-        self.execution = resolve_execution_backend(execution)
+        # One audit dispatch for the whole front end: shards publish audit
+        # signals through the same worker pool.
         self.audit_dispatch = resolve_audit_dispatch(audit_dispatch, auditor)
         self._shard_caches = tuple(
             StripedAnswerCache(max_entries=cache_entries, stripes=cache_stripes)
@@ -308,7 +305,6 @@ class ShardedQueryServer:
                 seed=seed,
                 synthetic_fallback=synthetic_fallback,
                 compliance=compliance,
-                execution=self.execution,
                 audit_dispatch=self.audit_dispatch,
                 telemetry=self.telemetry,
                 shard_index=index,
@@ -475,12 +471,11 @@ class ShardedQueryServer:
     def close(self) -> None:
         """Drain background audit workers and release serving resources.
 
-        The dispatch and backend are shared across shards, so they are
-        closed once here, not per shard.
+        The dispatch is shared across shards, so it is closed once here,
+        not per shard.
         """
         self.audit_dispatch.flush()
         self.audit_dispatch.close()
-        self.execution.close()
 
     def __enter__(self) -> "ShardedQueryServer":
         return self

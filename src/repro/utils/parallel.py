@@ -46,7 +46,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -148,56 +147,6 @@ def chunk_indices_weighted(
 # creating the pool; forked children inherit it by copy-on-write, so the
 # function and items are never pickled (only small index lists are).
 _FORK_PAYLOAD: dict[str, object] = {}
-
-# One long-lived fork pool per parent process, shared by every caller that
-# wants persistent workers (the service's process execution backend).  Unlike
-# parallel_map's per-call pools, work here *is* pickled per call — callers
-# ship small payloads (packed masks, generator states) and amortize the fork
-# cost across the process lifetime instead of per batch.
-_SHARED_EXECUTOR: ProcessPoolExecutor | None = None
-_SHARED_EXECUTOR_LOCK = threading.Lock()
-
-
-def default_pool_workers() -> int:
-    """Worker count for the shared fork executor: never below 2, so the
-    pool exercises real cross-process dispatch even on one-core boxes."""
-    return max(2, os.cpu_count() or 1)
-
-
-def shared_fork_executor(max_workers: int | None = None) -> ProcessPoolExecutor:
-    """The process-wide persistent fork :class:`ProcessPoolExecutor`.
-
-    Created lazily on first use and reused for every subsequent call (the
-    ``max_workers`` of the first call wins).  Callers should acquire it as
-    early as possible — ideally before spawning serving threads — because
-    forking a heavily threaded parent risks inheriting held locks.  Raises
-    :class:`RuntimeError` on platforms without ``fork``; callers are
-    expected to degrade to in-process execution.
-    """
-    global _SHARED_EXECUTOR
-    if not fork_available():
-        raise RuntimeError("fork start method unavailable; no shared fork executor")
-    with _SHARED_EXECUTOR_LOCK:
-        if _SHARED_EXECUTOR is None:
-            context = multiprocessing.get_context("fork")
-            executor = ProcessPoolExecutor(
-                max_workers=max_workers or default_pool_workers(),
-                mp_context=context,
-            )
-            # Touch every worker now (a no-op round trip) so the forks
-            # happen immediately, not at first real submit mid-traffic.
-            executor.submit(int, 0).result()
-            _SHARED_EXECUTOR = executor
-        return _SHARED_EXECUTOR
-
-
-def shutdown_shared_executor() -> None:
-    """Tear down the shared fork executor (tests and clean shutdown)."""
-    global _SHARED_EXECUTOR
-    with _SHARED_EXECUTOR_LOCK:
-        executor, _SHARED_EXECUTOR = _SHARED_EXECUTOR, None
-    if executor is not None:
-        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _call_payload_indices(indices: Sequence[int]) -> list:

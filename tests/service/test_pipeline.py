@@ -1,41 +1,39 @@
-"""The staged serve pipeline: stage wiring, execution backends, audit
-dispatch, and the bit-identity contract across all of them.
+"""The staged serve pipeline: stage wiring, audit dispatch, the budget
+lease, and the bit-identity contract across serve paths and front ends.
 
 The refactor's promise is that the pipeline is pure mechanics: for a fixed
 seed, served answers, budget-exhaustion points, and audit verdicts are
-bit-identical whatever the execution backend (inline/thread/process),
-whatever the audit dispatch (inline/background, after a flush), and
-whether the fused single-ask fast path or the generic staged reference
-path served the request.
+bit-identical whatever the audit dispatch (inline/background, after a
+flush), whether the fused single-ask path or the staged workload path
+served the query, and whether one server or a sharded front end did.
 """
 
+import importlib
+import json
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.privacy.accounting import BudgetExhausted, BudgetLease
+import repro
+from repro.privacy.accounting import BudgetLease
 from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
 from repro.service import (
     AuditWorkerPool,
     BasicAccountant,
-    InlineExecutionBackend,
-    ProcessExecutionBackend,
     QueryServer,
     ReconstructionAuditor,
-    Request,
     ShardedQueryServer,
-    ThreadExecutionBackend,
 )
-from repro.service.pipeline import resolve_execution_backend
-from repro.utils.parallel import fork_available
 from repro.utils.rng import derive_rng
 
 N = 64
-BACKENDS = ["inline", "thread", "process"]
 
 
 def make_data(seed=21):
@@ -83,21 +81,24 @@ class TestStageList:
 
 class TestFusedVersusStagedSingle:
     def test_fused_hot_path_matches_staged_reference(self):
-        # Two servers, same seed: one driven through session.ask (fused
-        # cached fast path), one through pipeline.submit (generic staged
-        # loop).  Answers and audit records must be bit-identical.
+        # Two servers, same seed: one driven through session.ask (the fused
+        # single-ask path), one through one-row session.ask_workload
+        # calls (every stage's batch entry, in sequence).  Answers and
+        # audit records must be bit-identical, replays included.
         data = make_data()
         fused = QueryServer(data, "laplace", seed=5)
         staged = QueryServer(data, "laplace", seed=5)
         queries = make_queries(10)
-        session = fused.session("alice")
+        single = fused.session("alice")
+        batched = staged.session("alice")
         for query in queries + queries:  # second pass replays from cache
-            expected = session.ask(query)
-            outcome = staged.pipeline.submit(Request("alice", query=query))
-            assert outcome.answer == expected
+            expected = single.ask(query)
+            (answer,) = batched.ask_workload([query])
+            assert answer == expected
         fused_log = fused.audit_log.records("alice")
         staged_log = staged.audit_log.records("alice")
         assert len(fused_log) == len(staged_log) == 20
+        assert sum(record.cached for record in fused_log) == 10
         for a, b in zip(fused_log, staged_log):
             assert (a.fingerprint, a.answer, a.cached, a.epsilon, a.source) == (
                 b.fingerprint,
@@ -106,155 +107,37 @@ class TestFusedVersusStagedSingle:
                 b.epsilon,
                 b.source,
             )
-
-    def test_submit_outcome_accounting(self):
-        server = QueryServer(make_data(), "laplace", seed=5)
-        query = make_queries(1)[0]
-        first = server.pipeline.submit(Request("alice", query=query))
-        assert not first.cached and first.fresh_queries == 1
-        assert first.epsilon_charged == pytest.approx(0.5)
-        replay = server.pipeline.submit(Request("alice", query=query))
-        assert replay.cached and replay.fresh_queries == 0
-        assert replay.epsilon_charged == 0.0
-        assert replay.answer == first.answer
-        workload = Workload.coerce(make_queries(6, seed=10))
-        batch = server.pipeline.submit(Request("alice", workload=workload))
-        assert batch.answers is not None and len(batch.answers) == 6
-        assert batch.fresh_queries == 6
-        again = server.pipeline.submit(Request("alice", workload=workload))
-        assert again.cached and again.epsilon_charged == 0.0
-        assert again.answers == batch.answers
-
-    def test_request_requires_exactly_one_payload(self):
-        query = make_queries(1)[0]
-        with pytest.raises(ValueError):
-            Request("alice")
-        with pytest.raises(ValueError):
-            Request("alice", query=query, workload=Workload.coerce([query]))
+        assert single.epsilon_spent == batched.epsilon_spent
+        assert single.queries_charged == batched.queries_charged == 10
 
 
-class TestExecutionBackendBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("mechanism", ["laplace", "gaussian", "subsample"])
-    def test_single_asks_match_inline(self, backend, mechanism):
-        data = make_data()
-        reference = QueryServer(data, mechanism, seed=9, execution="inline")
-        candidate = QueryServer(data, mechanism, seed=9, execution=backend)
-        queries = make_queries(8)
-        for analyst in ("alice", "bob"):
-            ref = reference.session(analyst)
-            got = candidate.session(analyst)
-            for query in queries:
-                assert got.ask(query) == ref.ask(query)
+class TestExecutionBackendsRemoved:
+    # Thread and fork-pool execution measured slower than serving on the
+    # calling thread, and the Request/Outcome boundary had no front end to
+    # serve; both were deleted and must stay deleted.
+    def test_service_exports_are_gone(self):
+        service = importlib.import_module("repro.service")
+        for name in (
+            "Request",
+            "Outcome",
+            "ExecutionBackend",
+            "InlineExecutionBackend",
+            "ThreadExecutionBackend",
+            "ProcessExecutionBackend",
+            "EXECUTION_BACKENDS",
+            "resolve_execution_backend",
+        ):
+            assert not hasattr(service, name), name
+            assert name not in service.__all__, name
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_workloads_match_inline(self, backend):
-        data = make_data()
-        reference = QueryServer(data, "laplace", seed=3, execution="inline")
-        candidate = QueryServer(data, "laplace", seed=3, execution=backend)
-        workload = Workload.random(N, 24, rng=derive_rng(1, "wl"))
-        np.testing.assert_array_equal(
-            candidate.session("alice").ask_workload(workload),
-            reference.session("alice").ask_workload(workload),
-        )
+    @pytest.mark.parametrize("server_class", [QueryServer, ShardedQueryServer])
+    def test_servers_refuse_an_execution_argument(self, server_class):
+        with pytest.raises(TypeError, match="execution"):
+            server_class(make_data(), "laplace", execution="process")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_traffic_and_counters_match_inline(self, backend):
-        data = make_data()
-        reference = QueryServer(data, "laplace", seed=7, execution="inline")
-        candidate = QueryServer(data, "laplace", seed=7, execution=backend)
-        queries = make_queries(6)
-        workload = Workload.coerce(make_queries(5, seed=8))
-        for server in (reference, candidate):
-            session = server.session("alice")
-            for query in queries[:3]:
-                session.ask(query)
-            session.ask_workload(workload)
-            for query in queries:  # tail mixes replays with fresh asks
-                session.ask(query)
-        ref_records = reference.audit_log.records("alice")
-        got_records = candidate.audit_log.records("alice")
-        assert [(r.fingerprint, r.answer, r.cached) for r in ref_records] == [
-            (r.fingerprint, r.answer, r.cached) for r in got_records
-        ]
-        ref_state = reference.session("alice")._state
-        got_state = candidate.session("alice")._state
-        assert (
-            got_state.answerer.queries_answered
-            == ref_state.answerer.queries_answered
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_budget_exhaustion_point_matches_inline(self, backend):
-        data = make_data()
-        queries = make_queries(12)
-
-        def exhaust(server):
-            session = server.session("alice")
-            answers = []
-            for query in queries:
-                try:
-                    answers.append(session.ask(query))
-                except BudgetExhausted:
-                    answers.append("refused")
-            return answers
-
-        reference = exhaust(
-            QueryServer(
-                data,
-                "laplace",
-                accountant=BasicAccountant(per_analyst_epsilon=3.0),
-                seed=2,
-                execution="inline",
-            )
-        )
-        candidate = exhaust(
-            QueryServer(
-                data,
-                "laplace",
-                accountant=BasicAccountant(per_analyst_epsilon=3.0),
-                seed=2,
-                execution=backend,
-            )
-        )
-        assert "refused" in reference
-        assert candidate == reference
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_process_backend_actually_crosses_processes(self):
-        import repro.service.pipeline as pipeline_module
-
-        data = make_data()
-        server = QueryServer(data, "laplace", seed=11, execution="process")
-        bound = server.pipeline.execute_stage.bound
-        assert isinstance(bound, pipeline_module._ProcessBound)
-        session = server.session("alice")
-        for query in make_queries(3):
-            session.ask(query)
-        # The parent process must never have built a worker-side answerer.
-        assert not pipeline_module._POOL_ANSWERERS
-        assert not bound._degraded
-
-    def test_unpicklable_mechanism_degrades_to_inline_bit_identically(self):
-        data = make_data()
-        mechanism = lambda d, rng, **p: __import__(  # noqa: E731
-            "repro.queries.mechanism", fromlist=["LaplaceAnswerer"]
-        ).LaplaceAnswerer(d, 0.5, rng=rng)
-        reference = QueryServer(data, mechanism, seed=6, execution="inline")
-        with pytest.warns(RuntimeWarning, match="cannot cross a process boundary"):
-            candidate = QueryServer(data, mechanism, seed=6, execution="process")
-        for query in make_queries(4):
-            assert candidate.ask("alice", query) == reference.ask("alice", query)
-
-    def test_resolver_rejects_unknown_and_honors_env(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_execution_backend("quantum")
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "thread")
-        assert isinstance(resolve_execution_backend(None), ThreadExecutionBackend)
-        monkeypatch.delenv("REPRO_EXEC_BACKEND")
-        assert isinstance(resolve_execution_backend(None), InlineExecutionBackend)
-        backend = ProcessExecutionBackend()
-        assert resolve_execution_backend(backend) is backend
+    def test_shared_fork_executor_is_gone(self):
+        parallel = importlib.import_module("repro.utils.parallel")
+        assert not hasattr(parallel, "shared_fork_executor")
 
 
 @st.composite
@@ -276,16 +159,15 @@ def interleavings(draw):
 
 class TestInterleavingBitIdentity:
     @settings(max_examples=25, deadline=None)
-    @given(schedule=interleavings(), backend=st.sampled_from(BACKENDS))
-    def test_any_schedule_matches_inline(self, schedule, backend):
+    @given(schedule=interleavings())
+    def test_sharded_matches_single_on_any_schedule(self, schedule):
         data = make_data()
         queries = make_queries(8)
         workloads = [
             Workload.coerce(queries[i : i + 3] or queries[:1]) for i in range(8)
         ]
 
-        def run(execution):
-            server = QueryServer(data, "laplace", seed=13, execution=execution)
+        def run(server):
             out = []
             for analyst, kind, index in schedule:
                 session = server.session(analyst)
@@ -295,7 +177,8 @@ class TestInterleavingBitIdentity:
                     out.append(tuple(session.ask_workload(workloads[index])))
             return out
 
-        assert run(backend) == run("inline")
+        sharded = ShardedQueryServer(data, "laplace", seed=13, shards=4)
+        assert run(sharded) == run(QueryServer(data, "laplace", seed=13))
 
 
 class TestBudgetLeaseContract:
@@ -344,6 +227,48 @@ class TestBudgetLeaseContract:
         assert server.accountant.analyst_epsilon("alice") == pytest.approx(0.0)
         assert server.accountant.analyst_queries("alice") == 0
         assert len(server.audit_log) == 0  # nothing released, nothing logged
+
+    def test_failed_audit_pass_keeps_the_charge(self):
+        # The audit pass runs after the answers are logged and cached, so
+        # they are released whatever the pass does.  A pass that raises (an
+        # LP solver failure, say) must propagate without refunding them:
+        # the ledger always equals the epsilon the audit log says was spent.
+        data = make_data()
+        auditor = ReconstructionAuditor(data)
+
+        def broken(log, analyst):
+            raise RuntimeError("LP solver failed: status 4")
+
+        auditor.maybe_audit = broken
+        server = QueryServer(data, "laplace", auditor=auditor, seed=1)
+
+        def assert_ledger_matches_log():
+            records = [
+                record
+                for record in server.audit_log.records("alice")
+                if record.source == "mechanism"
+            ]
+            assert server.accountant.analyst_epsilon("alice") == pytest.approx(
+                sum(record.epsilon for record in records)
+            )
+            assert server.accountant.analyst_queries("alice") == sum(
+                not record.cached for record in records
+            )
+
+        query = make_queries(1)[0]
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            server.ask("alice", query)
+        assert_ledger_matches_log()
+        assert server.accountant.analyst_epsilon("alice") == pytest.approx(0.5)
+        # The replay is the logged answer, free of charge.
+        logged = server.audit_log.records("alice")[0].answer
+        assert server.ask("alice", query) == logged
+        assert_ledger_matches_log()
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            server.ask_workload("alice", make_queries(5, seed=8))
+        assert_ledger_matches_log()
+        assert server.accountant.analyst_epsilon("alice") == pytest.approx(3.0)
+        assert server.accountant.analyst_queries("alice") == 6
 
 
 def _auditable_server(data, dispatch, seed=17):
@@ -472,17 +397,87 @@ class TestAuditDispatch:
             )
 
 
+ANALYSTS = ("alice", "bob", "carol")
+
+#: Serves ``queries`` for every analyst from a 4-shard server in a fresh
+#: interpreter; prints ``{analyst: [answer.hex(), ...]}`` as JSON.
+SHARDED_CHILD = """
+import json, sys
+import numpy as np
+from repro.queries.query import SubsetQuery
+from repro.service import ShardedQueryServer
+
+spec = json.load(sys.stdin)
+server = ShardedQueryServer(np.array(spec["data"]), "laplace", seed=19, shards=4)
+queries = [SubsetQuery(np.array(mask)) for mask in spec["queries"]]
+json.dump(
+    {a: [float(server.session(a).ask(q)).hex() for q in queries] for a in spec["analysts"]},
+    sys.stdout,
+)
+"""
+
+
+def sharded_answers_inline(data, queries):
+    sharded = ShardedQueryServer(data, "laplace", seed=19, shards=4)
+    return {
+        analyst: [float(sharded.session(analyst).ask(q)).hex() for q in queries]
+        for analyst in ANALYSTS
+    }
+
+
+def sharded_answers_thread(data, queries):
+    sharded = ShardedQueryServer(data, "laplace", seed=19, shards=4)
+    start = threading.Barrier(len(ANALYSTS))
+
+    def drive(analyst):
+        session = sharded.session(analyst)
+        start.wait()
+        return [float(session.ask(q)).hex() for q in queries]
+
+    with ThreadPoolExecutor(max_workers=len(ANALYSTS)) as pool:
+        return dict(zip(ANALYSTS, pool.map(drive, ANALYSTS)))
+
+
+def sharded_answers_process(data, queries):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    spec = {
+        "data": data.tolist(),
+        "queries": [q.mask.tolist() for q in queries],
+        "analysts": list(ANALYSTS),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", SHARDED_CHILD],
+        input=json.dumps(spec),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(child.stdout)
+
+
+SHARDED_DRIVERS = {
+    "inline": sharded_answers_inline,
+    "thread": sharded_answers_thread,
+    "process": sharded_answers_process,
+}
+
+
 class TestShardedBackendBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sharded_matches_single_server(self, backend):
+    """A sharded front end answers exactly as one server does, wherever its
+    asks run: the test thread, one thread per analyst at once, or a fresh
+    interpreter with a different string-hash seed."""
+
+    @pytest.mark.parametrize("driver", ["inline", "thread", "process"])
+    def test_sharded_matches_single_server(self, driver):
         data = make_data()
-        single = QueryServer(data, "laplace", seed=19, execution="inline")
-        sharded = ShardedQueryServer(
-            data, "laplace", seed=19, shards=4, execution=backend
-        )
         queries = make_queries(6)
-        for analyst in ("alice", "bob", "carol"):
+        single = QueryServer(data, "laplace", seed=19)
+        expected = {}
+        for analyst in ANALYSTS:
             reference = single.session(analyst)
-            session = sharded.session(analyst)
-            for query in queries:
-                assert session.ask(query) == reference.ask(query)
+            expected[analyst] = [float(reference.ask(q)).hex() for q in queries]
+        assert SHARDED_DRIVERS[driver](data, queries) == expected
