@@ -20,7 +20,9 @@ pipeline end to end:
 The headline is the attacker's throughput: reconstructed records per
 second at >= 0.95 agreement.  A side probe re-runs a small population with
 ``jobs=1`` and ``jobs=2`` and checks the joined bits are identical —
-the determinism contract that makes the pipeline auditable.
+the determinism contract that makes the pipeline auditable.  The probe's
+blocks come in three sizes, so they decode as three batches: more tasks
+than workers, which ``jobs=2`` really splits across two processes.
 """
 
 from __future__ import annotations
@@ -47,17 +49,19 @@ NOISE_BOUND = 1.0
 
 
 def build_population(
-    num_blocks: int, rng: np.random.Generator
+    num_blocks: int, rng: np.random.Generator, block_size: int = BLOCK_SIZE
 ) -> tuple[Workload, np.ndarray, np.ndarray]:
     """A multi-block population, its block-diagonal workload, noisy answers.
 
     The workload is assembled directly as one global CSR matrix (never a
     dense mask matrix): block ``p`` contributes rows ``p*m .. p*m+m-1``
-    over columns ``p*b .. p*b+b-1`` only.  Answers carry independent
-    uniform noise in ``{-1, 0, +1}`` — bounded by :data:`NOISE_BOUND`,
-    which is the certificate the decoder tests against.
+    over columns ``p*b .. p*b+b-1`` only, with ``b = block_size`` people
+    and ``m = 3b`` queries (:data:`QUERIES_PER_BLOCK` at the default
+    size).  Answers carry independent uniform noise in ``{-1, 0, +1}`` —
+    bounded by :data:`NOISE_BOUND`, which is the certificate the decoder
+    tests against.
     """
-    b, m = BLOCK_SIZE, QUERIES_PER_BLOCK
+    b, m = block_size, block_size * QUERIES_PER_BLOCK // BLOCK_SIZE
     masks = rng.random((num_blocks, m, b)) < 0.5
     empty = ~masks.any(axis=2)
     while empty.any():
@@ -102,10 +106,20 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     agreement = result.agreement_with(data)
 
     # Determinism probe at a small scale: the joined bits must be
-    # bit-identical whatever the worker count.
-    probe_workload, _, probe_answers = build_population(
-        64, derive_rng(seed, "e20-probe")
+    # bit-identical whatever the worker count.  Blocks of three sizes make
+    # three batches, so jobs=2 forks two workers rather than running the
+    # one batch a single-size population would make.
+    probes = [
+        build_population(16, derive_rng(seed, "e20-probe", size), block_size=size)
+        for size in (16, 24, BLOCK_SIZE)
+    ]
+    probe_workload = Workload.from_csr(
+        scipy.sparse.block_diag(
+            [probe[0].matrix(sparse=True) for probe in probes], format="csr"
+        ),
+        copy=False,
     )
+    probe_answers = np.concatenate([probe[2] for probe in probes])
     serial = reconstructor.reconstruct(probe_workload, probe_answers, jobs=1, seed=seed)
     forked = reconstructor.reconstruct(probe_workload, probe_answers, jobs=2, seed=seed)
     jobs_invariant = bool(

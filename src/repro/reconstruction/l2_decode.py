@@ -29,8 +29,13 @@ reconstruction stack:
   when the certificate fails.
 * :func:`l2_decode_batch` runs the same iteration simultaneously over a
   stack of equal-shape dense subproblems — the census regime, where tens
-  of thousands of small per-block systems decode as a handful of batched
-  einsums instead of tens of thousands of Python calls.
+  of thousands of small per-block systems decode in a handful of batched
+  calls instead of tens of thousands of Python calls.  It always iterates
+  on the per-block Gram matrices ``G = A^T A``, built once per call:
+  census blocks are tall (m = 3b queries over b people), so one
+  ``G y - A^T a`` costs ``b^2`` multiply-adds per block where
+  ``A^T (A y - a)`` cost ``2mb``.  The certificate and the returned
+  residuals are still measured against ``A``.
 
 Determinism: the iteration starts from the fixed center point, the step
 size comes from a deterministic norm bound by default (``lipschitz="auto"``;
@@ -177,6 +182,16 @@ def _gram(matrix) -> np.ndarray:
     return gram
 
 
+def _check_iteration(max_iters: int, check_every: int, reg: float) -> None:
+    """Reject FISTA settings that cannot run (shared by both decoders)."""
+    if max_iters <= 0:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
+    if check_every <= 0:
+        raise ValueError(f"check_every must be positive, got {check_every}")
+    if reg < 0:
+        raise ValueError(f"reg must be non-negative, got {reg}")
+
+
 def _resolve_lipschitz(matrix, lipschitz, rng: RngSeed) -> float:
     if isinstance(lipschitz, (int, float)) and not isinstance(lipschitz, bool):
         if lipschitz <= 0:
@@ -232,12 +247,7 @@ def l2_decode(
     answers = np.asarray(answers, dtype=float)
     if answers.shape != (len(workload),):
         raise ValueError("answers must align with the query list")
-    if max_iters <= 0:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
-    if check_every <= 0:
-        raise ValueError(f"check_every must be positive, got {check_every}")
-    if reg < 0:
-        raise ValueError(f"reg must be non-negative, got {reg}")
+    _check_iteration(max_iters, check_every, reg)
 
     matrix = workload.matrix(sparse=True)
     m, n = matrix.shape
@@ -322,8 +332,11 @@ def l2_decode_batch(
         ``(k, b)`` float, and ``(k,)`` float — ``max_residuals`` is measured
         on the rounded candidates, ready for the escalation test.
 
-    Each block's floating-point trajectory is element-wise independent of
-    its batch-mates (there is no cross-block reduction), so splitting the
+    The gradient is ``G y - A^T a`` with ``G = A^T A`` and ``A^T a`` built
+    once per call.  For 0/1 systems ``G`` is exact (integer counts), so
+    the iterates differ from ``A^T (A y - a)`` only in floating-point
+    rounding.  Each block's trajectory is element-wise independent of its
+    batch-mates (there is no cross-block reduction), so splitting the
     stack across chunks or workers reproduces the same bits.  Blocks whose
     rounded candidate passes the certificate are frozen and removed from
     the active set, so a batch dominated by easy blocks exits early.
@@ -335,12 +348,17 @@ def l2_decode_batch(
     k, m, b = systems.shape
     if answers.shape != (k, m):
         raise ValueError(f"answers must be ({k}, {m}), got {answers.shape}")
+    _check_iteration(max_iters, check_every, reg)
     bound = float("inf") if alpha is None else float(alpha)
 
     # Per-block deterministic step sizes from the norm-product bound.
     row_sums = systems.sum(axis=2).max(axis=1)  # (k,) max row sums
     col_sums = systems.sum(axis=1).max(axis=1)  # (k,) max col sums
     steps = 1.0 / (np.maximum(row_sums * col_sums, 1e-12) + reg)  # (k,)
+
+    transposed = systems.transpose(0, 2, 1)
+    gram = transposed @ systems  # (k, b, b)
+    correlation = (transposed @ answers[:, :, None])[:, :, 0]  # (k, b)
 
     fractional = np.full((k, b), 0.5)
     active = np.arange(k)
@@ -351,8 +369,7 @@ def l2_decode_batch(
     step = steps[:, None]
     t = 1.0
     for iteration in range(1, max_iters + 1):
-        residual = np.einsum("kmb,kb->km", a_mats, y) - a_vecs
-        gradient = np.einsum("kmb,km->kb", a_mats, residual)
+        gradient = (gram @ y[:, :, None])[:, :, 0] - correlation
         if reg:
             gradient += reg * (y - 0.5)
         z_next = np.clip(y - step * gradient, 0.0, 1.0)
@@ -365,9 +382,7 @@ def l2_decode_batch(
         done = shifts < tol
         if np.isfinite(bound) and iteration % check_every == 0:
             rounded = (z >= 0.5).astype(np.float64)
-            cert = np.abs(
-                np.einsum("kmb,kb->km", a_mats, rounded) - a_vecs
-            ).max(axis=1)
+            cert = np.abs((a_mats @ rounded[:, :, None])[:, :, 0] - a_vecs).max(axis=1)
             done |= cert <= bound
         if done.any() or iteration == max_iters:
             finished = done if iteration < max_iters else np.ones_like(done)
@@ -378,9 +393,10 @@ def l2_decode_batch(
             active = active[keep]
             z, y = z[keep], y[keep]
             a_mats, a_vecs, step = a_mats[keep], a_vecs[keep], step[keep]
+            gram, correlation = gram[keep], correlation[keep]
 
     bits = (fractional >= 0.5).astype(np.int64)
     residuals = np.abs(
-        np.einsum("kmb,kb->km", systems, bits.astype(np.float64)) - answers
+        (systems @ bits.astype(np.float64)[:, :, None])[:, :, 0] - answers
     ).max(axis=1)
     return bits, fractional, residuals

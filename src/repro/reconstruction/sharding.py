@@ -17,8 +17,12 @@ subset-query attacks:
   (:mod:`repro.reconstruction.l2_decode`), escalates individual shards to
   the LP decoder only when the l2 certificate fails (warm-started with the
   l2 fractional iterate), and joins the per-shard bits back into one
-  reconstruction.  Shards are dispatched through
-  :func:`repro.utils.parallel.parallel_map` with per-shard cost weights.
+  reconstruction.  Equal-shape shards decode together: their dense
+  systems are scattered straight from the CSR into one ``(k, m, b)``
+  stack of at most :data:`MAX_BATCH_BYTES` — a whole census tract of 256
+  blocks is one call to :func:`~repro.reconstruction.l2_decode.l2_decode_batch`.
+  Tasks are dispatched through :func:`repro.utils.parallel.parallel_map`
+  with per-task cost weights.
 
 Determinism: shard formation, batching, and per-shard seed streams are
 pure functions of (workload, partition, seed) — never of ``jobs``, the
@@ -42,6 +46,7 @@ from repro.reconstruction.l2_decode import (
     DEFAULT_CHECK_EVERY,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    _check_iteration,
     l2_decode,
     l2_decode_batch,
 )
@@ -49,8 +54,12 @@ from repro.reconstruction.lp_decode import LpSolverOptions, reconstruct_from_ans
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import RngSeed, derive_rng
 
-#: Default number of equal-shape shards decoded per batched einsum call.
-DEFAULT_BATCH_SIZE = 64
+#: Byte bound on one batch's dense ``(k, m, b)`` float64 stack.  A batch
+#: iterates until its slowest block stops: most census blocks certify
+#: within 25-50 iterations, a few never do and run ~1,000 to the ``tol``
+#: exit.  Fewer, larger batches pay that tail fewer times; 16 MiB holds
+#: 682 census blocks (m=96, b=32), so a 256-block tract is one batch.
+MAX_BATCH_BYTES = 16 << 20
 
 #: Default cap on ``m * b`` for a shard to take the dense batched path.
 DEFAULT_DENSE_LIMIT = 1 << 16
@@ -275,9 +284,10 @@ class ShardedReconstructor:
             first-order pipeline, used to benchmark the fast path alone).
         reg, max_iters, tol, check_every, lipschitz: forwarded to the l2
             decoder (see :func:`repro.reconstruction.l2_decode.l2_decode`).
-        batch_size: how many equal-shape shards decode per batched call.
         dense_limit: shards with ``m * b`` above this stay sparse and
-            decode individually instead of joining a dense batch.
+            decode individually instead of joining a dense batch.  Every
+            other shard shares a batch with the shards of its shape, up to
+            :data:`MAX_BATCH_BYTES` of dense stack per batch.
         lp_options: solver configuration for escalated LPs.
     """
 
@@ -292,14 +302,12 @@ class ShardedReconstructor:
         tol: float = DEFAULT_TOL,
         check_every: int = DEFAULT_CHECK_EVERY,
         lipschitz: float | str = "auto",
-        batch_size: int = DEFAULT_BATCH_SIZE,
         dense_limit: int = DEFAULT_DENSE_LIMIT,
         lp_options: LpSolverOptions | None = None,
     ):
         if alpha is not None and alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        _check_iteration(max_iters, check_every, reg)
         self.alpha = None if alpha is None or not np.isfinite(alpha) else float(alpha)
         self.escalate_threshold = (
             None if escalate_threshold is None else float(escalate_threshold)
@@ -310,7 +318,6 @@ class ShardedReconstructor:
         self.tol = float(tol)
         self.check_every = int(check_every)
         self.lipschitz = lipschitz
-        self.batch_size = int(batch_size)
         self.dense_limit = int(dense_limit)
         self.lp_options = lp_options
 
@@ -394,31 +401,25 @@ class ShardedReconstructor:
     def _build_tasks(self, partition: BlockPartition) -> list[list[int]]:
         """Group shard indices into decode tasks.
 
-        Equal-shape small shards are grouped into batches of
-        ``batch_size`` (in block order) for the batched dense decoder;
-        oversized shards become singleton tasks on the sparse path.  The
-        grouping is a pure function of the partition, never of ``jobs``.
+        Equal-shape small shards are grouped (in block order) into batches
+        whose dense stack fits in :data:`MAX_BATCH_BYTES`, for the batched
+        dense decoder; oversized shards become singleton tasks on the
+        sparse path.  The grouping is a pure function of the partition,
+        never of ``jobs``.
         """
         tasks: list[list[int]] = []
         pending: dict[tuple[int, int], list[int]] = {}
-        pending_order: list[tuple[int, int]] = []
         for index in range(partition.num_blocks):
-            shape = (
-                len(partition.query_blocks[index]),
-                len(partition.blocks[index]),
-            )
-            if shape[0] == 0 or shape[0] * shape[1] > self.dense_limit:
+            m = len(partition.query_blocks[index])
+            b = len(partition.blocks[index])
+            if m == 0 or m * b > self.dense_limit:
                 tasks.append([index])
                 continue
-            if shape not in pending:
-                pending[shape] = []
-                pending_order.append(shape)
-            pending[shape].append(index)
-            if len(pending[shape]) == self.batch_size:
-                tasks.append(pending.pop(shape))
-                pending_order.remove(shape)
-        for shape in pending_order:
-            tasks.append(pending[shape])
+            batch = pending.setdefault((m, b), [])
+            batch.append(index)
+            if len(batch) >= MAX_BATCH_BYTES // (8 * m * b):
+                tasks.append(pending.pop((m, b)))
+        tasks.extend(pending.values())
         return tasks
 
     def _make_worker(
@@ -433,24 +434,14 @@ class ShardedReconstructor:
         The closure crosses the process boundary by fork inheritance (see
         :mod:`repro.utils.parallel`), so the full CSR is never pickled.
         """
+        columns = _block_columns(partition)
 
         def decode_task(task: list[int]) -> list:
             if len(task) == 1:
                 return [self._decode_single(csr, answers, partition, task[0], seed)]
-            return self._decode_batch(csr, answers, partition, task)
+            return self._decode_batch(csr, answers, partition, task, columns)
 
         return decode_task
-
-    def _shard_system(
-        self,
-        csr: scipy.sparse.csr_matrix,
-        answers: np.ndarray,
-        partition: BlockPartition,
-        index: int,
-    ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-        rows = partition.query_blocks[index]
-        cols = partition.blocks[index]
-        return csr[rows][:, cols], answers[rows]
 
     def _decode_single(
         self,
@@ -461,7 +452,9 @@ class ShardedReconstructor:
         seed: RngSeed,
     ) -> tuple[int, np.ndarray, ShardReport]:
         """Decode one shard on the sparse l2 path, escalating if needed."""
-        matrix, shard_answers = self._shard_system(csr, answers, partition, index)
+        rows = partition.query_blocks[index]
+        matrix = csr[rows][:, partition.blocks[index]]
+        shard_answers = answers[rows]
         if matrix.shape[0] == 0:
             # No query touches the block alone — cannot happen for
             # discovered partitions, but a caller-supplied one may isolate
@@ -519,16 +512,17 @@ class ShardedReconstructor:
         answers: np.ndarray,
         partition: BlockPartition,
         task: list[int],
+        columns: np.ndarray,
     ) -> list[tuple[int, np.ndarray, ShardReport]]:
-        """Decode a batch of equal-shape shards with one einsum iteration."""
-        systems = []
-        answer_rows = []
-        for index in task:
-            matrix, shard_answers = self._shard_system(csr, answers, partition, index)
-            systems.append(matrix.toarray())
-            answer_rows.append(shard_answers)
-        stacked = np.stack(systems)
-        stacked_answers = np.stack(answer_rows)
+        """Decode a batch of equal-shape shards with one batched l2 call."""
+        rows = np.concatenate([partition.query_blocks[index] for index in task])
+        shape = (
+            len(task),
+            len(partition.query_blocks[task[0]]),
+            len(partition.blocks[task[0]]),
+        )
+        stacked = _dense_stack(csr, rows, columns, shape)
+        stacked_answers = answers[rows].reshape(shape[:2])
         bits, fractional, residuals = l2_decode_batch(
             stacked,
             stacked_answers,
@@ -580,6 +574,44 @@ class ShardedReconstructor:
                 )
             )
         return outputs
+
+
+def _block_columns(partition: BlockPartition) -> np.ndarray:
+    """Each position's column within its block; -1 for unconstrained ones."""
+    columns = np.full(partition.n, -1, dtype=np.int64)
+    sizes = partition.block_sizes
+    positions = np.concatenate(partition.blocks)
+    columns[positions] = np.arange(len(positions)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return columns
+
+
+def _dense_stack(
+    csr: scipy.sparse.csr_matrix,
+    rows: np.ndarray,
+    columns: np.ndarray,
+    shape: tuple[int, int, int],
+) -> np.ndarray:
+    """The ``(k, m, b)`` dense systems of ``k`` equal-shape shards.
+
+    ``rows`` holds the shards' query rows, shard after shard.  One scatter
+    from the CSR's ``indptr``/``indices`` puts each stored entry at its
+    row's place in the stack and its position's column within the block
+    (``columns``, from :func:`_block_columns`): the same array as stacking
+    ``csr[rows_j][:, block_j].toarray()`` shard by shard, without the two
+    sparse slices per shard.  (Duplicate CSR entries, which a 0/1 workload
+    never holds, would be overwritten rather than summed.)
+    """
+    starts = csr.indptr[rows]
+    counts = csr.indptr[rows + 1] - starts
+    # Where each row's entries begin in csr.indices, less where they begin
+    # once the rows' entries are laid end to end.
+    shifts = starts - (np.cumsum(counts) - counts)
+    entries = np.arange(counts.sum()) + np.repeat(shifts, counts)
+    stack = np.zeros((len(rows), shape[2]))
+    stack[np.repeat(np.arange(len(rows)), counts), columns[csr.indices[entries]]] = (
+        csr.data[entries]
+    )
+    return stack.reshape(shape)
 
 
 def _shard_seed(seed: RngSeed, index: int) -> RngSeed:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro.queries.mechanism import BoundedNoiseAnswerer, ExactAnswerer
 from repro.queries.workload import Workload
@@ -181,21 +182,79 @@ class TestGramForm:
         np.testing.assert_allclose(result.fractional, fractional, rtol=0, atol=1e-9)
 
 
-class TestL2DecodeBatch:
-    def _batch(self, k, m, b, seed):
-        rng = derive_rng(seed, "l2-batch")
-        systems = (rng.random((k, m, b)) < 0.5).astype(float)
-        # Re-draw all-zero rows so every query is informative.
-        empty = ~systems.any(axis=2)
-        while empty.any():
-            systems[empty] = (rng.random((int(empty.sum()), b)) < 0.5).astype(float)
-            empty = ~systems.any(axis=2)
-        data = rng.integers(0, 2, size=(k, b))
-        answers = np.einsum("kmb,kb->km", systems, data.astype(float))
-        return systems, data, answers
+def _einsum_fista(
+    systems, answers, alpha=None, *, reg=0.0, max_iters=2000, tol=1e-6, check_every=25
+):
+    """Reference batched FISTA with the gradient as two einsums, A^T (A y - a).
 
+    Returns ``(bits, fractional, residuals, stopped)``, where ``stopped``
+    is the iteration at which each block left the active set.
+    """
+    k, m, b = systems.shape
+    bound = np.inf if alpha is None else alpha
+    row_sums = systems.sum(axis=2).max(axis=1)
+    col_sums = systems.sum(axis=1).max(axis=1)
+    steps = 1.0 / (np.maximum(row_sums * col_sums, 1e-12) + reg)
+    fractional = np.full((k, b), 0.5)
+    stopped = np.zeros(k, dtype=np.int64)
+    active = np.arange(k)
+    z = fractional.copy()
+    y = z.copy()
+    a_mats, a_vecs, step, t = systems, answers, steps[:, None], 1.0
+    for iteration in range(1, max_iters + 1):
+        residual = np.einsum("kmb,kb->km", a_mats, y) - a_vecs
+        gradient = np.einsum("kmb,km->kb", a_mats, residual)
+        if reg:
+            gradient += reg * (y - 0.5)
+        z_next = np.clip(y - step * gradient, 0.0, 1.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        shifts = np.abs(z_next - z).max(axis=1)
+        z, t = z_next, t_next
+        done = shifts < tol
+        if np.isfinite(bound) and iteration % check_every == 0:
+            rounded = (z >= 0.5).astype(np.float64)
+            cert = np.abs(np.einsum("kmb,kb->km", a_mats, rounded) - a_vecs).max(axis=1)
+            done |= cert <= bound
+        if done.any() or iteration == max_iters:
+            finished = done if iteration < max_iters else np.ones_like(done)
+            fractional[active[finished]] = z[finished]
+            stopped[active[finished]] = iteration
+            keep = ~finished
+            if not keep.any():
+                break
+            active = active[keep]
+            z, y = z[keep], y[keep]
+            a_mats, a_vecs, step = a_mats[keep], a_vecs[keep], step[keep]
+    bits = (fractional >= 0.5).astype(np.int64)
+    residuals = np.abs(
+        np.einsum("kmb,kb->km", systems, bits.astype(np.float64)) - answers
+    ).max(axis=1)
+    return bits, fractional, residuals, stopped
+
+
+def _stack(k, m, b, seed, noise=0):
+    """``k`` random 0/1 systems of shape (m, b), their bits and answers.
+
+    ``noise`` bounds a uniform integer error added to every answer.
+    """
+    rng = derive_rng(seed, "l2-batch")
+    systems = (rng.random((k, m, b)) < 0.5).astype(float)
+    # Re-draw all-zero rows so every query is informative.
+    empty = ~systems.any(axis=2)
+    while empty.any():
+        systems[empty] = (rng.random((int(empty.sum()), b)) < 0.5).astype(float)
+        empty = ~systems.any(axis=2)
+    data = rng.integers(0, 2, size=(k, b))
+    answers = np.einsum("kmb,kb->km", systems, data.astype(float))
+    if noise:
+        answers += rng.integers(-noise, noise + 1, size=(k, m))
+    return systems, data, answers
+
+
+class TestL2DecodeBatch:
     def test_exact_batch_recovered(self):
-        systems, data, answers = self._batch(20, 64, 16, seed=0)
+        systems, data, answers = _stack(20, 64, 16, seed=0)
         bits, fractional, residuals = l2_decode_batch(systems, answers, alpha=0.5)
         assert np.array_equal(bits, data)
         assert (residuals <= 0.5).all()
@@ -203,19 +262,88 @@ class TestL2DecodeBatch:
 
     def test_batch_matches_single_block_decode(self):
         # Each block's trajectory must be independent of its batch-mates:
-        # decoding a block alone gives the same bits as decoding it in a
-        # stack of 20.
-        systems, _, answers = self._batch(20, 64, 16, seed=1)
-        bits, _, _ = l2_decode_batch(systems, answers, alpha=0.5)
-        solo_bits, _, _ = l2_decode_batch(systems[3:4], answers[3:4], alpha=0.5)
-        assert np.array_equal(bits[3], solo_bits[0])
+        # decoding a block alone, or in a sub-batch, gives the same bits,
+        # iterate and residual as decoding it in a stack of 20.  The second
+        # case has the census shape and noise, where a few blocks run on
+        # long after their batch-mates have certified.
+        for m, b, seed, noise, alpha in ((64, 16, 1, 0, 0.5), (96, 32, 3, 1, 1.0)):
+            systems, _, answers = _stack(20, m, b, seed=seed, noise=noise)
+            bits, fractional, residuals = l2_decode_batch(systems, answers, alpha=alpha)
+            for lo, hi in ((3, 4), (5, 12)):
+                sub = l2_decode_batch(systems[lo:hi], answers[lo:hi], alpha=alpha)
+                np.testing.assert_array_equal(sub[0], bits[lo:hi])
+                np.testing.assert_array_equal(sub[1], fractional[lo:hi])
+                np.testing.assert_array_equal(sub[2], residuals[lo:hi])
 
     def test_validation(self):
-        systems, _, answers = self._batch(2, 8, 4, seed=2)
+        systems, _, answers = _stack(2, 8, 4, seed=2)
         with pytest.raises(ValueError):
             l2_decode_batch(systems[0], answers)
         with pytest.raises(ValueError):
             l2_decode_batch(systems, answers[:, :-1])
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("check_every", 0, "check_every"),
+            ("max_iters", 0, "max_iters"),
+            ("max_iters", -3, "max_iters"),
+            ("reg", -0.5, "reg"),
+        ],
+    )
+    def test_rejects_what_l2_decode_rejects(self, option, value, message):
+        systems, _, answers = _stack(2, 8, 4, seed=2)
+        workload = Workload.from_csr(scipy.sparse.csr_matrix(systems[0]))
+        with pytest.raises(ValueError, match=message):
+            l2_decode(workload, answers[0], alpha=0.5, **{option: value})
+        with pytest.raises(ValueError, match=message):
+            l2_decode_batch(systems, answers, alpha=0.5, **{option: value})
+
+
+class TestBatchGramForm:
+    """``G y - A^T a`` follows the einsum iteration block by block."""
+
+    @pytest.mark.parametrize(
+        "k, m, b, noise, alpha, options, exits",
+        [
+            # Exact answers: every block stops at a certificate check.
+            (16, 64, 16, 0, 0.5, {}, "certificate"),
+            # No alpha, nothing to certify: every block runs to the tol exit.
+            (12, 96, 32, 0, None, {}, "tol"),
+            # A tight cap stops every block before either exit.
+            (10, 96, 32, 1, 1.0, {"max_iters": 20}, "max_iters"),
+            # The census shape: most blocks certify, a few run to tol.
+            (64, 96, 32, 1, 1.0, {}, "mixed"),
+            # The ridge pull toward the centre.
+            (12, 96, 32, 1, 1.0, {"reg": 0.5}, None),
+            # One block alone.
+            (1, 96, 32, 1, 1.0, {}, None),
+            (1, 48, 16, 0, None, {"reg": 2.0, "tol": 1e-8}, "tol"),
+        ],
+    )
+    def test_matches_einsum_iteration(self, k, m, b, noise, alpha, options, exits):
+        systems, _, answers = _stack(k, m, b, seed=k + m + b + noise, noise=noise)
+        bits, fractional, residuals = l2_decode_batch(
+            systems, answers, alpha, **options
+        )
+        ref_bits, ref_fractional, ref_residuals, stopped = _einsum_fista(
+            systems, answers, alpha, **options
+        )
+        np.testing.assert_array_equal(bits, ref_bits)
+        np.testing.assert_allclose(fractional, ref_fractional, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(residuals, ref_residuals)
+
+        cap = options.get("max_iters", 2000)
+        certified = (stopped % 25 == 0) & (ref_residuals <= (alpha or -1.0))
+        if exits == "certificate":
+            assert certified.all() and (stopped < cap).all()
+        elif exits == "tol":
+            assert not certified.any() and (stopped < cap).all()
+        elif exits == "max_iters":
+            assert (stopped == cap).all()
+        elif exits == "mixed":
+            assert certified.any() and not certified.all()
+            assert (stopped < cap).all()
 
 
 class TestWarmStart:

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queries.workload import Workload
+from repro.reconstruction import sharding
 from repro.reconstruction.lp_decode import reconstruct_from_answers
 from repro.reconstruction.sharding import (
     BlockPartition,
     ShardedReconstructor,
     ShardedReconstructionResult,
+    _block_columns,
+    _dense_stack,
 )
 from repro.utils.rng import derive_rng
 
@@ -103,6 +106,32 @@ class TestBlockPartition:
         with pytest.raises(ValueError, match="spans multiple blocks"):
             BlockPartition.from_labels(wrong, workload)
 
+    def test_dense_stack_equals_per_shard_slices(self):
+        # Interleaved positions: no block's columns are contiguous, so each
+        # entry must find its in-block column through the position map.
+        workload, _, _, labels = _block_separable([5] * 4 + [7] * 3, seed=11, permute=True)
+        partition = BlockPartition.from_labels(labels, workload)
+        csr = workload.matrix(sparse=True)
+        columns = _block_columns(partition)
+        slices = []
+        for rows, block in zip(partition.query_blocks, partition.blocks):
+            assert not np.array_equal(block, np.arange(block[0], block[0] + len(block)))
+            sliced = csr[rows][:, block].toarray()
+            stack = _dense_stack(csr, rows, columns, (1, *sliced.shape))
+            np.testing.assert_array_equal(stack[0], sliced)
+            slices.append(sliced)
+        # A multi-shard task stacks the shards in task order.
+        task = [3, 0, 2]
+        assert len({slices[i].shape for i in task}) == 1
+        rows = np.concatenate([partition.query_blocks[i] for i in task])
+        stack = _dense_stack(csr, rows, columns, (3, *slices[0].shape))
+        np.testing.assert_array_equal(stack, np.stack([slices[i] for i in task]))
+
+    def test_block_columns_mark_unconstrained_positions(self):
+        masks = np.array([[0, 1, 0, 1, 0], [0, 0, 1, 0, 0]], dtype=bool)
+        partition = BlockPartition.from_workload(Workload(masks))
+        assert _block_columns(partition).tolist() == [-1, 0, 0, 1, -1]
+
     def test_empty_query_rejected(self):
         matrix = scipy.sparse.csr_matrix(
             np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -135,16 +164,25 @@ class TestShardedReconstructor:
         assert sharded.agreement_with(data) == 1.0
 
     def test_bit_identical_across_jobs_and_backends(self):
-        workload, data, answers, _ = _block_separable([6] * 12, seed=5)
+        # Three block shapes batch as three tasks; the 12-person blocks
+        # exceed dense_limit and decode alone on the sparse path.  Six
+        # tasks, so every worker count here really splits the work.
+        sizes = [6] * 5 + [7] * 4 + [8] * 4 + [12] * 3
+        workload, _, answers, _ = _block_separable(sizes, seed=5, permute=True)
         noisy = answers + derive_rng(5, "noise").integers(-1, 2, size=len(answers))
-        reconstructor = ShardedReconstructor(alpha=1.0)
+        reconstructor = ShardedReconstructor(alpha=1.0, dense_limit=400)
+        tasks = reconstructor._build_tasks(BlockPartition.from_workload(workload))
+        assert sorted(len(task) for task in tasks) == [1, 1, 1, 4, 4, 5]
         reference = reconstructor.reconstruct(workload, noisy, jobs=1, seed=9)
-        for jobs, backend in ((2, "auto"), (4, "process"), (3, "thread")):
-            other = reconstructor.reconstruct(
-                workload, noisy, jobs=jobs, backend=backend, seed=9
-            )
-            assert np.array_equal(reference.reconstruction, other.reconstruction)
-            assert reference.shard_reports == other.shard_reports
+        assert reference.escalated > 0
+        for jobs in (2, 3, 4):
+            assert len(tasks) > jobs
+            for backend in ("thread", "process"):
+                other = reconstructor.reconstruct(
+                    workload, noisy, jobs=jobs, backend=backend, seed=9
+                )
+                assert np.array_equal(reference.reconstruction, other.reconstruction)
+                assert reference.shard_reports == other.shard_reports
 
     def test_escalation_engages_and_recovers(self):
         # ±1 noise at a tight certificate: some shards must fail the l2
@@ -205,5 +243,39 @@ class TestShardedReconstructor:
             reconstructor.reconstruct(workload, answers, partition=other)
         with pytest.raises(ValueError):
             ShardedReconstructor(alpha=-1.0)
-        with pytest.raises(ValueError):
-            ShardedReconstructor(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("check_every", 0), ("max_iters", 0), ("max_iters", -1), ("reg", -0.1)],
+    )
+    def test_rejects_bad_l2_settings_at_construction(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            ShardedReconstructor(alpha=0.5, **{option: value})
+
+    def test_batch_size_option_is_gone(self):
+        # Batches are bounded by MAX_BATCH_BYTES of dense stack, not a count.
+        assert not hasattr(sharding, "DEFAULT_BATCH_SIZE")
+        with pytest.raises(TypeError, match="batch_size"):
+            ShardedReconstructor(alpha=0.5, batch_size=64)
+
+    def test_batches_are_bounded_in_bytes(self, monkeypatch):
+        workload, _, answers, _ = _block_separable([6] * 11 + [5] * 4, seed=12)
+        noisy = answers + derive_rng(12, "noise").integers(-1, 2, size=len(answers))
+        partition = BlockPartition.from_workload(workload)
+        reconstructor = ShardedReconstructor(alpha=1.0)
+        whole = reconstructor.reconstruct(workload, noisy)
+        assert [len(task) for task in reconstructor._build_tasks(partition)] == [11, 4]
+        # Room for four 18x6 stacks: the 6-person blocks split 4 + 4 + 3.
+        monkeypatch.setattr(sharding, "MAX_BATCH_BYTES", 4 * 8 * 18 * 6 + 7)
+        tasks = reconstructor._build_tasks(partition)
+        assert [len(task) for task in tasks] == [4, 4, 3, 4]
+        assert sorted(i for task in tasks for i in task) == list(range(15))
+        split = reconstructor.reconstruct(workload, noisy)
+        assert np.array_equal(whole.reconstruction, split.reconstruction)
+        assert whole.shard_reports == split.shard_reports
+
+    def test_census_tract_is_one_batch(self):
+        # 256 blocks of 32 people and 96 queries: 6.3 MB of dense stack.
+        workload, _, _, _ = _block_separable([32] * 256, seed=13)
+        tasks = ShardedReconstructor()._build_tasks(BlockPartition.from_workload(workload))
+        assert [len(task) for task in tasks] == [256]
