@@ -235,7 +235,7 @@ def bench_sharded(num_blocks: int, seed: int, jobs: int = 1) -> dict:
 
     start = time.perf_counter()
     result = reconstructor.reconstruct(
-        workload, answers, partition=partition, jobs=jobs, seed=seed
+        workload, answers, partition=partition, jobs=jobs
     )
     decode_elapsed = time.perf_counter() - start
     elapsed = discover_elapsed + decode_elapsed
@@ -246,7 +246,7 @@ def bench_sharded(num_blocks: int, seed: int, jobs: int = 1) -> dict:
         f"{MIN_SHARDED_AGREEMENT} bar"
     )
     forked = reconstructor.reconstruct(
-        workload, answers, partition=partition, jobs=2, seed=seed
+        workload, answers, partition=partition, jobs=2
     )
     assert np.array_equal(result.reconstruction, forked.reconstruction), (
         "sharded reconstruction is not bit-identical across jobs settings"

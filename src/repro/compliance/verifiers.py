@@ -418,7 +418,7 @@ class ReconstructionResistanceVerifier(Verifier):
         if self.solver == "lp":
             result = reconstruct_from_answers(workload, answers, alpha=0.5)
         else:
-            result = l2_decode(workload, answers, 0.5, rng=rng)
+            result = l2_decode(workload, answers, 0.5)
         agreement = result.agreement_with(data)
         passed = agreement < policy.reconstruction_agreement_max
         return CheckResult(

@@ -99,7 +99,7 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
 
     decode_start = time.perf_counter()
     result = reconstructor.reconstruct(
-        workload, answers, partition=partition, jobs=jobs, seed=seed
+        workload, answers, partition=partition, jobs=jobs
     )
     decode_seconds = time.perf_counter() - decode_start
     elapsed = discover_seconds + decode_seconds
@@ -120,8 +120,8 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
         copy=False,
     )
     probe_answers = np.concatenate([probe[2] for probe in probes])
-    serial = reconstructor.reconstruct(probe_workload, probe_answers, jobs=1, seed=seed)
-    forked = reconstructor.reconstruct(probe_workload, probe_answers, jobs=2, seed=seed)
+    serial = reconstructor.reconstruct(probe_workload, probe_answers, jobs=1)
+    forked = reconstructor.reconstruct(probe_workload, probe_answers, jobs=2)
     jobs_invariant = bool(
         (serial.reconstruction == forked.reconstruction).all()
     )

@@ -113,16 +113,6 @@ class QueryAnswerer(ABC):
             self.queries_answered += len(workload)
         return answers
 
-    def answer_all(self, queries: Workload | Sequence[SubsetQuery]) -> np.ndarray:
-        """Thin alias of :meth:`answer_workload` — prefer that name.
-
-        Kept only for backward compatibility with the original list-based
-        call sites (all internal callers now use :meth:`answer_workload`);
-        behavior is identical, including the batched fast path and the
-        bit-for-bit RNG stream.
-        """
-        return self.answer_workload(queries)
-
     @property
     def spec(self) -> MechanismSpec:
         """The mechanism's auditable identity: kernel + per-query spend.

@@ -33,17 +33,13 @@ class Workload:
     * :meth:`matrix` exposes dense views in any dtype plus a cached
       :class:`scipy.sparse.csr_matrix` for the LP solver, so feasibility and
       least-l1 decoding reuse one assembled matrix;
-    * :meth:`select_columns` / :meth:`select_rows` slice the workload by
-      operating on the cached CSR view directly, so the sharded
-      reconstruction pipeline never re-packs (or even materializes) a dense
-      mask matrix per shard;
     * indexing/iteration recovers per-query :class:`SubsetQuery` objects for
       code that still wants the one-at-a-time interface.
 
     A workload is either *mask-backed* (built from a dense boolean matrix,
-    the common case) or *CSR-backed* (built by :meth:`from_csr` or the
-    slicing methods); either representation materializes the other lazily
-    and caches it, so hot paths pay only for the view they touch.
+    the common case) or *CSR-backed* (built by :meth:`from_csr`); either
+    representation materializes the other lazily and caches it, so hot
+    paths pay only for the view they touch.
     """
 
     __slots__ = ("_masks", "_csr", "_shape")
@@ -186,27 +182,6 @@ class Workload:
                 return self._csr
             return self._csr.astype(dtype)
         return np.asarray(self._mask_view, dtype=dtype)
-
-    def select_columns(self, idx: np.ndarray | Sequence[int]) -> "Workload":
-        """The same ``m`` queries restricted to positions ``idx``.
-
-        The slice is taken on the cached CSR assembly (assembling it on
-        first use), not by re-packing the dense boolean mask matrix, so
-        carving a per-block subproblem out of a census-scale workload costs
-        O(nnz of the slice) instead of O(m * n).  The sliced workload is
-        CSR-backed: its own dense masks only materialize if asked for.
-        """
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("idx must be a non-empty 1-D index array")
-        return Workload.from_csr(self.matrix(sparse=True)[:, idx], copy=False)
-
-    def select_rows(self, idx: np.ndarray | Sequence[int]) -> "Workload":
-        """The sub-workload of queries ``idx``, sliced on the cached CSR."""
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("idx must be a non-empty 1-D index array")
-        return Workload.from_csr(self.matrix(sparse=True)[idx], copy=False)
 
     def true_answers(self, data: np.ndarray, validate: bool = True) -> np.ndarray:
         """All ``m`` exact answers ``A @ x`` on binary data ``x``, as int64.

@@ -29,7 +29,6 @@ from repro.reconstruction.dinur_nissim import (
 )
 from repro.reconstruction.lp_decode import (
     LpReconstructionResult,
-    LpSolverOptions,
     lp_reconstruction,
     reconstruct_from_answers,
     solve_least_l1,
@@ -60,7 +59,6 @@ __all__ = [
     "ExhaustiveReconstructionResult",
     "L2ReconstructionResult",
     "LpReconstructionResult",
-    "LpSolverOptions",
     "ShardReport",
     "ShardedReconstructionResult",
     "ShardedReconstructor",

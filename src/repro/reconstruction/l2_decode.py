@@ -37,12 +37,12 @@ reconstruction stack:
   ``A^T (A y - a)`` cost ``2mb``.  The certificate and the returned
   residuals are still measured against ``A``.
 
-Determinism: the iteration starts from the fixed center point, the step
-size comes from a deterministic norm bound by default (``lipschitz="auto"``;
-``"power"`` runs a power iteration whose start vector is drawn from ``rng``,
-so results are bit-deterministic given a seed either way), and each block
-in a batch is computed independently of the others — so batching, chunking,
-and ``jobs`` settings can never change a single output bit.
+Determinism: the iteration starts from the fixed center point (or the
+caller's warm start), the step size is ``1 / L`` with ``L`` the
+norm-product bound ``||A||_1 * ||A||_inf >= ||A||_2^2`` — no randomness
+anywhere — and each block in a batch is computed independently of the
+others, so batching, chunking, and ``jobs`` settings can never change a
+single output bit.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import scipy.sparse
 
 from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
-from repro.utils.rng import RngSeed, ensure_rng
+from repro.reconstruction.lp_decode import _check_alpha
 
 #: Default FISTA iteration cap.  Sparse matvecs are cheap; the certificate
 #: check usually exits long before this.
@@ -127,8 +127,8 @@ def _lipschitz_bound(matrix) -> float:
     """Deterministic upper bound on ``||A||_2^2`` via ``||A||_1 * ||A||_inf``.
 
     For 0/1 query matrices the bound is tight up to a small constant (the
-    top singular vector is near the all-ones direction), and unlike a power
-    iteration it involves no randomness at all.
+    top singular vector is near the all-ones direction), and it involves
+    no randomness at all.
     """
     if scipy.sparse.issparse(matrix):
         row_sums = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
@@ -138,23 +138,6 @@ def _lipschitz_bound(matrix) -> float:
         row_sums = absolute.sum(axis=1)
         col_sums = absolute.sum(axis=0)
     return float(row_sums.max() * col_sums.max())
-
-
-def _lipschitz_power(matrix, rng: np.random.Generator, iters: int = 32) -> float:
-    """Estimate ``||A||_2^2`` by seeded power iteration on ``A^T A``."""
-    n = matrix.shape[1]
-    vector = rng.random(n) + 1e-3
-    vector /= np.linalg.norm(vector)
-    sigma_sq = 1.0
-    for _ in range(iters):
-        product = matrix.T @ (matrix @ vector)
-        norm = float(np.linalg.norm(product))
-        if norm == 0.0:
-            return 1.0
-        sigma_sq = norm
-        vector = product / norm
-    # Power iteration underestimates; pad so 1/L stays a safe step size.
-    return float(sigma_sq * 1.05)
 
 
 def _prefers_gram(matrix) -> bool:
@@ -192,18 +175,6 @@ def _check_iteration(max_iters: int, check_every: int, reg: float) -> None:
         raise ValueError(f"reg must be non-negative, got {reg}")
 
 
-def _resolve_lipschitz(matrix, lipschitz, rng: RngSeed) -> float:
-    if isinstance(lipschitz, (int, float)) and not isinstance(lipschitz, bool):
-        if lipschitz <= 0:
-            raise ValueError(f"lipschitz must be positive, got {lipschitz}")
-        return float(lipschitz)
-    if lipschitz == "auto":
-        return _lipschitz_bound(matrix)
-    if lipschitz == "power":
-        return _lipschitz_power(matrix, ensure_rng(rng))
-    raise ValueError(f"unknown lipschitz mode: {lipschitz!r}")
-
-
 def l2_decode(
     queries: Workload | Sequence[SubsetQuery],
     answers: np.ndarray,
@@ -213,8 +184,6 @@ def l2_decode(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     check_every: int = DEFAULT_CHECK_EVERY,
-    lipschitz: float | str = "auto",
-    rng: RngSeed = 0,
     x0: np.ndarray | None = None,
 ) -> L2ReconstructionResult:
     """Decode a (workload, answers) transcript by projected least squares.
@@ -230,10 +199,6 @@ def l2_decode(
         max_iters: FISTA iteration cap.
         tol: sup-norm iterate-change early stop.
         check_every: cadence (iterations) of the certificate check.
-        lipschitz: step-size policy — ``"auto"`` (deterministic norm-product
-            bound), ``"power"`` (seeded power iteration), or an explicit
-            positive float.
-        rng: seed for ``lipschitz="power"``; otherwise unused.
         x0: optional warm start for the iterate (clipped into ``[0,1]^n``);
             defaults to the uninformative center ``1/2``.  An auditor
             re-decoding a transcript that grew by one audit window starts
@@ -247,11 +212,12 @@ def l2_decode(
     answers = np.asarray(answers, dtype=float)
     if answers.shape != (len(workload),):
         raise ValueError("answers must align with the query list")
+    _check_alpha(alpha)
     _check_iteration(max_iters, check_every, reg)
 
     matrix = workload.matrix(sparse=True)
     m, n = matrix.shape
-    step = 1.0 / (_resolve_lipschitz(matrix, lipschitz, rng) + reg)
+    step = 1.0 / (_lipschitz_bound(matrix) + reg)
     bound = float("inf") if alpha is None else float(alpha)
 
     center = np.full(n, 0.5)
@@ -348,6 +314,7 @@ def l2_decode_batch(
     k, m, b = systems.shape
     if answers.shape != (k, m):
         raise ValueError(f"answers must be ({k}, {m}), got {answers.shape}")
+    _check_alpha(alpha)
     _check_iteration(max_iters, check_every, reg)
     bound = float("inf") if alpha is None else float(alpha)
 

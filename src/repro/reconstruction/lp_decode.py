@@ -11,17 +11,22 @@ Two solver modes are provided:
 
 * **feasibility** — when a worst-case error bound ``alpha`` is known, find
   any ``z`` with ``|<q, z> - a_q| <= alpha`` for every query (the classical
-  attack).
+  attack).  When no such ``z`` exists (the answers break their stated
+  bound) the decode falls back to least-l1 and reports ``mode="least-l1"``
+  with ``alpha = nan``.
 * **least-l1** — when noise is unbounded (e.g. a Laplace answerer),
   minimize the total L1 residual instead; this is the robust variant used
   in practice (cf. "Linear Program Reconstruction in Practice" [13]).
 
-The constraint system is assembled in CSR sparse form from a packed
-:class:`~repro.queries.workload.Workload` (never as a dense float64 block),
-and one assembled workload is shared across the feasibility solve, its
-least-l1 fallback, and any repeated attacks on the same query set.  With a
-sparse workload (``density ~ 64/n``) and the interior-point solver the
-attack scales to ``n = 4096`` and beyond on one core.
+Both modes run on HiGHS through :func:`scipy.optimize.linprog`; the one
+knob is ``solver``, the HiGHS algorithm (default
+:data:`DEFAULT_LP_SOLVER`).  The constraint system is assembled in CSR
+sparse form from a packed :class:`~repro.queries.workload.Workload` (never
+as a dense float64 block), and one assembled workload is shared across the
+feasibility solve, its least-l1 fallback, and any repeated attacks on the
+same query set.  With a sparse workload (``density ~ 64/n``) and the
+interior-point solver the attack scales to ``n = 4096`` and beyond on one
+core.
 """
 
 from __future__ import annotations
@@ -44,55 +49,10 @@ from repro.utils.rng import RngSeed, ensure_rng
 DEFAULT_LP_SOLVER = "highs-ipm"
 
 
-@dataclass(frozen=True)
-class LpSolverOptions:
-    """Solver configuration for the decoding LPs.
-
-    Collected in one place so callers (the sharded pipeline, the service
-    auditor, the benchmarks) can tune the solve without every function in
-    the chain growing another keyword:
-
-    Attributes:
-        method: the :func:`scipy.optimize.linprog` method (a HiGHS
-            algorithm name, e.g. ``"highs-ipm"``, ``"highs-ds"``,
-            ``"highs"``).
-        presolve: whether HiGHS runs its presolve reductions.
-        time_limit: wall-clock budget in seconds for one solve (``None``
-            for unlimited).  A timed-out solve reports failure, which the
-            feasibility path degrades to least-l1 and other callers see as
-            :class:`RuntimeError` — no silent partial answers.
-    """
-
-    method: str = DEFAULT_LP_SOLVER
-    presolve: bool = True
-    time_limit: float | None = None
-
-    def __post_init__(self):
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-
-    def linprog_kwargs(self) -> dict:
-        """The ``method=`` / ``options=`` pair to splat into ``linprog``."""
-        options: dict = {"presolve": bool(self.presolve)}
-        if self.time_limit is not None:
-            options["time_limit"] = float(self.time_limit)
-        return {"method": self.method, "options": options}
-
-
-def _resolve_options(
-    solver: str | None, options: LpSolverOptions | None
-) -> LpSolverOptions:
-    """Merge the legacy ``solver=`` knob with an options object.
-
-    ``solver`` predates :class:`LpSolverOptions` and remains supported
-    everywhere; an explicit ``options`` wins, a bare ``solver`` string is
-    wrapped, and neither means defaults.
-    """
-    if options is not None:
-        return options
-    if solver is not None and solver != DEFAULT_LP_SOLVER:
-        return LpSolverOptions(method=solver)
-    return LpSolverOptions()
+def _check_alpha(alpha: float | None) -> None:
+    """Reject a negative error bound (``None`` means no bound is known)."""
+    if alpha is not None and alpha < 0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +93,8 @@ def lp_reconstruction(
     density: float = 0.5,
     rng: RngSeed = None,
     workload: Workload | None = None,
-    solver: str | None = None,
+    solver: str = DEFAULT_LP_SOLVER,
     warm_start: np.ndarray | None = None,
-    options: LpSolverOptions | None = None,
 ) -> LpReconstructionResult:
     """Run the Theorem 1.1(ii) attack against ``answerer``.
 
@@ -153,18 +112,20 @@ def lp_reconstruction(
         rng: randomness for the workload.
         workload: a pre-built workload to attack with, reusing its cached
             sparse assembly; overrides ``num_queries``/``density``/``rng``.
-        solver: HiGHS algorithm passed to :func:`scipy.optimize.linprog`
-            (legacy knob; superseded by ``options``).
+        solver: HiGHS algorithm passed to :func:`scipy.optimize.linprog`.
         warm_start: a candidate point in ``[0, 1]^n`` (typically the
             fractional iterate of :func:`repro.reconstruction.l2_decode.
             l2_decode`).  In feasibility mode a warm start that already
             satisfies every constraint is returned without invoking the
             solver at all — checking the certificate is one matvec.
-        options: full solver configuration (:class:`LpSolverOptions`).
 
     Returns:
-        The rounded reconstruction with bookkeeping.
+        The rounded reconstruction with bookkeeping.  A feasibility LP
+        that fails at ``alpha`` (an answerer lying about its accuracy)
+        falls back to least-l1, and the result says so: ``mode`` is
+        ``"least-l1"`` and ``alpha`` is ``nan``.
     """
+    _check_alpha(alpha)
     n = answerer.n
     if workload is None:
         if num_queries is None:
@@ -179,67 +140,65 @@ def lp_reconstruction(
     if mode == "auto":
         bound = answerer.error_bound if alpha is None else alpha
         mode = "feasibility" if np.isfinite(bound) else "least-l1"
-    if mode not in ("feasibility", "least-l1"):
-        raise ValueError(f"unknown mode: {mode!r}")
-
-    answers = answerer.answer_workload(workload)
-    matrix = workload.matrix(sparse=True)
-    resolved = _resolve_options(solver, options)
-
     if mode == "feasibility":
         if alpha is None:
             alpha = answerer.error_bound
         if not np.isfinite(alpha):
             raise ValueError("feasibility mode needs a finite alpha")
-        fractional = _solve_feasibility(
-            matrix, answers, float(alpha), resolved, warm_start
-        )
-        used_alpha = float(alpha)
+    elif mode == "least-l1":
+        alpha = None
     else:
-        fractional = _solve_least_l1(matrix, answers, resolved)
-        used_alpha = float("nan")
+        raise ValueError(f"unknown mode: {mode!r}")
 
-    reconstruction = (fractional >= 0.5).astype(np.int64)
-    return LpReconstructionResult(
-        reconstruction=reconstruction,
-        fractional=fractional,
-        queries_used=len(workload),
-        alpha=used_alpha,
-        mode=mode,
-    )
+    answers = answerer.answer_workload(workload)
+    return _decode(workload, answers, alpha, solver, warm_start)
 
 
 def reconstruct_from_answers(
     queries: Workload | Sequence[SubsetQuery],
     answers: np.ndarray,
     alpha: float | None = None,
-    solver: str | None = None,
+    solver: str = DEFAULT_LP_SOLVER,
     warm_start: np.ndarray | None = None,
-    options: LpSolverOptions | None = None,
 ) -> LpReconstructionResult:
     """LP-decode a pre-collected (workload, answers) transcript.
 
     Used when the attack must replay recorded interaction (e.g. attacking a
     mechanism that limits each caller's query budget), and by the
     experiments to reuse one workload — and its one-time sparse assembly —
-    across whole noise sweeps.  ``warm_start`` and ``options`` behave as in
-    :func:`lp_reconstruction`; the sharded pipeline escalates failed l2
-    shards through here with the l2 fractional iterate as the warm start.
+    across whole noise sweeps.  A finite ``alpha`` selects feasibility
+    mode, anything else least-l1; ``solver``, ``warm_start`` and the
+    least-l1 fallback behave as in :func:`lp_reconstruction`.  The sharded
+    pipeline escalates failed l2 shards through here with the l2
+    fractional iterate as the warm start.
     """
+    _check_alpha(alpha)
     workload = Workload.coerce(queries)
     answers = np.asarray(answers, dtype=float)
     if answers.shape != (len(workload),):
         raise ValueError("answers must align with the query list")
+    return _decode(workload, answers, alpha, solver, warm_start)
+
+
+def _decode(
+    workload: Workload,
+    answers: np.ndarray,
+    alpha: float | None,
+    solver: str,
+    warm_start: np.ndarray | None,
+) -> LpReconstructionResult:
+    """Feasibility at a finite ``alpha``; least-l1 without one or when it fails."""
     matrix = workload.matrix(sparse=True)
-    resolved = _resolve_options(solver, options)
+    fractional = None
     if alpha is not None and np.isfinite(alpha):
         fractional = _solve_feasibility(
-            matrix, answers, float(alpha), resolved, warm_start
+            matrix, answers, float(alpha), solver, warm_start
         )
-        mode, used_alpha = "feasibility", float(alpha)
-    else:
-        fractional = _solve_least_l1(matrix, answers, resolved)
+    if fractional is None:
+        fractional = solve_least_l1(matrix, answers, solver=solver)
         mode, used_alpha = "least-l1", float("nan")
+    else:
+        mode, used_alpha = "feasibility", float(alpha)
     return LpReconstructionResult(
         reconstruction=(fractional >= 0.5).astype(np.int64),
         fractional=fractional,
@@ -262,20 +221,18 @@ def _solve_feasibility(
     matrix,
     answers: np.ndarray,
     alpha: float,
-    options: LpSolverOptions | None = None,
+    solver: str,
     warm_start: np.ndarray | None = None,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Find z in [0,1]^n with |A z - a| <= alpha (elementwise).
 
     Encoded as a linear program with zero objective; ``matrix`` may be dense
     or CSR sparse — the stacked [A; -A] constraint block stays in the same
     format.  A ``warm_start`` that already meets every constraint *is* a
     solution of this zero-objective program, so it is returned after a
-    single certifying matvec.  When the LP is infeasible at the stated
-    alpha (an answerer lying about its accuracy) we retry in least-l1 mode
-    so the attack degrades gracefully.
+    single certifying matvec.  ``None`` when the solver finds no such z:
+    the LP is infeasible at the stated alpha.
     """
-    options = options or LpSolverOptions()
     m, n = matrix.shape
     candidate = _validated_warm_start(warm_start, n)
     if candidate is not None:
@@ -292,18 +249,11 @@ def _solve_feasibility(
         A_ub=a_ub,
         b_ub=b_ub,
         bounds=[(0.0, 1.0)] * n,
-        **options.linprog_kwargs(),
+        method=solver,
     )
     if not result.success:
-        return _solve_least_l1(matrix, answers, options)
+        return None
     return np.clip(result.x, 0.0, 1.0)
-
-
-def _solve_least_l1(
-    matrix, answers: np.ndarray, options: LpSolverOptions | None = None
-) -> np.ndarray:
-    """Minimize ||A z - a||_1 over z in [0,1]^n via the standard LP lift."""
-    return solve_least_l1(matrix, answers, options=options)
 
 
 def solve_least_l1(
@@ -312,8 +262,7 @@ def solve_least_l1(
     *,
     lower: float = 0.0,
     upper: float | None = 1.0,
-    solver: str | None = None,
-    options: LpSolverOptions | None = None,
+    solver: str = DEFAULT_LP_SOLVER,
 ) -> np.ndarray:
     """Minimize ``||A z - a||_1`` over box-bounded ``z`` via the LP lift.
 
@@ -330,7 +279,6 @@ def solve_least_l1(
     (:mod:`repro.synth.hierarchical`) reuses the same solve with
     ``upper=None`` to fit non-negative count vectors to noisy tables.
     """
-    options = _resolve_options(solver, options)
     answers = np.asarray(targets, dtype=float)
     m, n = matrix.shape
     if answers.shape != (m,):
@@ -347,7 +295,7 @@ def solve_least_l1(
         identity = np.eye(m)
         a_eq = np.hstack([matrix, -identity, identity])
     bounds = [(lower, upper)] * n + [(0.0, None)] * (2 * m)
-    result = linprog(c=c, A_eq=a_eq, b_eq=answers, bounds=bounds, **options.linprog_kwargs())
+    result = linprog(c=c, A_eq=a_eq, b_eq=answers, bounds=bounds, method=solver)
     if not result.success:
         raise RuntimeError(f"LP solver failed: {result.message}")
     if upper is None:

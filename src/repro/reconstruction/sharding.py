@@ -14,21 +14,24 @@ subset-query attacks:
 * :class:`ShardedReconstructor` decomposes a (workload, answers)
   transcript along a partition into independent per-block shards, decodes
   every shard with the first-order l2 fast path
-  (:mod:`repro.reconstruction.l2_decode`), escalates individual shards to
-  the LP decoder only when the l2 certificate fails (warm-started with the
-  l2 fractional iterate), and joins the per-shard bits back into one
-  reconstruction.  Equal-shape shards decode together: their dense
-  systems are scattered straight from the CSR into one ``(k, m, b)``
-  stack of at most :data:`MAX_BATCH_BYTES` — a whole census tract of 256
-  blocks is one call to :func:`~repro.reconstruction.l2_decode.l2_decode_batch`.
-  Tasks are dispatched through :func:`repro.utils.parallel.parallel_map`
-  with per-task cost weights.
+  (:mod:`repro.reconstruction.l2_decode`) at its default settings,
+  escalates a shard to the feasibility LP exactly when its l2 bits fail
+  the ``alpha`` certificate (warm-started with the l2 fractional
+  iterate), and joins the per-shard bits back into one reconstruction.
+  Its one setting is ``alpha``.  Equal-shape shards decode together:
+  their dense systems are scattered straight from the CSR into one
+  ``(k, m, b)`` stack of at most :data:`MAX_BATCH_BYTES` — a whole census
+  tract of 256 blocks is one call to
+  :func:`~repro.reconstruction.l2_decode.l2_decode_batch`.  Shards larger
+  than :data:`DENSE_LIMIT` decode alone on the sparse path.  Tasks are
+  dispatched through :func:`repro.utils.parallel.parallel_map` with
+  per-task cost weights.
 
-Determinism: shard formation, batching, and per-shard seed streams are
-pure functions of (workload, partition, seed) — never of ``jobs``, the
-backend, or scheduling order — and every per-shard decode is independent
-of its batch-mates, so the joined reconstruction is bit-identical across
-``jobs=1`` and ``jobs=N``.
+Determinism: shard formation and batching are pure functions of
+(workload, partition) — never of ``jobs``, the backend, or scheduling
+order — no decode draws randomness, and every per-shard decode is
+independent of its batch-mates, so the joined reconstruction is
+bit-identical across ``jobs=1`` and ``jobs=N``.
 """
 
 from __future__ import annotations
@@ -42,17 +45,9 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
-from repro.reconstruction.l2_decode import (
-    DEFAULT_CHECK_EVERY,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    _check_iteration,
-    l2_decode,
-    l2_decode_batch,
-)
-from repro.reconstruction.lp_decode import LpSolverOptions, reconstruct_from_answers
+from repro.reconstruction.l2_decode import l2_decode, l2_decode_batch
+from repro.reconstruction.lp_decode import _check_alpha, reconstruct_from_answers
 from repro.utils.parallel import parallel_map
-from repro.utils.rng import RngSeed, derive_rng
 
 #: Byte bound on one batch's dense ``(k, m, b)`` float64 stack.  A batch
 #: iterates until its slowest block stops: most census blocks certify
@@ -61,8 +56,9 @@ from repro.utils.rng import RngSeed, derive_rng
 #: 682 census blocks (m=96, b=32), so a 256-block tract is one batch.
 MAX_BATCH_BYTES = 16 << 20
 
-#: Default cap on ``m * b`` for a shard to take the dense batched path.
-DEFAULT_DENSE_LIMIT = 1 << 16
+#: Largest ``m * b`` for a shard to take the dense batched path; a larger
+#: shard decodes alone on the sparse path.
+DENSE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -273,63 +269,17 @@ class ShardedReconstructor:
     """Decode a transcript block-by-block: l2 fast path, LP on escalation.
 
     Args:
-        alpha: worst-case answer error bound, when known.  Drives both the
-            per-shard feasibility certificate and the escalated LP's
-            feasibility mode.
-        escalate_threshold: residual level above which a shard escalates to
-            the LP when no finite ``alpha`` is available (escalated LPs
-            then run in least-l1 mode).  With a finite ``alpha`` the
-            certificate itself is the threshold.
-        escalate: master switch; ``False`` never invokes the LP (pure
-            first-order pipeline, used to benchmark the fast path alone).
-        reg, max_iters, tol, check_every, lipschitz: forwarded to the l2
-            decoder (see :func:`repro.reconstruction.l2_decode.l2_decode`).
-        dense_limit: shards with ``m * b`` above this stay sparse and
-            decode individually instead of joining a dense batch.  Every
-            other shard shares a batch with the shards of its shape, up to
-            :data:`MAX_BATCH_BYTES` of dense stack per batch.
-        lp_options: solver configuration for escalated LPs.
+        alpha: worst-case answer error bound, when known.  Each shard's
+            rounded l2 bits are checked against the feasibility certificate
+            ``max |A x~ - a| <= alpha``; a shard that fails it is re-solved
+            by the feasibility LP, warm-started with its l2 iterate.  With
+            no finite ``alpha`` there is nothing to certify, and no shard
+            escalates.
     """
 
-    def __init__(
-        self,
-        alpha: float | None = None,
-        *,
-        escalate_threshold: float | None = None,
-        escalate: bool = True,
-        reg: float = 0.0,
-        max_iters: int = DEFAULT_MAX_ITERS,
-        tol: float = DEFAULT_TOL,
-        check_every: int = DEFAULT_CHECK_EVERY,
-        lipschitz: float | str = "auto",
-        dense_limit: int = DEFAULT_DENSE_LIMIT,
-        lp_options: LpSolverOptions | None = None,
-    ):
-        if alpha is not None and alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        _check_iteration(max_iters, check_every, reg)
+    def __init__(self, alpha: float | None = None):
+        _check_alpha(alpha)
         self.alpha = None if alpha is None or not np.isfinite(alpha) else float(alpha)
-        self.escalate_threshold = (
-            None if escalate_threshold is None else float(escalate_threshold)
-        )
-        self.escalate = bool(escalate)
-        self.reg = float(reg)
-        self.max_iters = int(max_iters)
-        self.tol = float(tol)
-        self.check_every = int(check_every)
-        self.lipschitz = lipschitz
-        self.dense_limit = int(dense_limit)
-        self.lp_options = lp_options
-
-    def _threshold(self) -> float:
-        """Residual level beyond which a shard escalates to the LP."""
-        if not self.escalate:
-            return float("inf")
-        if self.alpha is not None:
-            return self.alpha
-        if self.escalate_threshold is not None:
-            return self.escalate_threshold
-        return float("inf")
 
     def reconstruct(
         self,
@@ -339,7 +289,6 @@ class ShardedReconstructor:
         partition: BlockPartition | None = None,
         jobs: int | None = 1,
         backend: str = "auto",
-        seed: RngSeed = 0,
     ) -> ShardedReconstructionResult:
         """Decode ``(workload, answers)`` shard-by-shard and join the bits.
 
@@ -351,9 +300,6 @@ class ShardedReconstructor:
             jobs: worker count for shard dispatch (see
                 :func:`repro.utils.parallel.parallel_map`).
             backend: parallel backend name.
-            seed: master seed for the per-shard sub-streams (only consumed
-                when ``lipschitz="power"``; the default path is
-                deterministic without randomness).
 
         Returns:
             The joined reconstruction plus per-shard reports (sorted by
@@ -371,7 +317,7 @@ class ShardedReconstructor:
             )
         csr = workload.matrix(sparse=True)
 
-        tasks = self._build_tasks(partition)
+        tasks = _build_tasks(partition)
         weights = [
             sum(
                 len(partition.query_blocks[i]) * len(partition.blocks[i])
@@ -379,7 +325,7 @@ class ShardedReconstructor:
             )
             for task in tasks
         ]
-        worker = self._make_worker(csr, answers, partition, seed)
+        worker = self._make_worker(csr, answers, partition)
         shard_outputs = parallel_map(
             worker, tasks, jobs=jobs, backend=backend, weights=weights
         )
@@ -398,36 +344,11 @@ class ShardedReconstructor:
             shard_reports=tuple(reports),
         )
 
-    def _build_tasks(self, partition: BlockPartition) -> list[list[int]]:
-        """Group shard indices into decode tasks.
-
-        Equal-shape small shards are grouped (in block order) into batches
-        whose dense stack fits in :data:`MAX_BATCH_BYTES`, for the batched
-        dense decoder; oversized shards become singleton tasks on the
-        sparse path.  The grouping is a pure function of the partition,
-        never of ``jobs``.
-        """
-        tasks: list[list[int]] = []
-        pending: dict[tuple[int, int], list[int]] = {}
-        for index in range(partition.num_blocks):
-            m = len(partition.query_blocks[index])
-            b = len(partition.blocks[index])
-            if m == 0 or m * b > self.dense_limit:
-                tasks.append([index])
-                continue
-            batch = pending.setdefault((m, b), [])
-            batch.append(index)
-            if len(batch) >= MAX_BATCH_BYTES // (8 * m * b):
-                tasks.append(pending.pop((m, b)))
-        tasks.extend(pending.values())
-        return tasks
-
     def _make_worker(
         self,
         csr: scipy.sparse.csr_matrix,
         answers: np.ndarray,
         partition: BlockPartition,
-        seed: RngSeed,
     ) -> Callable[[list[int]], list]:
         """Bind the shared inputs into the per-task work function.
 
@@ -438,7 +359,7 @@ class ShardedReconstructor:
 
         def decode_task(task: list[int]) -> list:
             if len(task) == 1:
-                return [self._decode_single(csr, answers, partition, task[0], seed)]
+                return [self._decode_single(csr, answers, partition, task[0])]
             return self._decode_batch(csr, answers, partition, task, columns)
 
         return decode_task
@@ -449,7 +370,6 @@ class ShardedReconstructor:
         answers: np.ndarray,
         partition: BlockPartition,
         index: int,
-        seed: RngSeed,
     ) -> tuple[int, np.ndarray, ShardReport]:
         """Decode one shard on the sparse l2 path, escalating if needed."""
         rows = partition.query_blocks[index]
@@ -469,42 +389,17 @@ class ShardedReconstructor:
                 escalated=False,
             )
             return index, bits, report
-        shard_workload = Workload.from_csr(matrix, copy=False)
         result = l2_decode(
-            shard_workload,
+            Workload.from_csr(matrix, copy=False), shard_answers, self.alpha
+        )
+        return self._certify_or_escalate(
+            index,
+            matrix,
             shard_answers,
-            self.alpha,
-            reg=self.reg,
-            max_iters=self.max_iters,
-            tol=self.tol,
-            check_every=self.check_every,
-            lipschitz=self.lipschitz,
-            rng=_shard_seed(seed, index),
+            result.reconstruction,
+            result.fractional,
+            result.max_residual,
         )
-        bits = result.reconstruction
-        max_residual = result.max_residual
-        escalated = max_residual > self._threshold()
-        if escalated:
-            lp = reconstruct_from_answers(
-                shard_workload,
-                shard_answers,
-                alpha=self.alpha,
-                warm_start=result.fractional,
-                options=self.lp_options,
-            )
-            bits = lp.reconstruction
-            max_residual = float(
-                np.max(np.abs(matrix @ bits.astype(np.float64) - shard_answers))
-            )
-        report = ShardReport(
-            block=index,
-            size=len(bits),
-            queries=matrix.shape[0],
-            max_residual=max_residual,
-            certified=result.certified,
-            escalated=escalated,
-        )
-        return index, bits, report
 
     def _decode_batch(
         self,
@@ -524,56 +419,82 @@ class ShardedReconstructor:
         stacked = _dense_stack(csr, rows, columns, shape)
         stacked_answers = answers[rows].reshape(shape[:2])
         bits, fractional, residuals = l2_decode_batch(
-            stacked,
-            stacked_answers,
-            self.alpha,
-            reg=self.reg,
-            max_iters=self.max_iters,
-            tol=self.tol,
-            check_every=self.check_every,
+            stacked, stacked_answers, self.alpha
         )
-        threshold = self._threshold()
-        outputs = []
-        for j, index in enumerate(task):
-            shard_bits = bits[j]
-            max_residual = float(residuals[j])
-            certified = self.alpha is not None and max_residual <= self.alpha
-            escalated = max_residual > threshold
-            if escalated:
-                shard_workload = Workload.from_csr(
-                    scipy.sparse.csr_matrix(stacked[j]), copy=False
-                )
-                lp = reconstruct_from_answers(
-                    shard_workload,
-                    stacked_answers[j],
-                    alpha=self.alpha,
-                    warm_start=fractional[j],
-                    options=self.lp_options,
-                )
-                shard_bits = lp.reconstruction
-                max_residual = float(
-                    np.max(
-                        np.abs(
-                            stacked[j] @ shard_bits.astype(np.float64)
-                            - stacked_answers[j]
-                        )
-                    )
-                )
-            outputs.append(
-                (
-                    index,
-                    shard_bits,
-                    ShardReport(
-                        block=index,
-                        size=len(shard_bits),
-                        queries=stacked.shape[1],
-                        max_residual=max_residual,
-                        certified=certified,
-                        escalated=escalated,
-                    ),
-                )
+        return [
+            self._certify_or_escalate(
+                index,
+                stacked[j],
+                stacked_answers[j],
+                bits[j],
+                fractional[j],
+                float(residuals[j]),
             )
-        return outputs
+            for j, index in enumerate(task)
+        ]
+
+    def _certify_or_escalate(
+        self,
+        index: int,
+        matrix: np.ndarray | scipy.sparse.csr_matrix,
+        answers: np.ndarray,
+        bits: np.ndarray,
+        fractional: np.ndarray,
+        max_residual: float,
+    ) -> tuple[int, np.ndarray, ShardReport]:
+        """Certify one shard's l2 bits, or re-solve the shard by LP.
+
+        ``matrix`` is the shard's system, dense or CSR.  The shard escalates
+        exactly when a finite ``alpha`` is set and the bits fail its
+        certificate; the LP is warm-started with the l2 ``fractional``.
+        """
+        certified = self.alpha is not None and max_residual <= self.alpha
+        escalated = self.alpha is not None and not certified
+        if escalated:
+            lp = reconstruct_from_answers(
+                Workload.from_csr(scipy.sparse.csr_matrix(matrix), copy=False),
+                answers,
+                alpha=self.alpha,
+                warm_start=fractional,
+            )
+            bits = lp.reconstruction
+            max_residual = float(
+                np.max(np.abs(matrix @ bits.astype(np.float64) - answers))
+            )
+        report = ShardReport(
+            block=index,
+            size=len(bits),
+            queries=matrix.shape[0],
+            max_residual=max_residual,
+            certified=certified,
+            escalated=escalated,
+        )
+        return index, bits, report
+
+
+def _build_tasks(partition: BlockPartition) -> list[list[int]]:
+    """Group shard indices into decode tasks.
+
+    Equal-shape shards of at most :data:`DENSE_LIMIT` cells are grouped (in
+    block order) into batches whose dense stack fits in
+    :data:`MAX_BATCH_BYTES`, for the batched dense decoder; larger shards
+    become singleton tasks on the sparse path.  The grouping is a pure
+    function of the partition, never of ``jobs``.
+    """
+    tasks: list[list[int]] = []
+    pending: dict[tuple[int, int], list[int]] = {}
+    for index in range(partition.num_blocks):
+        m = len(partition.query_blocks[index])
+        b = len(partition.blocks[index])
+        if m == 0 or m * b > DENSE_LIMIT:
+            tasks.append([index])
+            continue
+        batch = pending.setdefault((m, b), [])
+        batch.append(index)
+        if len(batch) >= MAX_BATCH_BYTES // (8 * m * b):
+            tasks.append(pending.pop((m, b)))
+    tasks.extend(pending.values())
+    return tasks
 
 
 def _block_columns(partition: BlockPartition) -> np.ndarray:
@@ -612,8 +533,3 @@ def _dense_stack(
         csr.data[entries]
     )
     return stack.reshape(shape)
-
-
-def _shard_seed(seed: RngSeed, index: int) -> RngSeed:
-    """Deterministic per-shard sub-stream: a function of (seed, index) only."""
-    return derive_rng(seed, "shard", index)

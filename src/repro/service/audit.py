@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 from repro.queries.query import _validate_binary
 from repro.queries.workload import Workload
 from repro.reconstruction.l2_decode import l2_decode
-from repro.reconstruction.lp_decode import DEFAULT_LP_SOLVER, reconstruct_from_answers
+from repro.reconstruction.lp_decode import _check_alpha, reconstruct_from_answers
 
 #: Recognized auditor screening modes.
 SCREEN_MODES = ("lp", "l2")
@@ -375,7 +375,8 @@ class ReconstructionAuditor:
             (the LP is meaningless far below ``m ~ n``).
         alpha: feasibility slack for the replay LP; ``None`` uses least-l1
             decoding (the right mode for unbounded-noise mechanisms).
-        solver: HiGHS algorithm for the replay LP.
+            The replay LP runs HiGHS's :data:`~repro.reconstruction.
+            lp_decode.DEFAULT_LP_SOLVER` algorithm.
         screen: ``"lp"`` replays every pass through the LP decoder (the
             original behavior).  ``"l2"`` first replays through the cheap
             first-order decoder (:func:`repro.reconstruction.l2_decode.
@@ -408,7 +409,6 @@ class ReconstructionAuditor:
         audit_every: int = 64,
         min_queries: int = 64,
         alpha: float | None = None,
-        solver: str = DEFAULT_LP_SOLVER,
         screen: str = "lp",
         screen_margin: float = DEFAULT_SCREEN_MARGIN,
         warm_start_passes: bool = False,
@@ -421,6 +421,7 @@ class ReconstructionAuditor:
             raise ValueError("audit_every must be positive")
         if min_queries <= 0:
             raise ValueError("min_queries must be positive")
+        _check_alpha(alpha)
         if screen not in SCREEN_MODES:
             raise ValueError(f"unknown screen mode {screen!r}; known: {SCREEN_MODES}")
         if screen_margin < 0:
@@ -429,7 +430,6 @@ class ReconstructionAuditor:
         self.audit_every = int(audit_every)
         self.min_queries = int(min_queries)
         self.alpha = alpha
-        self.solver = solver
         self.screen = screen
         self.screen_margin = float(screen_margin)
         self.warm_start_passes = bool(warm_start_passes)
@@ -522,7 +522,6 @@ class ReconstructionAuditor:
                     workload,
                     answers,
                     alpha=self.alpha,
-                    solver=self.solver,
                     warm_start=screened.fractional,
                 )
                 agreement = result.agreement_with(self._data)
@@ -533,7 +532,6 @@ class ReconstructionAuditor:
                 workload,
                 answers,
                 alpha=self.alpha,
-                solver=self.solver,
                 warm_start=warm,
             )
             agreement = result.agreement_with(self._data)

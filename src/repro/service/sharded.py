@@ -438,7 +438,11 @@ class ShardedQueryServer:
     @property
     def rejections(self) -> dict[str, int]:
         """Admission-control refusals by reason."""
-        rate_limited = sum(bucket.rejections for bucket in self._buckets.values())
+        # Copy under the lock: a session registering its bucket would
+        # otherwise resize the dict mid-iteration.
+        with self._buckets_lock:
+            buckets = list(self._buckets.values())
+        rate_limited = sum(bucket.rejections for bucket in buckets)
         overloaded = sum(gate.rejections for gate in self._gates if gate is not None)
         return {"rate_limit": rate_limited, "overload": overloaded}
 

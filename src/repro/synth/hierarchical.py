@@ -33,7 +33,7 @@ import scipy.sparse
 from repro.data.dataset import Dataset
 from repro.privacy.accounting import PrivacySpend
 from repro.privacy.kernels import GeometricKernel, MechanismSpec
-from repro.reconstruction.lp_decode import DEFAULT_LP_SOLVER, solve_least_l1
+from repro.reconstruction.lp_decode import solve_least_l1
 from repro.synth.base import SyntheticRelease, Synthesizer
 from repro.synth.domain import CellDomain, integerize
 
@@ -52,24 +52,17 @@ class HierarchicalSynthesizer(Synthesizer):
         age_bin_width: width of the age bins the hierarchy tabulates
             (coarser bins shrink the LP; ages are re-drawn uniformly
             within their bin on expansion).
-        solver: HiGHS algorithm for the consistency LP.
     """
 
     name = "hierarchical"
 
-    def __init__(
-        self,
-        epsilon: float,
-        age_bin_width: int = 10,
-        solver: str = DEFAULT_LP_SOLVER,
-    ):
+    def __init__(self, epsilon: float, age_bin_width: int = 10):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if age_bin_width < 1:
             raise ValueError(f"age_bin_width must be >= 1, got {age_bin_width}")
         self.epsilon = float(epsilon)
         self.age_bin_width = int(age_bin_width)
-        self.solver = solver
 
     @property
     def spec(self) -> MechanismSpec:
@@ -151,9 +144,7 @@ class HierarchicalSynthesizer(Synthesizer):
         )
         system = scipy.sparse.vstack([identity, summation], format="csr")
         targets = np.concatenate([noisy_blocks.ravel(), noisy_national])
-        fitted = solve_least_l1(
-            system, targets, lower=0.0, upper=None, solver=self.solver
-        )
+        fitted = solve_least_l1(system, targets, lower=0.0, upper=None)
 
         # Expand: integerize each block and draw ages inside their bins.
         histogram = np.zeros(domain.size, dtype=np.int64)

@@ -32,12 +32,6 @@ class TestExactAnswerer:
         answerer.answer_workload(queries)
         assert answerer.queries_answered == 7
 
-    def test_answer_all_is_an_alias_of_answer_workload(self, data):
-        queries = random_subset_queries(50, 7, rng=1)
-        via_alias = ExactAnswerer(data).answer_all(queries)
-        via_workload = ExactAnswerer(data).answer_workload(queries)
-        assert np.array_equal(via_alias, via_workload)
-
     def test_size_mismatch_rejected(self, data):
         answerer = ExactAnswerer(data)
         with pytest.raises(ValueError):

@@ -64,11 +64,8 @@ class TestRandomSubsetQueries:
 
 
 class TestCsrBackedWorkloads:
-    def _workload(self, m=12, n=8, seed=0):
-        return Workload.random(n, m, rng=seed)
-
     def test_from_csr_round_trips(self):
-        reference = self._workload()
+        reference = Workload.random(8, 12, rng=0)
         rebuilt = Workload.from_csr(reference.matrix(sparse=True))
         assert rebuilt.m == reference.m and rebuilt.n == reference.n
         assert np.array_equal(rebuilt.masks, reference.masks)
@@ -92,38 +89,6 @@ class TestCsrBackedWorkloads:
             Workload.from_csr(scipy.sparse.csr_matrix((0, 5)))
         with pytest.raises(ValueError):
             Workload.from_csr(scipy.sparse.csr_matrix((5, 0)))
-
-    def test_select_columns_slices_queries(self):
-        workload = self._workload(seed=1)
-        idx = np.array([1, 3, 6])
-        sliced = workload.select_columns(idx)
-        assert sliced.m == workload.m and sliced.n == 3
-        assert np.array_equal(sliced.masks, workload.masks[:, idx])
-
-    def test_select_rows_slices_queries(self):
-        workload = self._workload(seed=2)
-        idx = np.array([0, 5, 9])
-        sliced = workload.select_rows(idx)
-        assert sliced.m == 3 and sliced.n == workload.n
-        assert np.array_equal(sliced.masks, workload.masks[idx])
-
-    def test_slices_answer_consistently(self):
-        # Answers of a column-slice on the restricted data match the full
-        # workload's answers restricted to queries supported inside the slice.
-        workload = self._workload(m=20, n=10, seed=3)
-        data = np.arange(10) % 2
-        idx = np.arange(10)  # identity slice: answers must be identical
-        assert np.array_equal(
-            workload.select_columns(idx).true_answers(data),
-            workload.true_answers(data),
-        )
-
-    def test_slice_validation(self):
-        workload = self._workload()
-        with pytest.raises(ValueError):
-            workload.select_columns(np.array([], dtype=np.intp))
-        with pytest.raises(ValueError):
-            workload.select_rows(np.zeros((2, 2), dtype=np.intp))
 
 
 class TestSingletonQueries:

@@ -5,13 +5,10 @@ import pytest
 
 from repro.queries.mechanism import BoundedNoiseAnswerer, ExactAnswerer, LaplaceAnswerer
 from repro.queries.workload import Workload, random_subset_queries
-from repro.reconstruction.lp_decode import (
-    DEFAULT_LP_SOLVER,
-    LpSolverOptions,
-    _resolve_options,
-    lp_reconstruction,
-    reconstruct_from_answers,
-)
+from repro.reconstruction.l2_decode import l2_decode, l2_decode_batch
+from repro.reconstruction.lp_decode import lp_reconstruction, reconstruct_from_answers
+from repro.service.audit import ReconstructionAuditor
+from repro.utils.rng import derive_rng
 
 
 class TestLpReconstruction:
@@ -211,51 +208,73 @@ class TestWarmStart:
             )
 
 
-class TestLpSolverOptions:
-    def test_defaults(self):
-        options = LpSolverOptions()
-        kwargs = options.linprog_kwargs()
-        assert kwargs["method"] == DEFAULT_LP_SOLVER
-        assert kwargs["options"] == {"presolve": True}
+class TestInfeasibleFeasibility:
+    """An LP with no solution at the stated alpha is reported as least-l1."""
 
-    def test_time_limit_plumbed(self):
-        kwargs = LpSolverOptions(time_limit=30.0, presolve=False).linprog_kwargs()
-        assert kwargs["options"] == {"presolve": False, "time_limit": 30.0}
+    N, M, ALPHA = 32, 96, 0.5
 
-    def test_invalid_time_limit_rejected(self):
-        with pytest.raises(ValueError, match="time_limit"):
-            LpSolverOptions(time_limit=0.0)
-        with pytest.raises(ValueError, match="time_limit"):
-            LpSolverOptions(time_limit=-5.0)
+    def _answerer(self, seed):
+        # Every answer is off by exactly 3, far past the stated alpha.
+        data = derive_rng(seed, "lp-infeasible-data").integers(0, 2, size=self.N)
+        rng = derive_rng(seed, "lp-infeasible-noise")
+        return BoundedNoiseAnswerer(data, alpha=3.0, shape="extremes", rng=rng)
 
-    def test_explicit_options_beat_the_legacy_solver_knob(self):
-        options = LpSolverOptions(method="highs-ds")
-        assert _resolve_options("highs-ipm", options) is options
-        assert _resolve_options("highs", None).method == "highs"
-        assert _resolve_options(None, None) == LpSolverOptions()
+    def _assert_least_l1(self, result, workload, answers):
+        assert result.mode == "least-l1"
+        assert np.isnan(result.alpha)
+        residual = workload.matrix(sparse=True) @ result.fractional - answers
+        assert np.max(np.abs(residual)) > self.ALPHA
+        least_l1 = reconstruct_from_answers(workload, answers)
+        assert np.array_equal(result.fractional, least_l1.fractional)
 
-    def test_options_reach_the_solver(self):
-        rng = np.random.default_rng(35)
-        n = 32
-        data = rng.integers(0, 2, size=n)
-        workload = Workload.random(n, 8 * n, rng=rng)
-        answers = ExactAnswerer(data).answer_workload(workload).astype(float)
-        tuned = reconstruct_from_answers(
-            workload,
-            answers,
-            alpha=0.0,
-            options=LpSolverOptions(method="highs", presolve=False),
+    def test_reconstruct_from_answers_reports_the_fallback(self):
+        workload = Workload.random(self.N, self.M, rng=40)
+        answers = self._answerer(seed=0).answer_workload(workload)
+        result = reconstruct_from_answers(workload, answers, alpha=self.ALPHA)
+        self._assert_least_l1(result, workload, answers)
+
+    def test_lp_reconstruction_reports_the_fallback(self):
+        workload = Workload.random(self.N, self.M, rng=41)
+        # A twin answerer with the same noise stream gives the same answers.
+        answers = self._answerer(seed=1).answer_workload(workload)
+        result = lp_reconstruction(
+            self._answerer(seed=1),
+            alpha=self.ALPHA,
+            mode="feasibility",
+            workload=workload,
         )
-        default = reconstruct_from_answers(workload, answers, alpha=0.0)
-        # Same transcript, same decoded bits, whatever the algorithm.
-        assert np.array_equal(tuned.reconstruction, default.reconstruction)
+        self._assert_least_l1(result, workload, answers)
 
-    def test_unknown_method_surfaces(self):
-        rng = np.random.default_rng(36)
-        data = rng.integers(0, 2, size=8)
-        workload = Workload.random(8, 32, rng=rng)
-        answers = ExactAnswerer(data).answer_workload(workload).astype(float)
-        with pytest.raises(ValueError):
-            reconstruct_from_answers(
-                workload, answers, options=LpSolverOptions(method="not-a-solver")
-            )
+    def test_feasible_alpha_still_reports_feasibility(self):
+        workload = Workload.random(self.N, self.M, rng=42)
+        answers = self._answerer(seed=2).answer_workload(workload)
+        result = reconstruct_from_answers(workload, answers, alpha=3.0)
+        assert result.mode == "feasibility"
+        assert result.alpha == 3.0
+        residual = workload.matrix(sparse=True) @ result.fractional - answers
+        assert np.max(np.abs(residual)) <= 3.0 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda w, a: lp_reconstruction(
+            ExactAnswerer(np.zeros(w.n, dtype=int)), alpha=-0.5, workload=w
+        ),
+        lambda w, a: reconstruct_from_answers(w, a, alpha=-0.5),
+        lambda w, a: l2_decode(w, a, alpha=-0.5),
+        lambda w, a: l2_decode_batch(w.matrix()[None], a[None], alpha=-0.5),
+        lambda w, a: ReconstructionAuditor(np.zeros(w.n, dtype=int), alpha=-0.5),
+    ],
+    ids=[
+        "lp_reconstruction",
+        "reconstruct_from_answers",
+        "l2_decode",
+        "l2_decode_batch",
+        "ReconstructionAuditor",
+    ],
+)
+def test_negative_alpha_rejected(decode):
+    workload = Workload.random(8, 24, rng=37)
+    with pytest.raises(ValueError, match="alpha must be non-negative"):
+        decode(workload, np.zeros(24))

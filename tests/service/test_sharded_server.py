@@ -7,6 +7,9 @@ and budget-exhaustion points are bit-identical to :class:`QueryServer`
 with a single-ledger accountant.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,32 @@ class TestAdmissionControl:
         assert caught.value.reason == "overload"
         sharded.session("alice").ask(query)  # slot released
         assert sharded.rejections["overload"] == 1
+
+    def test_rejections_can_be_read_while_sessions_register(self):
+        # Regression: rejections summed the bucket dict outside its lock,
+        # so a session registering its bucket meanwhile made the reader
+        # raise "dictionary changed size during iteration".
+        sharded = ShardedQueryServer(
+            make_data(), "laplace", seed=3, shards=4, rate_limit=RateLimit(rate=1.0, burst=1)
+        )
+
+        def register():
+            for index in range(5000):
+                sharded.session(f"analyst-{index}")
+
+        opener = threading.Thread(target=register)
+        errors = []
+        deadline = time.monotonic() + 60.0
+        opener.start()
+        while opener.is_alive() and time.monotonic() < deadline:
+            try:
+                assert sharded.rejections == {"rate_limit": 0, "overload": 0}
+            except RuntimeError as error:
+                errors.append(error)
+        opener.join(timeout=60.0)
+        assert not opener.is_alive()
+        assert len(sharded._buckets) == 5000
+        assert errors == []
 
     def test_invalid_policies_rejected(self):
         with pytest.raises(ValueError, match="rate"):
