@@ -6,8 +6,9 @@ striped caches, background audit workers, sharded accounting — under
 absent, so the script also runs standalone) and then interrogates the
 scrape output the way an operator's monitoring would:
 
-- every serving-pipeline stage has a non-zero latency histogram, including
-  the fused cache-hit fast path and the single-query miss lane;
+- every serve step has exactly the expected number of latency samples,
+  including the fused cache-hit fast path and the single-query miss lane
+  (the script's traffic is deterministic, so the counts are too);
 - admission rejects are counted *by reason*, with the rate-limit reject
   actually provoked (frozen token-bucket clock, burst exhausted);
 - the audit worker pool's queue-depth gauge drains back to zero after a
@@ -49,20 +50,21 @@ N = 96
 SEED = 7
 BURST = 8
 
-#: Every stage the serve pipeline is expected to time somewhere in the
-#: deployment: the six batched stages, the admission gate, and the two
-#: fused single-query lanes.
-EXPECTED_STAGES = (
-    "compliance",
-    "cache_lookup",
-    "budget_reserve",
-    "execute",
-    "cache_put",
-    "audit_append",
-    "admission",
-    "cache_hit_fastpath",
-    "single_miss",
-)
+#: Latency samples per step after the traffic below: the six batched
+#: steps (three workloads; a single miss also times its last four), the
+#: admission gate (every session request, rejects included), and the two
+#: single-query lanes (the first of bob's two replays is sampled).
+EXPECTED_STAGES = {
+    "compliance": 3,
+    "cache_lookup": 3,
+    "budget_reserve": 12,
+    "execute": 12,
+    "cache_put": 12,
+    "audit_append": 12,
+    "admission": 17,
+    "cache_hit_fastpath": 1,
+    "single_miss": 9,
+}
 
 REQUIRED_FAMILIES = (
     STAGE_SECONDS,
@@ -128,7 +130,7 @@ def main() -> int:
         telemetry=telemetry,
     )
 
-    # --- batched traffic fills all six per-stage histograms (fresh
+    # --- batched traffic fills all six per-step histograms (fresh
     # workload = misses through the mechanism; replay = batched hits).
     alice = server.session("alice")
     panel = Workload.random(N, 48, rng=derive_rng(SEED, "smoke-panel"))
@@ -166,10 +168,12 @@ def main() -> int:
     second = telemetry.snapshot()
     server.close()
 
-    # 1. Every pipeline stage timed, everywhere the deployment serves.
-    for stage in EXPECTED_STAGES:
+    # 1. Every serve step timed exactly as often as the traffic says.
+    for stage, expected in EXPECTED_STAGES.items():
         count = stage_count(second, stage)
-        assert count > 0, f"stage {stage!r} recorded no latency samples"
+        assert count == expected, (
+            f"stage {stage!r} recorded {count} latency samples, expected {expected}"
+        )
         print(f"stage ok: {stage} ({count} samples)")
 
     # 2. Admission rejects counted by reason; the provoked one is visible.

@@ -520,10 +520,10 @@ class ServiceAccountant(PrivacyAccountant, ABC):
     def lease(self, analyst: str, count: int, epsilon_per_query: float) -> "BudgetLease":
         """Charge now, with a typed handle to roll the charge back.
 
-        The serve pipeline's ``BudgetReserve`` stage contract: the charge
+        The serve path's BudgetReserve step contract: the charge
         lands atomically (identical verdicts to :meth:`charge`), and the
         returned :class:`BudgetLease` is either committed once the request
-        is actually served or rolled back if a later stage fails — no
+        is actually served or rolled back if a later step fails — no
         budget is ever burned for an answer that was never released.
         """
         return BudgetLease.acquire(self, analyst, count, epsilon_per_query)
@@ -537,13 +537,13 @@ class ServiceAccountant(PrivacyAccountant, ABC):
 
 
 class BudgetLease:
-    """A held (not yet settled) budget charge: the serve-stage contract.
+    """A held (not yet settled) budget charge: the serve-step contract.
 
     ``acquire`` performs the all-or-nothing charge immediately — so refusal
     points and :class:`BudgetExhausted` verdicts are bit-identical to a
     plain ``charge`` — but hands back an object that must be *settled*:
     :meth:`commit` once the answers were actually released, or
-    :meth:`rollback` to refund the charge when a later pipeline stage
+    :meth:`rollback` to refund the charge when a later serve step
     (mechanism execution, cache insert, audit append) raises.  Works
     against any accountant exposing ``charge``/``refund`` with the service
     signature (:class:`ServiceAccountant` and :class:`ShardedAccountant`).

@@ -6,17 +6,17 @@ reconstruction was demonstrated against a *production* query server
 layer only bites once a mechanism sits behind an interface.  This
 subpackage is that interface, in-process:
 
-* :mod:`repro.service.pipeline` — the staged serve path every server
-  drives requests through (Admission -> Compliance -> CacheLookup ->
-  BudgetReserve -> Execute -> CachePut -> AuditAppend), one single-ask
-  path and one workload path over the same stages;
+* :mod:`repro.service.pipeline` — the serve path every server hands
+  requests to: one driver for a single ask and one for a workload, each
+  running the same steps in order (Admission -> Compliance ->
+  CacheLookup -> BudgetReserve -> Execute -> CachePut -> AuditAppend);
 * :mod:`repro.service.server` — :class:`QueryServer`, multi-analyst
   sessions routing queries and workloads to a configured mechanism;
 * :mod:`repro.privacy.accounting` — pluggable per-analyst/global epsilon
   ledgers (basic and advanced composition) with all-or-nothing charges,
   typed :class:`BudgetExhausted` refusals, and the
   :class:`~repro.privacy.accounting.BudgetLease` reserve/rollback contract
-  the BudgetReserve stage holds;
+  the BudgetReserve step holds;
 * :mod:`repro.service.cache` — canonical query fingerprints and the answer
   cache that makes repeated queries free and bit-identical (consistency),
   plus the striped LRU cache concurrent sessions share;

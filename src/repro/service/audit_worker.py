@@ -6,11 +6,11 @@ analyst's serving thread for an l2/LP replay pass.  *Linear Program
 Reconstruction in Practice* (PAPERS.md) is the reason the auditing cannot
 simply be turned off: the attack is cheap enough that the transcript must
 be watched continuously.  This module resolves the tension by moving the
-*passes* (not the evidence) off the hot path: the
-:class:`~repro.service.pipeline.AuditAppendStage` still appends every
-release synchronously — the log stays the complete attack transcript —
-and then hands the "this analyst may have crossed a checkpoint" signal to
-an :class:`AuditDispatch`.
+*passes* (not the evidence) off the hot path: the serve path's
+AuditAppend step (:class:`~repro.service.pipeline.ServePipeline`) still
+appends every release synchronously — the log stays the complete attack
+transcript — and then hands the "this analyst may have crossed a
+checkpoint" signal to an :class:`AuditDispatch`.
 
 Three dispatches:
 
@@ -26,7 +26,7 @@ Three dispatches:
     warm-started screening passes the inline path would; verdicts publish
     through the *existing* circuit breaker
     (``ReconstructionAuditor._tripped``), so a tripped analyst is refused
-    by the very next request's Compliance stage.  Because an analyst's
+    by the very next request's Compliance step.  Because an analyst's
     checkpoints always land on the same shard queue, passes for one
     analyst never run concurrently — the auditor sees the same
     one-pass-at-a-time discipline as inline dispatch, and a drained pool
@@ -41,7 +41,6 @@ Three dispatches:
 from __future__ import annotations
 
 import itertools
-import os
 import queue
 import threading
 import warnings
@@ -66,13 +65,8 @@ __all__ = [
     "resolve_audit_dispatch",
 ]
 
-#: Environment variable overriding the default background worker count.
-AUDIT_WORKERS_ENV = "REPRO_AUDIT_WORKERS"
-
-
-def default_audit_workers() -> int:
-    """Background worker count: ``REPRO_AUDIT_WORKERS`` or 2."""
-    return max(1, int(os.environ.get(AUDIT_WORKERS_ENV, "2")))
+#: Background worker threads per pool unless ``workers`` says otherwise.
+DEFAULT_AUDIT_WORKERS = 2
 
 
 class AuditDispatch(ABC):
@@ -80,7 +74,7 @@ class AuditDispatch(ABC):
 
     @abstractmethod
     def after_append(self, log: AuditLog, analyst: str) -> None:
-        """Called by the AuditAppend stage after fresh records land."""
+        """Called by the AuditAppend step after fresh records land."""
 
     def flush(self, timeout: float | None = None) -> bool:
         """Wait until every signalled pass has run (no-op inline)."""
@@ -122,7 +116,7 @@ class AuditWorkerPool(AuditDispatch):
         auditor: the shared :class:`ReconstructionAuditor` verdicts
             publish through.
         workers: worker-thread count (default
-            :func:`default_audit_workers`).  Analysts are partitioned
+            :data:`DEFAULT_AUDIT_WORKERS`).  Analysts are partitioned
             over workers by :func:`stable_shard`, which serializes each
             analyst's passes.
     """
@@ -134,11 +128,9 @@ class AuditWorkerPool(AuditDispatch):
     def __init__(
         self,
         auditor: ReconstructionAuditor,
-        workers: int | None = None,
+        workers: int = DEFAULT_AUDIT_WORKERS,
         telemetry=None,
     ):
-        if workers is None:
-            workers = default_audit_workers()
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self._auditor = auditor

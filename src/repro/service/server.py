@@ -9,21 +9,21 @@ queries from a per-analyst answer cache for free, appends every release to
 the audit log, and lets the online reconstruction auditor trip a
 per-analyst circuit breaker.
 
-The request path is the fixed stage sequence of
-:class:`repro.service.pipeline.ServePipeline` (each stage can refuse
-without side effects from the later ones)::
+A request runs the fixed steps of the two drivers of
+:class:`repro.service.pipeline.ServePipeline`, one for a single query and
+one for a workload (each step can refuse without side effects from the
+later ones)::
 
     session.ask(q) ──► Admission ──► Compliance ──► CacheLookup
                        ──► BudgetReserve ──► Execute ──► CachePut
                        ──► AuditAppend ──► audit dispatch (inline/background)
 
-``QueryServer`` itself is a thin driver over that stage list: it owns the
-cross-request state (accountant, audit log, analyst registry, synthetic
-fallback) and delegates serving to its pipeline, whose ``Execute`` stage
-answers on the serving thread.  ``audit_dispatch`` picks whether
-reconstruction-audit passes run on that thread or on background workers
-(:mod:`repro.service.audit_worker`); verdicts are bit-identical either
-way, by construction and by test.
+``QueryServer`` owns the cross-request state (accountant, audit log,
+analyst registry, synthetic fallback) and hands each request to its
+pipeline, whose Execute step answers on the serving thread.
+``audit_dispatch`` picks whether reconstruction-audit passes run on that
+thread or on background workers (:mod:`repro.service.audit_worker`);
+verdicts are bit-identical either way, by construction and by test.
 
 When a :class:`~repro.compliance.gate.ComplianceGate` is configured, one
 step precedes all of the above — at session *registration* (not per
@@ -284,7 +284,7 @@ class QueryServer:
         telemetry: observability — a :class:`~repro.telemetry.Telemetry`
             instance (isolated registry), ``True``/``False``, or ``None``
             (default) to consult ``REPRO_TELEMETRY``.  When enabled, the
-            pipeline records per-stage latency histograms, per-analyst
+            pipeline records per-step latency histograms, per-analyst
             request counts, and admission rejects, and shared components
             (accountant, gate, audit workers) bind their own gauges.
             Answers are bit-identical with telemetry on or off.
@@ -340,7 +340,7 @@ class QueryServer:
                 bind = getattr(component, "bind_telemetry", None)
                 if bind is not None:
                     bind(self.telemetry)
-        self._pipeline = ServePipeline(self, self.audit_dispatch)
+        self._pipeline = ServePipeline(self)
 
     @property
     def n(self) -> int:
@@ -493,7 +493,7 @@ class QueryServer:
 
     @property
     def pipeline(self) -> ServePipeline:
-        """The staged serve pipeline this server drives requests through."""
+        """The serve drivers this server hands its requests to."""
         return self._pipeline
 
     def close(self) -> None:

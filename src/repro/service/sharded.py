@@ -203,25 +203,26 @@ class ShardedAnalystSession(AnalystSession):
         shard = front.shard_of(analyst)
         super().__init__(front._shard_servers[shard], analyst)
         self.shard = shard
-        self._bucket = front._bucket(analyst)
-        self._gate = front._gates[shard]
-        # The session's pipeline is the shard's pipeline (same stages, same
-        # caches, same audit log) with this session's bucket/gate composed
-        # in front as the Admission stage.
-        if self._bucket is None and self._gate is None:
-            self._pipeline = self._server.pipeline
-        else:
-            self._pipeline = self._server.pipeline.with_admission(
-                AdmissionControl(self._bucket, self._gate)
-            )
+        self._pipeline = self._server.pipeline
+        # The shard's pipeline runs this session's bucket/gate as its
+        # Admission step; with neither configured there is no step at all.
+        bucket = front._bucket(analyst)
+        gate = front._gates[shard]
+        self._admission = (
+            None if bucket is None and gate is None else AdmissionControl(bucket, gate)
+        )
 
     def ask(self, query: SubsetQuery) -> float:
         """Answer one query; may raise :class:`Rejected` before any charge."""
-        return self._pipeline.serve_single(self._state, self.analyst, query)
+        return self._pipeline.serve_single(
+            self._state, self.analyst, query, self._admission
+        )
 
     def ask_workload(self, workload: Workload | Sequence[SubsetQuery]) -> np.ndarray:
         """Answer a workload (one admission token for the whole batch)."""
-        return self._pipeline.serve_workload(self._state, self.analyst, workload)
+        return self._pipeline.serve_workload(
+            self._state, self.analyst, workload, self._admission
+        )
 
 
 class ShardedQueryServer:

@@ -1,6 +1,6 @@
 """repro.telemetry — metrics, tracing, and profiling for the serve stack.
 
-The observability layer the production-scale story needs: per-stage
+The observability layer the production-scale story needs: per-step
 serving latency, admission rejects by reason, cache hit/miss/eviction
 counts per stripe, audit-pass backlog and latency, compliance denials,
 and global epsilon remaining — all recorded by the components themselves
@@ -47,11 +47,7 @@ from repro.telemetry.export import (
     to_json,
     to_prometheus,
 )
-from repro.telemetry.instrument import (
-    TelemetryAdmission,
-    TelemetryStage,
-    analyst_digest_prefix,
-)
+from repro.telemetry.instrument import analyst_digest_prefix
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -77,8 +73,6 @@ __all__ = [
     "SpanRecorder",
     "TELEMETRY_ENV",
     "Telemetry",
-    "TelemetryAdmission",
-    "TelemetryStage",
     "analyst_digest_prefix",
     "default_telemetry",
     "diff",
@@ -97,7 +91,7 @@ _TRUTHY = {"1", "true", "yes", "on"}
 class Telemetry:
     """The enabled facade: one registry, one span recorder, one clock.
 
-    ``clock`` is the duration source the stage wrappers and gate timers
+    ``clock`` is the duration source the serve drivers and gate timers
     use (``time.perf_counter`` by default; injectable so tests assert
     exact latencies).  Instrumented components check :attr:`enabled`
     once and pre-resolve their instruments — the facade itself is never

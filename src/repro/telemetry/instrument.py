@@ -1,19 +1,13 @@
-"""Metric names and the stage wrappers the serve stack instruments with.
+"""Metric names and the analyst label the serve stack instruments with.
 
 One module owns the metric-family vocabulary so the pipeline, the
 sharded front end, the audit workers, the compliance gate, the
 accountant, the benchmarks, and the CI smoke all agree on names — the
 smoke asserts these exact families appear in the Prometheus export.
-
-The wrappers follow one rule: **wrap the seam, not the call sites**.
-:class:`TelemetryStage` decorates any pipeline stage (it preserves
-``name`` and delegates ``single``/``batch``), and
-:class:`TelemetryAdmission` decorates an
-:class:`~repro.service.pipeline.AdmissionControl` (preserving
-``enter``/``exit``), so the pipeline's stage list stays the single place
-instrumentation attaches.  Nothing here imports the service layer —
-rejects are classified by the duck-typed ``reason`` attribute — so
-``repro.telemetry`` stays a leaf package the whole stack can depend on.
+The serve drivers time their own steps
+(:class:`~repro.service.pipeline.ServePipeline`); nothing here imports
+the service layer, so ``repro.telemetry`` stays a leaf package the whole
+stack can depend on.
 """
 
 from __future__ import annotations
@@ -40,13 +34,11 @@ __all__ = [
     "LEASE_RECONCILIATIONS",
     "REQUESTS_TOTAL",
     "STAGE_SECONDS",
-    "TelemetryAdmission",
-    "TelemetryStage",
     "analyst_digest_prefix",
 ]
 
 # -- serve pipeline ---------------------------------------------------------
-#: Per-stage serving latency, labeled (stage, shard, mechanism).  The fused
+#: Per-step serving latency, labeled (stage, shard, mechanism).  The fused
 #: cached-replay path reports under stage="cache_hit_fastpath".
 STAGE_SECONDS = "repro_serve_stage_seconds"
 #: Requests served, labeled (shard, mechanism, analyst=digest prefix).
@@ -88,84 +80,3 @@ def analyst_digest_prefix(analyst: str) -> str:
     exporters).
     """
     return hashlib.blake2b(analyst.encode("utf-8"), digest_size=2).hexdigest()
-
-
-class TelemetryStage:
-    """A pipeline stage wrapper timing ``single``/``batch`` into a histogram.
-
-    Exposes the wrapped stage's ``name`` (the pipeline repr and the stage
-    -sequence tests see the same names with telemetry on or off) and the
-    raw stage as ``inner`` (identity-sensitive consumers unwrap).
-    """
-
-    __slots__ = ("inner", "name", "_hist", "_clock")
-
-    def __init__(self, inner, hist, clock):
-        self.inner = inner
-        self.name = inner.name
-        self._hist = hist
-        self._clock = clock
-
-    def single(self, x) -> None:
-        start = self._clock()
-        try:
-            self.inner.single(x)
-        finally:
-            self._hist.observe(self._clock() - start)
-
-    def batch(self, x) -> None:
-        start = self._clock()
-        try:
-            self.inner.batch(x)
-        finally:
-            self._hist.observe(self._clock() - start)
-
-    def __repr__(self) -> str:
-        return f"TelemetryStage({self.inner!r})"
-
-
-class TelemetryAdmission:
-    """An admission wrapper counting refusals by reason and timing entry.
-
-    ``reject_counters`` maps refusal reasons (the exception's duck-typed
-    ``reason`` attribute, e.g. ``"rate_limit"``/``"overload"``) to
-    pre-created counters; unknown reasons fall into the ``"other"`` slot
-    when one is provided, else go uncounted rather than raising.
-    """
-
-    __slots__ = ("inner", "_hist", "_rejects", "_clock")
-
-    name = "admission"
-
-    def __init__(self, inner, hist, reject_counters, clock):
-        self.inner = inner
-        self._hist = hist
-        self._rejects = reject_counters
-        self._clock = clock
-
-    @property
-    def bucket(self):
-        return self.inner.bucket
-
-    @property
-    def gate(self):
-        return self.inner.gate
-
-    def enter(self, analyst: str) -> None:
-        start = self._clock()
-        try:
-            self.inner.enter(analyst)
-        except BaseException as refusal:
-            reason = getattr(refusal, "reason", None)
-            counter = self._rejects.get(reason) or self._rejects.get("other")
-            if counter is not None:
-                counter.inc()
-            raise
-        finally:
-            self._hist.observe(self._clock() - start)
-
-    def exit(self, analyst: str) -> None:
-        self.inner.exit(analyst)
-
-    def __repr__(self) -> str:
-        return f"TelemetryAdmission({self.inner!r})"

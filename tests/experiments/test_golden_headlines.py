@@ -35,8 +35,13 @@ def test_e19_quick_headline_bit_identical():
     assert float(headline["epsilon_charged"]).hex() == "0x1.8333333333333p+3"
 
 
-def test_e18_quick_headline_bit_identical():
-    headline = run_experiment("E18", seed=0, quick=True).headline
+@pytest.mark.parametrize("audit_dispatch", ["inline", "background"])
+def test_e18_quick_headline_bit_identical(audit_dispatch):
+    # Background audit workers, drained after every batch, must reproduce
+    # the inline deployment's headline bit for bit.
+    from repro.experiments.e18_service_audit import run as run_e18
+
+    headline = run_e18(seed=0, quick=True, audit_dispatch=audit_dispatch).headline
     assert headline["attacker_flagged"] is True
     assert headline["dashboard_flagged"] is False
     assert headline["researcher_flagged"] is False

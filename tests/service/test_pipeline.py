@@ -1,11 +1,11 @@
-"""The staged serve pipeline: stage wiring, audit dispatch, the budget
-lease, and the bit-identity contract across serve paths and front ends.
+"""The serve pipeline: step order, audit dispatch, the budget lease, and
+the bit-identity contract across serve paths and front ends.
 
 The refactor's promise is that the pipeline is pure mechanics: for a fixed
 seed, served answers, budget-exhaustion points, and audit verdicts are
 bit-identical whatever the audit dispatch (inline/background, after a
-flush), whether the fused single-ask path or the staged workload path
-served the query, and whether one server or a sharded front end did.
+flush), whether the fused single-ask path or the workload path served
+the query, and whether one server or a sharded front end did.
 """
 
 import importlib
@@ -16,6 +16,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,10 @@ from repro.service import (
     AuditWorkerPool,
     BasicAccountant,
     QueryServer,
+    RateLimit,
     ReconstructionAuditor,
+    Rejected,
+    ServePipeline,
     ShardedQueryServer,
 )
 from repro.utils.rng import derive_rng
@@ -48,42 +52,53 @@ def make_queries(count, seed=4, density=0.5):
 class TestStageList:
     def test_fixed_sequence(self):
         server = QueryServer(make_data(), "laplace", seed=1)
-        names = [stage.name for stage in server.pipeline.stages]
-        assert names == [
-            "compliance",
-            "cache_lookup",
-            "budget_reserve",
-            "execute",
-            "cache_put",
-            "audit_append",
-        ]
+        assert repr(server.pipeline) == (
+            "ServePipeline(compliance -> cache_lookup -> budget_reserve"
+            " -> execute -> cache_put -> audit_append)"
+        )
 
     def test_admission_leads_when_composed(self):
+        # A session's admission runs before every other step: once the
+        # analyst's only token is spent, requests are refused before the
+        # compliance check or query validation runs, with no footprint.
+        data = make_data()
+        auditor = ReconstructionAuditor(data)
         sharded = ShardedQueryServer(
-            make_data(), "laplace", seed=1, shards=2, max_inflight_per_shard=4
+            data,
+            "laplace",
+            auditor=auditor,
+            seed=1,
+            shards=2,
+            rate_limit=RateLimit(rate=1.0, burst=1),
+            clock=lambda: 0.0,
         )
         session = sharded.session("alice")
-        names = [stage.name for stage in session._pipeline.stages]
-        assert names[0] == "admission"
-        assert "ServePipeline(admission -> " in repr(session._pipeline)
+        session.ask(make_queries(1)[0])
 
-    def test_sessions_share_the_shard_stages(self):
+        def compliance(analyst):
+            raise AssertionError("compliance ran before admission")
+
+        auditor.check = compliance
+        with pytest.raises(Rejected):
+            session.ask(make_queries(1, seed=5)[0])
+        with pytest.raises(Rejected):
+            session.ask_workload([SubsetQuery(np.ones(N + 1, dtype=bool))])
+        assert len(sharded.audit_log_for("alice")) == 1
+
+    def test_sessions_share_the_shard_pipeline(self):
         sharded = ShardedQueryServer(
             make_data(), "laplace", seed=1, shards=1, max_inflight_per_shard=4
         )
-        a = sharded.session("alice")._pipeline
-        b = sharded.session("bob")._pipeline
         shard = sharded.shard_server(0).pipeline
-        assert a is not shard and b is not shard
-        assert a.execute_stage is shard.execute_stage
-        assert a.audit_stage is shard.audit_stage
+        assert sharded.session("alice")._pipeline is shard
+        assert sharded.session("bob")._pipeline is shard
 
 
 class TestFusedVersusStagedSingle:
     def test_fused_hot_path_matches_staged_reference(self):
         # Two servers, same seed: one driven through session.ask (the fused
         # single-ask path), one through one-row session.ask_workload
-        # calls (every stage's batch entry, in sequence).  Answers and
+        # calls (the workload driver, every step in sequence).  Answers and
         # audit records must be bit-identical, replays included.
         data = make_data()
         fused = QueryServer(data, "laplace", seed=5)
@@ -138,6 +153,45 @@ class TestExecutionBackendsRemoved:
     def test_shared_fork_executor_is_gone(self):
         parallel = importlib.import_module("repro.utils.parallel")
         assert not hasattr(parallel, "shared_fork_executor")
+
+
+class TestStagedPipelineRemoved:
+    # One straight-line driver per request shape replaced the stage
+    # classes, the per-request Exchange, the per-session pipeline clones
+    # and the telemetry stage wrappers; they must stay deleted.
+    def test_stage_classes_are_gone(self):
+        pipeline = importlib.import_module("repro.service.pipeline")
+        for name in (
+            "Exchange",
+            "ComplianceStage",
+            "CacheLookupStage",
+            "BudgetReserveStage",
+            "ExecuteStage",
+            "CachePutStage",
+            "AuditAppendStage",
+        ):
+            assert not hasattr(pipeline, name), name
+        assert pipeline.__all__ == ["AdmissionControl", "ServePipeline"]
+
+    def test_pipeline_views_are_gone(self):
+        for name in ("with_admission", "stages", "execute_stage", "audit_stage"):
+            assert not hasattr(ServePipeline, name), name
+
+    def test_telemetry_stage_wrappers_are_gone(self):
+        for module in ("repro.telemetry", "repro.telemetry.instrument"):
+            telemetry = importlib.import_module(module)
+            for name in ("TelemetryStage", "TelemetryAdmission"):
+                assert not hasattr(telemetry, name), (module, name)
+                assert name not in telemetry.__all__, (module, name)
+
+    def test_audit_worker_count_ignores_the_environment(self, monkeypatch):
+        audit_worker = importlib.import_module("repro.service.audit_worker")
+        assert not hasattr(audit_worker, "AUDIT_WORKERS_ENV")
+        assert not hasattr(audit_worker, "default_audit_workers")
+        monkeypatch.setenv("REPRO_AUDIT_WORKERS", "5")
+        pool = AuditWorkerPool(ReconstructionAuditor(make_data()))
+        assert pool.workers == audit_worker.DEFAULT_AUDIT_WORKERS == 2
+        pool.close()
 
 
 @st.composite

@@ -141,3 +141,29 @@ class TestFallbackAnswers:
         records = [r for r in server.audit_log.records("alice") if r.source == "synthetic"]
         assert len(records) == 10
         assert all(not record.cached for record in records)
+
+    def test_repeated_rows_from_the_release_are_synthetic(self):
+        # Three fresh queries at 0.5 overrun the 1.0 budget, so the whole
+        # batch is answered from the release.  The repeat of q3 is answered
+        # from the release too: it is logged as synthetic, uncached and
+        # free, exactly like two single asks of q3 would be.
+        n = 32
+        server = QueryServer(
+            _data(n),
+            mechanism="laplace",
+            mechanism_params={"epsilon_per_query": 0.5},
+            accountant=BasicAccountant(per_analyst_epsilon=1.0),
+            seed=5,
+            synthetic_fallback=SyntheticFallback(epsilon=1.0, rounds=2),
+        )
+        q1, q2, q3 = (
+            SubsetQuery.from_indices(indices, n)
+            for indices in ([0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10, 11])
+        )
+        answers = server.session("alice").ask_workload([q1, q2, q3, q3])
+        assert answers[3] == answers[2]
+        records = server.audit_log.records("alice")
+        assert [(r.source, r.cached, r.epsilon) for r in records] == [
+            ("synthetic", False, 0.0)
+        ] * 4
+        assert server.accountant.analyst_epsilon("alice") == 0.0

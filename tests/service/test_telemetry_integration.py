@@ -1,7 +1,7 @@
 """Telemetry across the serve stack: instruments fill, answers never change.
 
 Two contracts are pinned here.  First, the *observability* contract: with
-telemetry enabled, every pipeline stage's latency histogram fills, admission
+telemetry enabled, every serve step's latency histogram fills, admission
 rejects are counted by reason, cache and audit and budget state is visible
 in one snapshot.  Second — the one that matters for the paper — the
 *bit-identity* contract: telemetry must be a pure observer.  Answers,
@@ -14,18 +14,21 @@ import numpy as np
 import pytest
 
 from repro.compliance import ComplianceDenied, ComplianceGate
-from repro.privacy.accounting import BudgetExhausted, ShardedAccountant
+from repro.privacy.accounting import BasicAccountant, BudgetExhausted, ShardedAccountant
 from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
 from repro.service import (
+    AuditLog,
+    CircuitBreakerTripped,
     QueryServer,
     RateLimit,
     ReconstructionAuditor,
     Rejected,
     ShardedQueryServer,
+    query_fingerprint,
 )
 from repro.service.audit_worker import AuditWorkerPool
-from repro.telemetry import NULL_TELEMETRY, Telemetry, to_prometheus
+from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, to_prometheus
 from repro.telemetry.instrument import (
     ADMISSION_REJECTS,
     AUDIT_PASS_SECONDS,
@@ -109,17 +112,152 @@ class TestPipelineInstrumentation:
 
     def test_stage_names_and_repr_unchanged(self):
         instrumented = QueryServer(make_data(), telemetry=Telemetry())
-        plain = QueryServer(make_data())
-        assert [s.name for s in instrumented.pipeline.stages] == [
-            s.name for s in plain.pipeline.stages
-        ]
+        plain = QueryServer(make_data(), telemetry=False)
         assert repr(instrumented.pipeline) == repr(plain.pipeline)
 
-    def test_disabled_pipeline_carries_no_wrappers(self):
+    def test_disabled_reads_no_clock(self, monkeypatch):
+        def clock():
+            raise AssertionError("clock read with telemetry off")
+
+        monkeypatch.setattr(NullTelemetry, "clock", staticmethod(clock))
         server = QueryServer(make_data(), telemetry=False)
-        assert server.pipeline._telemetry is None
-        for stage in server.pipeline._serving:
-            assert type(stage).__name__ != "TelemetryStage"
+        assert server.pipeline._clock is None
+        query = make_queries(1)[0]
+        server.ask("alice", query)
+        server.ask("alice", query)
+        server.ask_workload("alice", make_queries(3, seed=6) + [query])
+        assert len(server.audit_log) == 6
+
+
+def step_counts(telemetry) -> dict[str, int]:
+    """Latency samples per ``stage`` label, summed over shards."""
+    counts = dict.fromkeys(STAGES + ("cache_hit_fastpath", "single_miss", "admission"), 0)
+    for point in telemetry.snapshot().histograms:
+        if point.name == STAGE_SECONDS:
+            counts[dict(point.labels)["stage"]] += point.count
+    return counts
+
+
+class TestStepCounts:
+    """Exactly which requests feed which step histogram.
+
+    A step that raises is timed; a single ask times its miss steps but
+    not its compliance check or cache probe; a batch times all six.
+    """
+
+    def test_single_server_with_refusals_and_a_tripped_analyst(self):
+        telemetry = Telemetry()
+        data = make_data()
+        auditor = ReconstructionAuditor(data)
+        server = QueryServer(
+            data,
+            "laplace",
+            {"epsilon_per_query": 0.5},
+            accountant=BasicAccountant(per_analyst_epsilon=2.0),
+            auditor=auditor,
+            seed=1,
+            telemetry=telemetry,
+        )
+        q = make_queries(8)
+        alice = server.session("alice")
+        alice.ask(q[0])
+        alice.ask(q[0])
+        alice.ask_workload([q[1], q[2], q[1]])
+        alice.ask(q[3])
+        with pytest.raises(BudgetExhausted):
+            alice.ask(q[4])
+        with pytest.raises(BudgetExhausted):
+            alice.ask_workload([q[5]])
+        alice.ask_workload([q[0]])
+        trip(auditor, data, "mallory")
+        mallory = server.session("mallory")
+        with pytest.raises(CircuitBreakerTripped):
+            mallory.ask(q[6])
+        with pytest.raises(CircuitBreakerTripped):
+            mallory.ask_workload([q[7]])
+        assert step_counts(telemetry) == {
+            "compliance": 4,
+            "cache_lookup": 3,
+            "budget_reserve": 6,
+            "execute": 4,
+            "cache_put": 4,
+            "audit_append": 4,
+            "cache_hit_fastpath": 1,
+            "single_miss": 2,
+            "admission": 0,
+        }
+
+    def test_sharded_session_with_a_rate_limit_reject(self):
+        telemetry = Telemetry()
+        server = ShardedQueryServer(
+            make_data(),
+            "laplace",
+            seed=1,
+            shards=2,
+            rate_limit=RateLimit(rate=1.0, burst=2),
+            clock=lambda: 0.0,
+            telemetry=telemetry,
+        )
+        q = make_queries(3)
+        session = server.session("alice")
+        session.ask(q[0])
+        session.ask_workload([q[1]])
+        with pytest.raises(Rejected):
+            session.ask(q[2])
+        assert step_counts(telemetry) == {
+            "compliance": 1,
+            "cache_lookup": 1,
+            "budget_reserve": 2,
+            "execute": 2,
+            "cache_put": 2,
+            "audit_append": 2,
+            "cache_hit_fastpath": 0,
+            "single_miss": 1,
+            "admission": 3,
+        }
+        rejects = {
+            dict(point.labels)["reason"]: point.value
+            for point in telemetry.snapshot().counters
+            if point.name == ADMISSION_REJECTS
+        }
+        assert rejects == {"rate_limit": 1.0, "overload": 0.0, "other": 0.0}
+
+    def test_failed_audit_pass_is_timed_in_audit_append(self):
+        telemetry = Telemetry()
+        data = make_data()
+        auditor = ReconstructionAuditor(data)
+
+        def broken(log, analyst):
+            raise RuntimeError("LP solver failed")
+
+        auditor.maybe_audit = broken
+        server = QueryServer(data, "laplace", auditor=auditor, seed=1, telemetry=telemetry)
+        q = make_queries(4)
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            server.ask("alice", q[0])
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            server.ask_workload("alice", q[1:])
+        assert step_counts(telemetry) == {
+            "compliance": 1,
+            "cache_lookup": 1,
+            "budget_reserve": 2,
+            "execute": 2,
+            "cache_put": 2,
+            "audit_append": 2,
+            "cache_hit_fastpath": 0,
+            "single_miss": 0,
+            "admission": 0,
+        }
+
+
+def trip(auditor, data, analyst):
+    """Open ``analyst``'s breaker with a pass over an exact side transcript
+    (more noiseless counts than bits), leaving every server untouched."""
+    side = AuditLog()
+    for query in make_queries(N + 16, seed=40):
+        answer = float(query.mask @ data)
+        side.append(analyst, query_fingerprint(query), query.mask, answer, False, 0.0)
+    assert auditor.audit(side, analyst).flagged
 
 
 class TestAdmissionInstrumentation:
