@@ -272,7 +272,7 @@ def bench_telemetry(n: int, num_queries: int, seed: int, repeats: int = 3) -> di
     read and a counter bump per hit, with the full histogram record
     latency-sampled every 8th hit.
     """
-    from repro.telemetry import Telemetry, to_prometheus
+    from repro.telemetry import NULL_TELEMETRY, Telemetry, to_prometheus
 
     data = derive_rng(seed, "bench-data", n).integers(0, 2, size=n)
     workload = Workload.random(n, num_queries, rng=derive_rng(seed, "bench-w", n))
@@ -299,7 +299,7 @@ def bench_telemetry(n: int, num_queries: int, seed: int, repeats: int = 3) -> di
 
     telemetry = Telemetry()
     instrumented_session, instrumented_answers = make_session(telemetry)
-    off_session, off_answers = make_session(False)
+    off_session, off_answers = make_session(NULL_TELEMETRY)
     assert np.array_equal(instrumented_answers, off_answers), (
         "telemetry changed served answers"
     )

@@ -13,7 +13,10 @@ scrape output the way an operator's monitoring would:
   actually provoked (frozen token-bucket clock, burst exhausted);
 - the audit worker pool's queue-depth gauge drains back to zero after a
   flush while its pass-latency histogram shows completed passes;
-- all required metric families appear in the Prometheus text rendering;
+- every metric family the deployment can emit appears in the Prometheus
+  text rendering: all of :mod:`repro.telemetry.instrument` except the two
+  compliance families, which need a compliance gate (tier-1's
+  ``TestComplianceInstrumentation`` checks those);
 - a second scrape diffed against the first is monotone: no counter or
   histogram bucket moves backwards.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.privacy.accounting import ShardedAccountant
 from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
 from repro.service import (
@@ -33,14 +37,14 @@ from repro.service import (
     Rejected,
     ShardedQueryServer,
 )
-from repro.telemetry import Telemetry, diff, resolve_telemetry, to_prometheus
+from repro.telemetry import Telemetry, diff, instrument, resolve_telemetry, to_prometheus
 from repro.telemetry.instrument import (
     ADMISSION_REJECTS,
     AUDIT_PASS_SECONDS,
     AUDIT_QUEUE_DEPTH,
     BUDGET_EPSILON_SPENT,
-    CACHE_HITS,
-    CACHE_MISSES,
+    COMPLIANCE_DENIALS,
+    COMPLIANCE_REQUIRE_SECONDS,
     REQUESTS_TOTAL,
     STAGE_SECONDS,
 )
@@ -66,15 +70,13 @@ EXPECTED_STAGES = {
     "single_miss": 9,
 }
 
-REQUIRED_FAMILIES = (
-    STAGE_SECONDS,
-    ADMISSION_REJECTS,
-    CACHE_HITS,
-    CACHE_MISSES,
-    AUDIT_QUEUE_DEPTH,
-    AUDIT_PASS_SECONDS,
-    REQUESTS_TOTAL,
-    BUDGET_EPSILON_SPENT,
+#: Every family the serve stack can emit, less the two that only a
+#: compliance gate records; this deployment has no gate.
+REQUIRED_FAMILIES = tuple(
+    getattr(instrument, name)
+    for name in instrument.__all__
+    if name.isupper()
+    and getattr(instrument, name) not in (COMPLIANCE_REQUIRE_SECONDS, COMPLIANCE_DENIALS)
 )
 
 
@@ -121,6 +123,9 @@ def main() -> int:
         seed=SEED,
         shards=4,
         cache_stripes=4,
+        # A global cap that never binds: it only adds the epsilon-remaining
+        # gauge to the scrape.
+        accountant=ShardedAccountant(global_epsilon=1e6, shards=4),
         rate_limit=RateLimit(rate=1000.0, burst=BURST),
         max_inflight_per_shard=8,
         # Frozen clock: token buckets never refill, so admission rejects
@@ -207,7 +212,7 @@ def main() -> int:
     text = to_prometheus(second)
     for family in REQUIRED_FAMILIES:
         assert f"# TYPE {family} " in text, f"family {family} missing from scrape"
-    print(f"scrape ok: {len(REQUIRED_FAMILIES)} required families present")
+    print(f"scrape ok: all {len(REQUIRED_FAMILIES)} families present")
 
     # 5. Counters and histogram buckets only ever move forward.
     delta = diff(second, first)

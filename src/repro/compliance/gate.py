@@ -86,10 +86,12 @@ class ComplianceGate:
             return
         from repro.telemetry.instrument import COMPLIANCE_REQUIRE_SECONDS
 
-        self._telemetry = telemetry
         self._require_hist = telemetry.registry.histogram(
             COMPLIANCE_REQUIRE_SECONDS
         )
+        # Published last: ``require`` times itself only once the histogram
+        # exists, so a gate already serving can be bound.
+        self._telemetry = telemetry
 
     def approve(
         self, certificate: ComplianceCertificate, release: object

@@ -351,6 +351,9 @@ class AuditReport:
     #: Whether an l2 screening pass escalated to the confirming LP solve
     #: (always ``False`` for pure-LP auditors).
     escalated: bool = False
+    #: Whether the pass started from the analyst's stored solution
+    #: (``warm_start_passes``; an analyst's first pass is always cold).
+    warm_started: bool = False
 
 
 class ReconstructionAuditor:
@@ -548,6 +551,7 @@ class ReconstructionAuditor:
             threshold=self.agreement_threshold,
             elapsed_seconds=elapsed,
             escalated=escalated,
+            warm_started=warm is not None,
         )
         with self._lock:
             self._reports.append(report)

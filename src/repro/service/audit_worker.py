@@ -183,7 +183,6 @@ class AuditWorkerPool(AuditDispatch):
         """
         if self._telemetry is not None or not getattr(telemetry, "enabled", False):
             return
-        self._telemetry = telemetry
         registry = telemetry.registry
         pool = str(next(AuditWorkerPool._pool_ids))
         registry.gauge_fn(
@@ -201,7 +200,9 @@ class AuditWorkerPool(AuditDispatch):
         }
         self._escalations = registry.counter(AUDIT_ESCALATIONS, pool=pool)
         self._trips = registry.counter(BREAKER_TRIPS, pool=pool)
-        self._audited: set[tuple[int, str]] = set()
+        # Published last: a worker records a pass only once every
+        # instrument above exists, so a pool already serving can be bound.
+        self._telemetry = telemetry
 
     def after_append(self, log: AuditLog, analyst: str) -> None:
         key = (id(log), analyst)
@@ -235,7 +236,7 @@ class AuditWorkerPool(AuditDispatch):
             try:
                 report = self._auditor.maybe_audit(log, analyst)
                 if self._telemetry is not None and report is not None:
-                    self._record_pass((id(log), analyst), report)
+                    self._record_pass(report)
             except BaseException as error:  # a failed pass must not kill the tail
                 with self._cond:
                     self._errors.append(error)
@@ -250,21 +251,19 @@ class AuditWorkerPool(AuditDispatch):
                     if self._inflight == 0:
                         self._cond.notify_all()
 
-    def _record_pass(self, key: tuple[int, str], report) -> None:
+    def _record_pass(self, report) -> None:
         """Record one completed pass: latency (cold/warm), escalation, trip.
 
-        "Warm" means this pool has already audited the same ``(log,
-        analyst)`` — later passes reuse the auditor's warm-started solver
-        state, so their latency belongs in a separate histogram.
+        "Warm" means the pass started from the auditor's stored solution
+        for that analyst (``warm_start_passes``), so its latency belongs
+        in a separate histogram.
         """
-        warm = key in self._audited
-        self._audited.add(key)
-        self._pass_hist["warm" if warm else "cold"].observe(
+        self._pass_hist["warm" if report.warm_started else "cold"].observe(
             float(report.elapsed_seconds)
         )
-        if getattr(report, "escalated", False):
+        if report.escalated:
             self._escalations.inc()
-        if getattr(report, "flagged", False):
+        if report.flagged:
             self._trips.inc()
 
     def flush(self, timeout: float | None = None) -> bool:

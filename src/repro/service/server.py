@@ -282,7 +282,8 @@ class QueryServer:
             :class:`~repro.service.audit_worker.AuditWorkerPool` tails
             the audit log off the hot path).  Ignored without an auditor.
         telemetry: observability — a :class:`~repro.telemetry.Telemetry`
-            instance (isolated registry), ``True``/``False``, or ``None``
+            instance (isolated registry),
+            :data:`~repro.telemetry.NULL_TELEMETRY` (off), or ``None``
             (default) to consult ``REPRO_TELEMETRY``.  When enabled, the
             pipeline records per-step latency histograms, per-analyst
             request counts, and admission rejects, and shared components
@@ -305,7 +306,7 @@ class QueryServer:
         synthetic_fallback: SyntheticFallback | bool | None = None,
         compliance: ComplianceGate | None = None,
         audit_dispatch: str | AuditDispatch | None = None,
-        telemetry: Telemetry | NullTelemetry | bool | None = None,
+        telemetry: Telemetry | NullTelemetry | None = None,
         shard_index: int = 0,
     ):
         array = np.asarray(data)

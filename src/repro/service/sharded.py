@@ -245,10 +245,11 @@ class ShardedQueryServer:
             per-analyst/global caps.  A plain :class:`ServiceAccountant`
             also works (it is simply shared across shards).
         telemetry: observability — a :class:`~repro.telemetry.Telemetry`
-            instance, ``True``/``False``, or ``None`` (default: consult
-            ``REPRO_TELEMETRY``).  When enabled, every shard server
-            instruments its pipeline with this facade and per-stripe
-            cache counters are exported at snapshot time.
+            instance, :data:`~repro.telemetry.NULL_TELEMETRY` (off), or
+            ``None`` (default: consult ``REPRO_TELEMETRY``).  When
+            enabled, every shard server instruments its pipeline with
+            this facade and per-stripe cache counters are exported at
+            snapshot time.
 
     The auditor, accountant, synthetic-fallback release, compliance gate,
     and dataset are shared across shards; caches and serving states are

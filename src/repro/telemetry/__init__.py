@@ -4,31 +4,33 @@ The observability layer the production-scale story needs: per-step
 serving latency, admission rejects by reason, cache hit/miss/eviction
 counts per stripe, audit-pass backlog and latency, compliance denials,
 and global epsilon remaining — all recorded by the components themselves
-through the seams they already have, and exported as Prometheus text or
-JSON from a frozen :func:`~repro.telemetry.export.snapshot`.
+through the seams they already have, and exported as Prometheus text
+from a frozen :func:`~repro.telemetry.export.snapshot`.
 
 Three layers:
 
 :mod:`~repro.telemetry.metrics`
-    Lock-striped :class:`Counter` / :class:`Gauge` / fixed-bucket
-    :class:`Histogram` primitives in a :class:`MetricsRegistry`; O(1)
-    record, no allocation on the hot path.
+    :class:`Counter`, fixed-bucket latency :class:`Histogram` and
+    snapshot-time sampled counters and gauges in a
+    :class:`MetricsRegistry`; O(1) record, no allocation on the hot path.
 :mod:`~repro.telemetry.tracing`
     Span trees with monotonic-clock durations and a ring-buffer
     :class:`SpanRecorder`; ids from a counter, never from RNG.
 :mod:`~repro.telemetry.export`
-    Frozen snapshots, Prometheus/JSON renderers, and snapshot
+    Frozen snapshots, the Prometheus text renderer, and snapshot
     :func:`diff` for benchmarks.
 
 **Enabling.**  Telemetry is *off* by default: every instrumented
 component holds the :data:`NULL_TELEMETRY` singleton and pays exactly
 one attribute check per request.  Set ``REPRO_TELEMETRY=1`` to route
 every default-constructed component into one process-wide
-:class:`Telemetry` (shared registry, shared span recorder), or pass an
-explicit :class:`Telemetry` instance for isolated registries in tests
-and benchmarks.  Telemetry never touches RNG streams, lock ordering, or
-served values: every answer is bit-identical with telemetry on or off,
-and the tier-1 suite runs under ``REPRO_TELEMETRY=1`` in CI to pin that.
+:class:`Telemetry` (shared registry), pass an explicit :class:`Telemetry`
+instance for isolated registries in tests and benchmarks, or pass
+:data:`NULL_TELEMETRY` to keep a component uninstrumented whatever the
+environment says.  Telemetry never touches RNG streams, lock ordering,
+or served values: every answer is bit-identical with telemetry on or
+off, and the tier-1 suite runs under ``REPRO_TELEMETRY=1`` in CI to pin
+that.
 """
 
 from __future__ import annotations
@@ -38,20 +40,17 @@ import threading
 import time
 
 from repro.telemetry.export import (
-    CounterPoint,
-    GaugePoint,
     HistogramPoint,
     MetricsSnapshot,
+    ScalarPoint,
     diff,
     snapshot,
-    to_json,
     to_prometheus,
 )
 from repro.telemetry.instrument import analyst_digest_prefix
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -59,16 +58,14 @@ from repro.telemetry.tracing import Span, SpanRecorder
 
 __all__ = [
     "Counter",
-    "CounterPoint",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "GaugePoint",
     "Histogram",
     "HistogramPoint",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_TELEMETRY",
     "NullTelemetry",
+    "ScalarPoint",
     "Span",
     "SpanRecorder",
     "TELEMETRY_ENV",
@@ -78,7 +75,6 @@ __all__ = [
     "diff",
     "resolve_telemetry",
     "snapshot",
-    "to_json",
     "to_prometheus",
 ]
 
@@ -89,26 +85,19 @@ _TRUTHY = {"1", "true", "yes", "on"}
 
 
 class Telemetry:
-    """The enabled facade: one registry, one span recorder, one clock.
+    """The enabled facade: one registry and the duration clock.
 
     ``clock`` is the duration source the serve drivers and gate timers
-    use (``time.perf_counter`` by default; injectable so tests assert
-    exact latencies).  Instrumented components check :attr:`enabled`
-    once and pre-resolve their instruments — the facade itself is never
-    on a hot path.
+    read.  Instrumented components check :attr:`enabled` once and
+    pre-resolve their instruments — the facade itself is never on a hot
+    path.
     """
 
     enabled = True
+    clock = time.perf_counter
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        spans: SpanRecorder | None = None,
-        clock=time.perf_counter,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else SpanRecorder()
-        self.clock = clock
+    def __init__(self):
+        self.registry = MetricsRegistry()
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze this telemetry's registry."""
@@ -128,7 +117,6 @@ class NullTelemetry:
 
     enabled = False
     registry = None
-    spans = None
     clock = time.perf_counter
 
     _instance = None
@@ -170,23 +158,15 @@ def resolve_telemetry(telemetry=None) -> Telemetry | NullTelemetry:
     """Normalize a ``telemetry`` argument into a facade instance.
 
     An explicit :class:`Telemetry`/:class:`NullTelemetry` passes through;
-    ``True``/``False`` force the shared default on/off; ``None``
-    (the universal default) consults ``REPRO_TELEMETRY`` — which is how
-    CI runs the whole tier-1 suite and the loadgen smoke instrumented
-    without touching a single call site.
+    ``None`` (the universal default) consults ``REPRO_TELEMETRY`` — which
+    is how CI runs the whole tier-1 suite and the loadgen smoke
+    instrumented without touching a single call site.
     """
     if isinstance(telemetry, (Telemetry, NullTelemetry)):
         return telemetry
-    if telemetry is True:
-        return default_telemetry()
-    if telemetry is False:
-        return NULL_TELEMETRY
     if telemetry is None:
         flag = os.environ.get(TELEMETRY_ENV, "").strip().lower()
-        if flag in _TRUTHY:
-            return default_telemetry()
-        return NULL_TELEMETRY
+        return default_telemetry() if flag in _TRUTHY else NULL_TELEMETRY
     raise TypeError(
-        f"telemetry must be a Telemetry, NullTelemetry, bool, or None; "
-        f"got {telemetry!r}"
+        f"telemetry must be a Telemetry, NullTelemetry, or None; got {telemetry!r}"
     )

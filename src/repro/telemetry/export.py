@@ -1,45 +1,35 @@
-"""Snapshots and renderers: frozen metric points, Prometheus text, JSON, diff.
+"""Snapshots and renderers: frozen metric points, Prometheus text, diff.
 
 A :func:`snapshot` is the *only* way telemetry leaves the process: it
 walks the registry once, reads every instrument under its own lock (and
 samples callback instruments), and freezes the result into hashable
 dataclasses.  Everything downstream — the Prometheus text exposition the
-CI smoke scrapes, the JSON dump, the :func:`diff` the benchmarks use to
-isolate one measurement window — operates on snapshots, never on live
-instruments, so exporters can be as slow as they like without touching
-the serving hot path.
+CI smoke scrapes, the :func:`diff` the benchmarks use to isolate one
+measurement window — operates on snapshots, never on live instruments, so
+exporters can be as slow as they like without touching the serving hot
+path.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-import numpy as np
+from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS, LabelItems, canonical_labels
 
 __all__ = [
-    "CounterPoint",
-    "GaugePoint",
     "HistogramPoint",
     "MetricsSnapshot",
+    "ScalarPoint",
     "diff",
     "snapshot",
-    "to_json",
     "to_prometheus",
 ]
 
-LabelItems = tuple[tuple[str, str], ...]
-
 
 @dataclass(frozen=True)
-class CounterPoint:
-    name: str
-    labels: LabelItems
-    value: float
+class ScalarPoint:
+    """One counter or gauge sample."""
 
-
-@dataclass(frozen=True)
-class GaugePoint:
     name: str
     labels: LabelItems
     value: float
@@ -47,10 +37,11 @@ class GaugePoint:
 
 @dataclass(frozen=True)
 class HistogramPoint:
+    """One latency histogram over :data:`DEFAULT_LATENCY_BUCKETS`."""
+
     name: str
     labels: LabelItems
-    bounds: tuple[float, ...]
-    counts: tuple[int, ...]  # len(bounds) + 1: per-bucket, then overflow
+    counts: tuple[int, ...]  # one per bound, then the overflow bucket
     sum: float
     count: int
 
@@ -59,42 +50,28 @@ class HistogramPoint:
 class MetricsSnapshot:
     """A frozen point-in-time view of one registry."""
 
-    counters: tuple[CounterPoint, ...]
-    gauges: tuple[GaugePoint, ...]
+    counters: tuple[ScalarPoint, ...]
+    gauges: tuple[ScalarPoint, ...]
     histograms: tuple[HistogramPoint, ...]
 
     def counter_value(self, name: str, **labels) -> float | None:
         """The named counter's value, or ``None`` if absent."""
-        key = _canonical(labels)
-        for point in self.counters:
-            if point.name == name and point.labels == key:
-                return point.value
-        return None
+        point = _lookup(self.counters, name, labels)
+        return None if point is None else point.value
 
     def gauge_value(self, name: str, **labels) -> float | None:
-        key = _canonical(labels)
-        for point in self.gauges:
-            if point.name == name and point.labels == key:
-                return point.value
-        return None
+        """The named gauge's value, or ``None`` if absent."""
+        point = _lookup(self.gauges, name, labels)
+        return None if point is None else point.value
 
     def histogram_point(self, name: str, **labels) -> HistogramPoint | None:
-        key = _canonical(labels)
-        for point in self.histograms:
-            if point.name == name and point.labels == key:
-                return point
-        return None
-
-    def families(self) -> tuple[str, ...]:
-        """Distinct metric names present, sorted."""
-        names = {p.name for p in self.counters}
-        names.update(p.name for p in self.gauges)
-        names.update(p.name for p in self.histograms)
-        return tuple(sorted(names))
+        """The named histogram, or ``None`` if absent."""
+        return _lookup(self.histograms, name, labels)
 
 
-def _canonical(labels: dict[str, object]) -> LabelItems:
-    return tuple(sorted((key, str(value)) for key, value in labels.items()))
+def _lookup(points, name: str, labels: dict):
+    key = canonical_labels(labels)
+    return next((p for p in points if p.name == name and p.labels == key), None)
 
 
 def snapshot(source) -> MetricsSnapshot:
@@ -111,31 +88,17 @@ def snapshot(source) -> MetricsSnapshot:
         raise TypeError(
             f"snapshot() needs a MetricsRegistry or a Telemetry, got {source!r}"
         )
-    counters: list[CounterPoint] = []
-    gauges: list[GaugePoint] = []
+    counters: list[ScalarPoint] = []
+    gauges: list[ScalarPoint] = []
     histograms: list[HistogramPoint] = []
     for instrument in registry.instruments():
-        kind = instrument.kind
-        if kind == "counter":
-            counters.append(
-                CounterPoint(instrument.name, instrument.labels, instrument.value)
-            )
-        elif kind == "gauge":
-            gauges.append(
-                GaugePoint(instrument.name, instrument.labels, instrument.value)
+        if instrument.kind == "histogram":
+            histograms.append(
+                HistogramPoint(instrument.name, instrument.labels, *instrument.read())
             )
         else:
-            counts, total, count = instrument.read()
-            histograms.append(
-                HistogramPoint(
-                    instrument.name,
-                    instrument.labels,
-                    instrument.bounds,
-                    counts,
-                    total,
-                    count,
-                )
-            )
+            scalars = counters if instrument.kind == "counter" else gauges
+            scalars.append(ScalarPoint(instrument.name, instrument.labels, instrument.value))
     key = lambda point: (point.name, point.labels)  # noqa: E731
     return MetricsSnapshot(
         counters=tuple(sorted(counters, key=key)),
@@ -145,7 +108,7 @@ def snapshot(source) -> MetricsSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Renderers
+# Prometheus text
 # ---------------------------------------------------------------------------
 
 
@@ -167,8 +130,8 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_bound(bound: float) -> str:
-    return _format_value(bound) if bound != int(bound) else str(int(bound))
+#: The ``le`` label of each bucket, the overflow bucket last.
+_BUCKET_LABELS = tuple(_format_value(bound) for bound in DEFAULT_LATENCY_BUCKETS) + ("+Inf",)
 
 
 def to_prometheus(snap: MetricsSnapshot) -> str:
@@ -186,32 +149,22 @@ def to_prometheus(snap: MetricsSnapshot) -> str:
             typed.add(name)
             lines.append(f"# TYPE {name} {kind}")
 
-    for point in snap.counters:
-        announce(point.name, "counter")
-        lines.append(
-            f"{point.name}{_format_labels(point.labels)} "
-            f"{_format_value(point.value)}"
-        )
-    for point in snap.gauges:
-        announce(point.name, "gauge")
-        lines.append(
-            f"{point.name}{_format_labels(point.labels)} "
-            f"{_format_value(point.value)}"
-        )
+    for kind, scalars in (("counter", snap.counters), ("gauge", snap.gauges)):
+        for point in scalars:
+            announce(point.name, kind)
+            lines.append(
+                f"{point.name}{_format_labels(point.labels)} "
+                f"{_format_value(point.value)}"
+            )
     for point in snap.histograms:
         announce(point.name, "histogram")
         cumulative = 0
-        for bound, count in zip(point.bounds, point.counts):
+        for bound, count in zip(_BUCKET_LABELS, point.counts):
             cumulative += count
             lines.append(
                 f"{point.name}_bucket"
-                f"{_format_labels(point.labels, (('le', _format_bound(bound)),))} "
-                f"{cumulative}"
+                f"{_format_labels(point.labels, (('le', bound),))} {cumulative}"
             )
-        lines.append(
-            f"{point.name}_bucket"
-            f"{_format_labels(point.labels, (('le', '+Inf'),))} {point.count}"
-        )
         lines.append(
             f"{point.name}_sum{_format_labels(point.labels)} "
             f"{_format_value(point.sum)}"
@@ -220,32 +173,6 @@ def to_prometheus(snap: MetricsSnapshot) -> str:
             f"{point.name}_count{_format_labels(point.labels)} {point.count}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def to_json(snap: MetricsSnapshot, indent: int | None = None) -> str:
-    """A JSON rendering (stable key order) of one snapshot."""
-    payload = {
-        "counters": [
-            {"name": p.name, "labels": dict(p.labels), "value": p.value}
-            for p in snap.counters
-        ],
-        "gauges": [
-            {"name": p.name, "labels": dict(p.labels), "value": p.value}
-            for p in snap.gauges
-        ],
-        "histograms": [
-            {
-                "name": p.name,
-                "labels": dict(p.labels),
-                "bounds": list(p.bounds),
-                "counts": list(p.counts),
-                "sum": p.sum,
-                "count": p.count,
-            }
-            for p in snap.histograms
-        ],
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +190,22 @@ def diff(new: MetricsSnapshot, old: MetricsSnapshot) -> MetricsSnapshot:
     warmup traffic preceded it, and the CI smoke uses it to assert
     monotonicity (every diffed counter must be >= 0).
     """
-    old_counters = {(p.name, p.labels): p for p in old.counters}
-    counters = []
-    for point in new.counters:
-        before = old_counters.get((point.name, point.labels))
-        value = point.value - before.value if before is not None else point.value
-        counters.append(CounterPoint(point.name, point.labels, value))
+    old_counters = {(p.name, p.labels): p.value for p in old.counters}
+    counters = tuple(
+        ScalarPoint(p.name, p.labels, p.value - old_counters.get((p.name, p.labels), 0.0))
+        for p in new.counters
+    )
     old_hists = {(p.name, p.labels): p for p in old.histograms}
     histograms = []
     for point in new.histograms:
         before = old_hists.get((point.name, point.labels))
-        if before is not None and before.bounds == point.bounds:
-            counts = tuple(
-                (np.asarray(point.counts) - np.asarray(before.counts)).tolist()
+        if before is not None:
+            point = HistogramPoint(
+                point.name,
+                point.labels,
+                tuple(now - then for now, then in zip(point.counts, before.counts)),
+                point.sum - before.sum,
+                point.count - before.count,
             )
-            histograms.append(
-                HistogramPoint(
-                    point.name,
-                    point.labels,
-                    point.bounds,
-                    counts,
-                    point.sum - before.sum,
-                    point.count - before.count,
-                )
-            )
-        else:
-            histograms.append(point)
-    return MetricsSnapshot(
-        counters=tuple(counters),
-        gauges=new.gauges,
-        histograms=tuple(histograms),
-    )
+        histograms.append(point)
+    return MetricsSnapshot(counters, new.gauges, tuple(histograms))

@@ -3,7 +3,8 @@
 One module owns the metric-family vocabulary so the pipeline, the
 sharded front end, the audit workers, the compliance gate, the
 accountant, the benchmarks, and the CI smoke all agree on names — the
-smoke asserts these exact families appear in the Prometheus export.
+smoke asserts that every family here but the two compliance ones (its
+deployment has no gate) appears in the Prometheus export.
 The serve drivers time their own steps
 (:class:`~repro.service.pipeline.ServePipeline`); nothing here imports
 the service layer, so ``repro.telemetry`` stays a leaf package the whole

@@ -1,21 +1,17 @@
-"""Process-local metrics: lock-striped counters, gauges, fixed-bucket histograms.
+"""Process-local metrics: counters, latency histograms, sampled callbacks.
 
 The serving hot path runs at ~8 us per cached ask, so the primitives here
 are built backwards from a per-record budget of a few hundred nanoseconds:
 
-* Every instrument owns its *own* lock, and the registry's get-or-create
-  path stripes creation locks by key hash — recording never contends on a
-  registry-wide mutex, and two threads recording into different
-  instruments never touch the same lock at all.
-* :class:`Histogram` keeps its bucket counts in a C-contiguous int64
-  buffer (``array('q')``) and exposes them as a **zero-copy numpy view**
-  (:attr:`Histogram.counts` is ``np.frombuffer`` over the same memory).
-  A record is one :func:`bisect.bisect_left` over a fixed bound tuple and
-  three in-place scalar updates under the instrument lock — O(1), no
-  allocation.  Snapshot-side consumers (export, diff, bucket merges) get
-  real numpy arrays without the hot path ever paying numpy scalar-boxing
-  cost.
-* Callback instruments (:meth:`MetricsRegistry.counter_fn` /
+* Every instrument owns its *own* lock, and the registry takes its one
+  creation lock only the first time a key is asked for — recording never
+  contends on a registry-wide mutex, and two threads recording into
+  different instruments never touch the same lock at all.
+* :class:`Histogram` buckets latencies in seconds over the fixed
+  :data:`DEFAULT_LATENCY_BUCKETS`.  A record is one
+  :func:`bisect.bisect_left` over the bound tuple and two in-place
+  scalar updates under the instrument lock — O(1), no allocation.
+* Sampled instruments (:meth:`MetricsRegistry.counter_fn` /
   :meth:`MetricsRegistry.gauge_fn`) invert the cost model entirely: the
   instrumented component keeps updating the plain attribute it already
   maintains (cache hit counts, queue depth, epsilon spent) and the
@@ -30,21 +26,17 @@ get-or-create, never per record.
 from __future__ import annotations
 
 import threading
-from array import array
 from bisect import bisect_left
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Callable
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
 
-#: Default histogram bounds for latency-in-seconds metrics: 1 us to 10 s,
+#: Histogram bounds for latency-in-seconds metrics: 1 us to 10 s,
 #: roughly logarithmic, chosen so the ~8 us cached-ask fast path and the
 #: ~1 s LP audit passes both land mid-range rather than in an edge bucket.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -87,81 +79,22 @@ class Counter:
             return self._value
 
 
-class Gauge:
-    """A point-in-time value that can move both ways."""
+class Histogram:
+    """Latency distribution over :data:`DEFAULT_LATENCY_BUCKETS`.
 
-    __slots__ = ("name", "labels", "_lock", "_value")
+    The bounds are inclusive upper bucket edges; one overflow bucket
+    catches everything above the last bound.
+    """
 
-    kind = "gauge"
+    __slots__ = ("name", "labels", "_cells", "_sum", "_lock", "_acquire", "_release")
+
+    kind = "histogram"
 
     def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
         self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Histogram:
-    """Fixed-bucket distribution; O(1) record, zero-allocation hot path.
-
-    ``bounds`` are the inclusive upper bucket edges; one overflow bucket
-    catches everything above the last bound.  Counts live in an
-    ``array('q')`` buffer — :attr:`counts` is a zero-copy numpy int64
-    view over the same memory, so exporters operate on numpy arrays while
-    :meth:`observe` pays list-like scalar increment cost, not numpy
-    scalar boxing.
-    """
-
-    __slots__ = (
-        "name",
-        "labels",
-        "bounds",
-        "_cells",
-        "_sum",
-        "_count",
-        "_lock",
-        "_acquire",
-        "_release",
-    )
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        labels: LabelItems = (),
-        bounds: Iterable[float] | None = None,
-    ):
-        self.name = name
-        self.labels = labels
-        resolved = tuple(
-            float(b) for b in (DEFAULT_LATENCY_BUCKETS if bounds is None else bounds)
-        )
-        if not resolved:
-            raise ValueError("a histogram needs at least one bucket bound")
-        if list(resolved) != sorted(resolved):
-            raise ValueError(f"bucket bounds must be sorted, got {resolved}")
-        self.bounds = resolved
-        self._cells = array("q", bytes(8 * (len(resolved) + 1)))
+        self._cells = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
         self._sum = 0.0
-        self._count = 0
         self._lock = threading.Lock()
         # Pre-bound lock methods: ``observe`` sits inside the serve fast
         # path's microsecond budget, and the ``with`` statement's context-
@@ -172,74 +105,36 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        index = bisect_left(self.bounds, value)
+        index = bisect_left(DEFAULT_LATENCY_BUCKETS, value)
         self._acquire()
         self._cells[index] += 1
         self._sum += value
-        self._count += 1
         self._release()
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-bucket counts as a zero-copy numpy int64 view (live)."""
-        return np.frombuffer(self._cells, dtype=np.int64)
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
 
     def read(self) -> tuple[tuple[int, ...], float, int]:
         """A consistent ``(counts, sum, count)`` triple under the lock."""
         with self._lock:
-            return tuple(self._cells), self._sum, self._count
+            cells, total = tuple(self._cells), self._sum
+        return cells, total, sum(cells)
 
 
-class CallbackCounter:
-    """A counter whose value is *read* from a callable at snapshot time.
+class Sampled:
+    """A counter or gauge whose value is *read* from a callable at snapshot time.
 
     The instrumented component keeps maintaining whatever plain attribute
-    it already has (a cache's ``hits`` int, a pool's error list length);
-    the callback samples it when a snapshot is taken — the hot path pays
-    nothing.  The callable must be monotone for the counter semantics to
-    hold; a failing callback repeats the last good sample rather than
-    poisoning the snapshot.
+    it already has (a cache's ``hits`` int, a pool's queue depth); the
+    callback samples it when a snapshot is taken — the hot path pays
+    nothing.  A counter's callable must be monotone for the counter
+    semantics to hold; a failing callback repeats the last good sample
+    rather than poisoning the snapshot.
     """
 
-    __slots__ = ("name", "labels", "fn", "_last")
+    __slots__ = ("name", "labels", "kind", "fn", "_last")
 
-    kind = "counter"
-
-    def __init__(self, name: str, labels: LabelItems, fn: Callable[[], float]):
+    def __init__(self, name: str, labels: LabelItems, kind: str, fn: Callable[[], float]):
         self.name = name
         self.labels = labels
-        self.fn = fn
-        self._last = 0.0
-
-    @property
-    def value(self) -> float:
-        try:
-            self._last = float(self.fn())
-        except Exception:
-            pass
-        return self._last
-
-
-class CallbackGauge:
-    """A gauge sampled from a callable at snapshot time (see above)."""
-
-    __slots__ = ("name", "labels", "fn", "_last")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelItems, fn: Callable[[], float]):
-        self.name = name
-        self.labels = labels
+        self.kind = kind
         self.fn = fn
         self._last = 0.0
 
@@ -255,60 +150,42 @@ class CallbackGauge:
 class MetricsRegistry:
     """All instruments of one process (or one test), keyed by name+labels.
 
-    Get-or-create is lock-striped: the first lookup of a key takes only
-    the stripe lock its hash selects, and every subsequent lookup is a
-    lock-free dict read (instruments are never removed, the same
-    invariant the analyst registry relies on).  Hot paths should still
-    resolve their instruments once and hold the reference — the registry
-    read is cheap, not free.
+    The first lookup of a key takes the registry's creation lock; every
+    later lookup is a lock-free dict read (instruments are never removed,
+    the same invariant the analyst registry relies on).  Hot paths should
+    still resolve their instruments once and hold the reference — the
+    registry read is cheap, not free.
     """
 
-    def __init__(self, stripes: int = 16):
-        if stripes < 1:
-            raise ValueError(f"stripes must be positive, got {stripes}")
-        self._creation_locks = tuple(threading.Lock() for _ in range(stripes))
+    def __init__(self):
+        self._creation_lock = threading.Lock()
         self._instruments: dict[tuple[str, LabelItems], object] = {}
 
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def _get_or_create(self, name: str, labels: LabelItems, factory, kind: str):
-        key = (name, labels)
+    def _get_or_create(self, name: str, labels: dict, kind: str, factory):
+        key = (name, canonical_labels(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            lock = self._creation_locks[hash(key) % len(self._creation_locks)]
-            with lock:
+            with self._creation_lock:
                 instrument = self._instruments.get(key)
                 if instrument is None:
-                    instrument = factory()
-                    self._instruments[key] = instrument
+                    instrument = self._instruments[key] = factory(*key)
         if instrument.kind != kind:
             raise TypeError(
-                f"metric {name!r}{dict(labels)} is a {instrument.kind}, "
+                f"metric {name!r}{dict(key[1])} is a {instrument.kind}, "
                 f"requested as a {kind}"
             )
         return instrument
 
     def counter(self, name: str, **labels) -> Counter:
         """Get or create the named counter."""
-        items = canonical_labels(labels)
-        return self._get_or_create(
-            name, items, lambda: Counter(name, items), "counter"
-        )
+        return self._get_or_create(name, labels, "counter", Counter)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        """Get or create the named gauge."""
-        items = canonical_labels(labels)
-        return self._get_or_create(name, items, lambda: Gauge(name, items), "gauge")
-
-    def histogram(
-        self, name: str, bounds: Iterable[float] | None = None, **labels
-    ) -> Histogram:
-        """Get or create the named histogram (``bounds`` fixed at creation)."""
-        items = canonical_labels(labels)
-        return self._get_or_create(
-            name, items, lambda: Histogram(name, items, bounds), "histogram"
-        )
+    def histogram(self, name: str, **labels) -> Histogram:
+        """Get or create the named latency histogram."""
+        return self._get_or_create(name, labels, "histogram", Histogram)
 
     def counter_fn(self, name: str, fn: Callable[[], float], **labels) -> None:
         """Register a snapshot-time counter read from ``fn`` (monotone).
@@ -317,41 +194,26 @@ class MetricsRegistry:
         component (a fresh cache behind the same shard label) simply
         takes the slot over.
         """
-        items = canonical_labels(labels)
-        instrument = self._get_or_create(
-            name, items, lambda: CallbackCounter(name, items, fn), "counter"
-        )
-        if isinstance(instrument, CallbackCounter):
-            instrument.fn = fn
-        else:
-            raise TypeError(
-                f"metric {name!r}{dict(items)} is a stored counter, "
-                "cannot rebind it to a callback"
-            )
+        self._bind(name, fn, labels, "counter")
 
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels) -> None:
         """Register a snapshot-time gauge read from ``fn``."""
-        items = canonical_labels(labels)
+        self._bind(name, fn, labels, "gauge")
+
+    def _bind(self, name: str, fn: Callable[[], float], labels: dict, kind: str) -> None:
         instrument = self._get_or_create(
-            name, items, lambda: CallbackGauge(name, items, fn), "gauge"
+            name, labels, kind, lambda *key: Sampled(*key, kind, fn)
         )
-        if isinstance(instrument, CallbackGauge):
-            instrument.fn = fn
-        else:
+        if not isinstance(instrument, Sampled):
             raise TypeError(
-                f"metric {name!r}{dict(items)} is a stored gauge, "
+                f"metric {name!r}{dict(instrument.labels)} is a stored {kind}, "
                 "cannot rebind it to a callback"
             )
+        instrument.fn = fn
 
     def instruments(self) -> list:
         """A point-in-time list of every registered instrument."""
         return list(self._instruments.values())
-
-    def snapshot(self):
-        """A frozen :class:`~repro.telemetry.export.MetricsSnapshot`."""
-        from repro.telemetry.export import snapshot
-
-        return snapshot(self)
 
     def __repr__(self) -> str:
         return f"MetricsRegistry(instruments={len(self._instruments)})"

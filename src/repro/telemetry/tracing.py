@@ -3,14 +3,13 @@
 Metrics aggregate; traces explain.  A :class:`SpanRecorder` hands out
 context-managed spans that nest per thread (child spans inherit their
 parent's ``trace_id``), stamps them with durations from an injectable
-monotonic clock, and keeps the most recent completed spans in a fixed
-ring buffer.
+monotonic clock, and keeps the most recent :data:`SPAN_CAPACITY`
+completed spans in a ring buffer.
 
 Two disciplines matter more here than features:
 
-* **No RNG, ever.**  Trace and span ids come from a process-local
-  monotone counter, and the sampling knob is deterministic (every
-  ``sample_every``-th root trace is kept).  Served answers are a pure
+* **No RNG, ever.**  Trace and span ids come from a monotone counter,
+  and no span is sampled away.  Served answers are a pure
   function of (construction path, RNG stream position); a tracer that
   consumed randomness — or perturbed iteration order — would break the
   repo-wide bit-identity contract.  This one touches neither.
@@ -24,11 +23,15 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 __all__ = ["Span", "SpanRecorder"]
+
+#: Completed spans a recorder retains; older ones are overwritten.
+SPAN_CAPACITY = 2048
 
 
 @dataclass(frozen=True)
@@ -64,78 +67,30 @@ class _ActiveSpan:
         self.annotations.append((key, str(value)))
 
 
-class _Unsampled:
-    """Sentinel marking the current thread inside a dropped trace."""
-
-    __slots__ = ()
-
-
-_UNSAMPLED = _Unsampled()
-
-
 class SpanRecorder:
-    """Ring buffer of completed spans with deterministic sampling.
+    """Ring buffer of the last :data:`SPAN_CAPACITY` completed spans.
 
     Args:
-        capacity: how many completed spans the ring retains (oldest are
-            overwritten).
-        sample_every: keep every k-th *root* trace (1 = keep all).  A
-            dropped root drops its whole subtree at near-zero cost: the
-            thread is marked unsampled and child spans return ``None``
-            without touching the clock or the ring.
         clock: the monotonic time source durations are measured on.
     """
 
-    def __init__(
-        self,
-        capacity: int = 2048,
-        sample_every: int = 1,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be positive, got {sample_every}")
-        self.capacity = int(capacity)
-        self.sample_every = int(sample_every)
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
-        self._ring: list[Span | None] = [None] * self.capacity
-        self._total = 0
+        self._ring: deque[Span] = deque(maxlen=SPAN_CAPACITY)
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._roots = itertools.count()
         self._local = threading.local()
 
-    @property
-    def total_recorded(self) -> int:
-        """Completed spans ever recorded (including ones overwritten)."""
-        with self._lock:
-            return self._total
-
     @contextmanager
-    def span(self, name: str, **annotations) -> Iterator[_ActiveSpan | None]:
-        """Open a span; yields the active span (or ``None`` if unsampled)."""
+    def span(self, name: str, **annotations) -> Iterator[_ActiveSpan]:
+        """Open a span nested under this thread's open span, if any."""
         parent = getattr(self._local, "current", None)
+        span_id = next(self._ids)
         if parent is None:
-            if next(self._roots) % self.sample_every != 0:
-                self._local.current = _UNSAMPLED
-                try:
-                    yield None
-                finally:
-                    self._local.current = None
-                return
-            identity = next(self._ids)
-            active = _ActiveSpan(identity, identity, None, name, self._clock())
-        elif parent is _UNSAMPLED:
-            yield None
-            return
+            active = _ActiveSpan(span_id, span_id, None, name, self._clock())
         else:
             active = _ActiveSpan(
-                parent.trace_id,
-                next(self._ids),
-                parent.span_id,
-                name,
-                self._clock(),
+                parent.trace_id, span_id, parent.span_id, name, self._clock()
             )
         for key, value in annotations.items():
             active.annotate(key, value)
@@ -145,37 +100,22 @@ class SpanRecorder:
         finally:
             end = self._clock()
             self._local.current = parent
-            self._record(
-                Span(
-                    trace_id=active.trace_id,
-                    span_id=active.span_id,
-                    parent_id=active.parent_id,
-                    name=active.name,
-                    start=active.start,
-                    duration=end - active.start,
-                    annotations=tuple(active.annotations),
-                )
+            span = Span(
+                trace_id=active.trace_id,
+                span_id=active.span_id,
+                parent_id=active.parent_id,
+                name=active.name,
+                start=active.start,
+                duration=end - active.start,
+                annotations=tuple(active.annotations),
             )
-
-    def _record(self, span: Span) -> None:
-        with self._lock:
-            self._ring[self._total % self.capacity] = span
-            self._total += 1
+            with self._lock:
+                self._ring.append(span)
 
     def spans(self) -> tuple[Span, ...]:
         """Retained completed spans, oldest first."""
         with self._lock:
-            if self._total <= self.capacity:
-                return tuple(s for s in self._ring[: self._total])
-            head = self._total % self.capacity
-            return tuple(self._ring[head:] + self._ring[:head])
-
-    def traces(self) -> tuple[int, ...]:
-        """Distinct trace ids among retained spans, in completion order."""
-        seen: dict[int, None] = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return tuple(seen)
+            return tuple(self._ring)
 
     def trace(self, trace_id: int) -> tuple[Span, ...]:
         """Retained spans of one trace, oldest first."""
@@ -207,9 +147,3 @@ class SpanRecorder:
 
         walk(None, 0)
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"SpanRecorder(capacity={self.capacity}, "
-            f"sample_every={self.sample_every}, recorded={self.total_recorded})"
-        )

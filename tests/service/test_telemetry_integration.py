@@ -10,6 +10,8 @@ with telemetry on or off, because the instrumentation never touches RNG
 streams, lock ordering, or served values.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestPipelineInstrumentation:
 
     def test_stage_names_and_repr_unchanged(self):
         instrumented = QueryServer(make_data(), telemetry=Telemetry())
-        plain = QueryServer(make_data(), telemetry=False)
+        plain = QueryServer(make_data(), telemetry=NULL_TELEMETRY)
         assert repr(instrumented.pipeline) == repr(plain.pipeline)
 
     def test_disabled_reads_no_clock(self, monkeypatch):
@@ -120,7 +122,7 @@ class TestPipelineInstrumentation:
             raise AssertionError("clock read with telemetry off")
 
         monkeypatch.setattr(NullTelemetry, "clock", staticmethod(clock))
-        server = QueryServer(make_data(), telemetry=False)
+        server = QueryServer(make_data(), telemetry=NULL_TELEMETRY)
         assert server.pipeline._clock is None
         query = make_queries(1)[0]
         server.ask("alice", query)
@@ -248,6 +250,20 @@ class TestStepCounts:
             "single_miss": 0,
             "admission": 0,
         }
+
+
+def pause_inside(registry, method):
+    """Park every call of ``registry.<method>`` until ``release`` is set."""
+    entered, release = threading.Event(), threading.Event()
+    original = getattr(registry, method)
+
+    def paused(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=30.0)
+        return original(*args, **kwargs)
+
+    setattr(registry, method, paused)
+    return entered, release
 
 
 def trip(auditor, data, analyst):
@@ -382,6 +398,71 @@ class TestAuditInstrumentation:
         assert sum(p.count for p in passes) >= 1
         server.close()
 
+    @pytest.mark.parametrize(
+        "warm_start_passes, labels",
+        [(False, {"cold": 4, "warm": 0}), (True, {"cold": 1, "warm": 3})],
+    )
+    def test_pass_label_says_whether_it_started_warm(self, warm_start_passes, labels):
+        telemetry = Telemetry()
+        data = make_data()
+        auditor = ReconstructionAuditor(
+            data,
+            agreement_threshold=0.99,
+            audit_every=N // 8,
+            min_queries=N // 4,
+            alpha=None,
+            screen="l2",
+            warm_start_passes=warm_start_passes,
+        )
+        pool = AuditWorkerPool(auditor, workers=2, telemetry=telemetry)
+        server = QueryServer(
+            data, auditor=auditor, audit_dispatch=pool, telemetry=telemetry
+        )
+        rng = derive_rng(0, "audit-traffic")
+        for _ in range(4):
+            server.ask_workload("alice", Workload.random(N, N // 4, rng=rng))
+            assert pool.flush(timeout=30.0)
+        server.close()
+        passes = {
+            dict(point.labels)["warm"]: point.count
+            for point in telemetry.snapshot().histograms
+            if point.name == AUDIT_PASS_SECONDS
+        }
+        assert passes == labels
+        assert [report.warm_started for report in auditor.reports] == (
+            [False] + [warm_start_passes] * 3
+        )
+
+    def test_pass_finishing_mid_bind_is_not_an_error(self):
+        data = make_data()
+        auditor = self.make_auditor(data)
+        pool = AuditWorkerPool(auditor, workers=1)
+        server = QueryServer(
+            data, auditor=auditor, audit_dispatch=pool, telemetry=NULL_TELEMETRY
+        )
+        telemetry = Telemetry()
+        entered, release = pause_inside(telemetry.registry, "gauge_fn")
+        binder = threading.Thread(target=pool.bind_telemetry, args=(telemetry,))
+        binder.start()
+        rng = derive_rng(0, "audit-traffic")
+        try:
+            assert entered.wait(timeout=30.0)
+            server.ask_workload("alice", Workload.random(N, N // 4, rng=rng))
+            assert pool.flush(timeout=30.0)
+        finally:
+            release.set()
+            binder.join(timeout=30.0)
+        assert not binder.is_alive()
+        assert len(auditor.reports) == 1
+        assert pool.errors == ()
+        # Bound now: the next pass is recorded.
+        server.ask_workload("alice", Workload.random(N, N // 4, rng=rng))
+        assert pool.flush(timeout=30.0)
+        server.close()
+        passes = telemetry.snapshot().histograms
+        assert sum(p.count for p in passes if p.name == AUDIT_PASS_SECONDS) == 1
+        assert pool.errors == ()
+
     def test_bind_telemetry_is_idempotent(self):
         telemetry = Telemetry()
         auditor = self.make_auditor(make_data())
@@ -410,6 +491,25 @@ class TestComplianceInstrumentation:
             )
             == 1.0
         )
+
+    def test_require_mid_bind_still_refuses(self):
+        gate = ComplianceGate()
+        telemetry = Telemetry()
+        entered, release = pause_inside(telemetry.registry, "histogram")
+        binder = threading.Thread(target=gate.bind_telemetry, args=(telemetry,))
+        binder.start()
+        try:
+            assert entered.wait(timeout=30.0)
+            with pytest.raises(ComplianceDenied):
+                gate.require(None, subject="mechanism-spec")
+        finally:
+            release.set()
+            binder.join(timeout=30.0)
+        assert not binder.is_alive()
+        with pytest.raises(ComplianceDenied):
+            gate.require(None, subject="mechanism-spec")
+        hist = telemetry.snapshot().histogram_point(COMPLIANCE_REQUIRE_SECONDS)
+        assert hist.count == 1
 
     def test_untelemetered_gate_has_no_overhead_path(self):
         gate = ComplianceGate()
@@ -450,7 +550,7 @@ class TestBitIdentity:
         instrumented = ShardedQueryServer(
             data, "laplace", seed=3, shards=4, telemetry=Telemetry()
         )
-        plain = ShardedQueryServer(data, "laplace", seed=3, shards=4, telemetry=False)
+        plain = ShardedQueryServer(data, "laplace", seed=3, shards=4, telemetry=NULL_TELEMETRY)
         queries = make_queries(10)
         for analyst in ("alice", "bob"):
             for query in queries:
@@ -464,7 +564,7 @@ class TestBitIdentity:
     def test_exhaustion_points_identical(self):
         data = make_data()
         outcomes = []
-        for telemetry in (Telemetry(), False):
+        for telemetry in (Telemetry(), NULL_TELEMETRY):
             server = ShardedQueryServer(
                 data,
                 "laplace",

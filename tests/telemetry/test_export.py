@@ -1,22 +1,32 @@
-"""Tests for snapshots, the Prometheus/JSON renderers, and diff()."""
-
-import json
+"""Tests for snapshots, the Prometheus renderer, and diff()."""
 
 import pytest
 
 from repro.telemetry import Telemetry
-from repro.telemetry.export import diff, snapshot, to_json, to_prometheus
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.export import diff, snapshot, to_prometheus
+from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+
+
+def buckets(*values):
+    """Expected per-bucket counts, overflow last, for observed ``values``."""
+    counts = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
+    for value in values:
+        index = next(
+            (i for i, bound in enumerate(DEFAULT_LATENCY_BUCKETS) if value <= bound),
+            len(DEFAULT_LATENCY_BUCKETS),
+        )
+        counts[index] += 1
+    return tuple(counts)
 
 
 def populated_registry():
     registry = MetricsRegistry()
     registry.counter("repro_requests_total", shard="0").inc(4)
-    registry.gauge("repro_depth", pool="0").set(2.0)
-    hist = registry.histogram("repro_latency_seconds", bounds=(0.1, 1.0))
+    registry.gauge_fn("repro_depth", lambda: 2.0, pool="0")
+    hist = registry.histogram("repro_latency_seconds")
     hist.observe(0.05)
     hist.observe(0.5)
-    hist.observe(5.0)
+    hist.observe(50.0)
     return registry
 
 
@@ -40,17 +50,11 @@ class TestSnapshot:
         assert snap.counter_value("repro_requests_total", shard="0") == 4.0
         assert snap.counter_value("repro_requests_total", shard="9") is None
         assert snap.gauge_value("repro_depth", pool="0") == 2.0
+        assert snap.gauge_value("repro_depth", pool="9") is None
         point = snap.histogram_point("repro_latency_seconds")
-        assert point.counts == (1, 1, 1)
+        assert point.counts == buckets(0.05, 0.5, 50.0)
         assert point.count == 3
-
-    def test_families_sorted(self):
-        snap = snapshot(populated_registry())
-        assert snap.families() == (
-            "repro_depth",
-            "repro_latency_seconds",
-            "repro_requests_total",
-        )
+        assert snap.histogram_point("repro_latency_seconds", pool="0") is None
 
 
 class TestPrometheusText:
@@ -59,14 +63,17 @@ class TestPrometheusText:
         assert "# TYPE repro_requests_total counter" in text
         assert 'repro_requests_total{shard="0"} 4' in text
         assert "# TYPE repro_depth gauge" in text
+        assert 'repro_depth{pool="0"} 2' in text
 
     def test_histogram_renders_cumulative_with_inf(self):
         text = to_prometheus(snapshot(populated_registry()))
-        assert 'repro_latency_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_latency_seconds_bucket{le="1"} 2' in text
+        assert 'repro_latency_seconds_bucket{le="1e-06"} 0' in text
+        assert 'repro_latency_seconds_bucket{le="0.05"} 1' in text
+        assert 'repro_latency_seconds_bucket{le="0.5"} 2' in text
+        assert 'repro_latency_seconds_bucket{le="10"} 2' in text
         assert 'repro_latency_seconds_bucket{le="+Inf"} 3' in text
         assert "repro_latency_seconds_count 3" in text
-        assert "repro_latency_seconds_sum" in text
+        assert "repro_latency_seconds_sum 50.55" in text
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
@@ -76,13 +83,6 @@ class TestPrometheusText:
 
     def test_empty_snapshot_renders_empty(self):
         assert to_prometheus(snapshot(MetricsRegistry())) == ""
-
-
-class TestJson:
-    def test_round_trips_through_json(self):
-        payload = json.loads(to_json(snapshot(populated_registry())))
-        assert payload["counters"][0]["value"] == 4.0
-        assert payload["histograms"][0]["counts"] == [1, 1, 1]
 
 
 class TestDiff:
@@ -96,21 +96,25 @@ class TestDiff:
     def test_histograms_subtract_bucketwise(self):
         registry = populated_registry()
         before = snapshot(registry)
-        registry.histogram("repro_latency_seconds", bounds=(0.1, 1.0)).observe(0.5)
+        registry.histogram("repro_latency_seconds").observe(0.5)
         window = diff(snapshot(registry), before)
         point = window.histogram_point("repro_latency_seconds")
-        assert point.counts == (0, 1, 0)
+        assert point.counts == buckets(0.5)
         assert point.count == 1
+        assert point.sum == pytest.approx(0.5)
 
     def test_series_absent_from_old_keep_new_value(self):
         registry = populated_registry()
         before = snapshot(MetricsRegistry())
         window = diff(snapshot(registry), before)
         assert window.counter_value("repro_requests_total", shard="0") == 4.0
+        assert window.histogram_point("repro_latency_seconds").counts == buckets(
+            0.05, 0.5, 50.0
+        )
 
     def test_gauges_carry_new_values(self):
         registry = populated_registry()
         before = snapshot(registry)
-        registry.gauge("repro_depth", pool="0").set(9.0)
+        registry.gauge_fn("repro_depth", lambda: 9.0, pool="0")
         window = diff(snapshot(registry), before)
         assert window.gauge_value("repro_depth", pool="0") == 9.0

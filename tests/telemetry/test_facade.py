@@ -23,12 +23,12 @@ class TestFacades:
         snap = NULL_TELEMETRY.snapshot()
         assert snap.counters == () and snap.gauges == () and snap.histograms == ()
 
-    def test_enabled_facade_owns_registry_and_spans(self):
+    def test_enabled_facade_owns_a_registry(self):
         telemetry = Telemetry()
         assert telemetry.enabled is True
         telemetry.registry.counter("c_total").inc()
         assert telemetry.snapshot().counter_value("c_total") == 1.0
-        assert telemetry.spans is not None
+        assert Telemetry().registry is not telemetry.registry
 
 
 class TestResolve:
@@ -36,12 +36,6 @@ class TestResolve:
         telemetry = Telemetry()
         assert resolve_telemetry(telemetry) is telemetry
         assert resolve_telemetry(NULL_TELEMETRY) is NULL_TELEMETRY
-
-    def test_true_uses_shared_default(self):
-        assert resolve_telemetry(True) is default_telemetry()
-
-    def test_false_is_null(self):
-        assert resolve_telemetry(False) is NULL_TELEMETRY
 
     def test_none_consults_environment(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV, raising=False)

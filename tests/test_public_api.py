@@ -109,4 +109,4 @@ class TestTopLevelExports:
         recorder = repro.SpanRecorder()
         with recorder.span("root"):
             pass
-        assert recorder.total_recorded == 1
+        assert [span.name for span in recorder.spans()] == ["root"]
