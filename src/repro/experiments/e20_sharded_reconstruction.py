@@ -14,8 +14,8 @@ pipeline end to end:
 2. every block decodes on the first-order l2 fast path, batched across
    equal-shape shards;
 3. blocks whose rounded candidate fails the feasibility certificate
-   escalate — individually — to the LP decoder, warm-started with the l2
-   fractional iterate.
+   escalate to per-block LPs, warm-started with the l2 fractional
+   iterate; a batch's LPs solve concurrently, one thread per usable core.
 
 The headline is the attacker's throughput: reconstructed records per
 second at >= 0.95 agreement.  A side probe re-runs a small population with

@@ -187,8 +187,13 @@ def _decode(
     solver: str,
     warm_start: np.ndarray | None,
 ) -> LpReconstructionResult:
-    """Feasibility at a finite ``alpha``; least-l1 without one or when it fails."""
+    """Feasibility at a finite ``alpha``; least-l1 without one or when it fails.
+
+    ``warm_start`` is checked for shape ``(n,)`` in both modes, although
+    only feasibility reads it.
+    """
     matrix = workload.matrix(sparse=True)
+    warm_start = _validated_warm_start(warm_start, workload.n)
     fractional = None
     if alpha is not None and np.isfinite(alpha):
         fractional = _solve_feasibility(
@@ -228,16 +233,16 @@ def _solve_feasibility(
 
     Encoded as a linear program with zero objective; ``matrix`` may be dense
     or CSR sparse — the stacked [A; -A] constraint block stays in the same
-    format.  A ``warm_start`` that already meets every constraint *is* a
+    format.  A ``warm_start`` (already shape-checked and clipped to the box
+    by :func:`_validated_warm_start`) that meets every constraint *is* a
     solution of this zero-objective program, so it is returned after a
     single certifying matvec.  ``None`` when the solver finds no such z:
     the LP is infeasible at the stated alpha.
     """
     m, n = matrix.shape
-    candidate = _validated_warm_start(warm_start, n)
-    if candidate is not None:
-        if float(np.max(np.abs(matrix @ candidate - answers))) <= alpha:
-            return candidate
+    if warm_start is not None:
+        if float(np.max(np.abs(matrix @ warm_start - answers))) <= alpha:
+            return warm_start
     # Constraints: A z <= a + alpha  and  -A z <= -(a - alpha).
     if scipy.sparse.issparse(matrix):
         a_ub = scipy.sparse.vstack([matrix, -matrix], format="csr")

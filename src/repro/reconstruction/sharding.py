@@ -9,7 +9,8 @@ subset-query attacks:
 * :class:`BlockPartition` recovers the block structure *from the query
   support alone* — two positions belong to the same block exactly when
   some chain of queries connects them, i.e. the connected components of
-  the query-position incidence graph.  Positions touched by no query are
+  the bipartite query-position graph, which is the workload's CSR read
+  as an adjacency matrix.  Positions touched by no query are
   unconstrained and reported separately.
 * :class:`ShardedReconstructor` decomposes a (workload, answers)
   transcript along a partition into independent per-block shards, decodes
@@ -22,16 +23,18 @@ subset-query attacks:
   their dense systems are scattered straight from the CSR into one
   ``(k, m, b)`` stack of at most :data:`MAX_BATCH_BYTES` — a whole census
   tract of 256 blocks is one call to
-  :func:`~repro.reconstruction.l2_decode.l2_decode_batch`.  Shards larger
-  than :data:`DENSE_LIMIT` decode alone on the sparse path.  Tasks are
-  dispatched through :func:`repro.utils.parallel.parallel_map` with
-  per-task cost weights.
+  :func:`~repro.reconstruction.l2_decode.l2_decode_batch`.  The batch's
+  escalations then solve concurrently, on a thread per usable core.
+  Shards larger than :data:`DENSE_LIMIT` decode alone on the sparse path.
+  Tasks are dispatched through :func:`repro.utils.parallel.parallel_map`
+  with per-task cost weights.
 
 Determinism: shard formation and batching are pure functions of
-(workload, partition) — never of ``jobs``, the backend, or scheduling
-order — no decode draws randomness, and every per-shard decode is
-independent of its batch-mates, so the joined reconstruction is
-bit-identical across ``jobs=1`` and ``jobs=N``.
+(workload, partition) — never of ``jobs``, the backend, the core count or
+scheduling order — no decode draws randomness, and every per-shard
+decode (l2 or LP) is independent of its batch-mates, so the joined
+reconstruction is bit-identical across ``jobs=1`` and ``jobs=N`` and
+however many escalations solve at once.
 """
 
 from __future__ import annotations
@@ -93,13 +96,16 @@ class BlockPartition:
     def from_workload(cls, workload: Workload | Sequence[SubsetQuery]) -> "BlockPartition":
         """Discover the partition from the query support.
 
-        Positions i and j land in the same block iff they are connected in
-        the graph whose edges join the positions of each query — computed
-        as connected components over a star graph per query (head position
-        to every other position), which is ``O(nnz)`` edges rather than the
-        ``O(sum m_i^2)`` of the full per-query cliques.  Blocks are
-        numbered by their smallest position index, so the labeling is a
-        pure function of the workload.
+        Positions i and j land in the same block iff some chain of queries
+        connects them: the connected components of the bipartite graph
+        joining each query to the positions it reads, ``O(nnz)`` edges
+        rather than the ``O(sum m_i^2)`` of the full per-query cliques.
+        The graph is the workload's CSR itself, with query ``i`` as node
+        ``i`` and position ``j`` as node ``m + j`` (position nodes store no
+        edges of their own), so ``connected_components`` gets a CSR graph
+        and neither converts nor sorts it.  Blocks are numbered by their
+        smallest position index, so the labeling is a pure function of the
+        workload.
         """
         workload = Workload.coerce(workload)
         csr = workload.matrix(sparse=True)
@@ -111,13 +117,17 @@ class BlockPartition:
             raise ValueError(
                 f"query {empty} has empty support and cannot be assigned to a block"
             )
-        heads = indices[indptr[:-1]]
-        src = np.repeat(heads, sizes - 1)
-        tgt = np.delete(indices, indptr[:-1])
-        graph = scipy.sparse.coo_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, tgt)), shape=(n, n)
+        nnz = len(indices)
+        graph = scipy.sparse.csr_matrix(
+            (
+                np.ones(nnz),
+                indices + m,
+                np.concatenate([indptr, np.full(n, nnz, dtype=indptr.dtype)]),
+            ),
+            shape=(m + n, m + n),
         )
         num_components, labels = connected_components(graph, directed=False)
+        query_labels, labels = labels[:m], labels[m:]
 
         covered = np.zeros(n, dtype=bool)
         covered[indices] = True
@@ -138,7 +148,7 @@ class BlockPartition:
         blocks = _group_by(positions, block_of_position, len(uniq))
         label_to_block = np.full(num_components, -1, dtype=np.int64)
         label_to_block[uniq] = rank
-        row_block = label_to_block[labels[heads]]
+        row_block = label_to_block[query_labels]
         query_blocks = _group_by(np.arange(m), row_block, len(uniq))
         return cls(
             n=n,
@@ -296,26 +306,34 @@ class ShardedReconstructor:
             workload: the attacked workload (cached CSR assembly reused).
             answers: released answers aligned with the workload rows.
             partition: block structure; discovered from the query support
-                (:meth:`BlockPartition.from_workload`) when omitted.
-            jobs: worker count for shard dispatch (see
-                :func:`repro.utils.parallel.parallel_map`).
+                (:meth:`BlockPartition.from_workload`) when omitted.  A
+                given partition must fit this workload: its query blocks
+                hold every row exactly once, and each query's support lies
+                inside its block (``ValueError`` otherwise).
+            jobs: how many workers decode tasks (see
+                :func:`repro.utils.parallel.parallel_map`).  Whatever it
+                is, a batch's LP escalations solve on a thread per usable
+                core (:func:`repro.utils.parallel.usable_cores`).
             backend: parallel backend name.
 
         Returns:
             The joined reconstruction plus per-shard reports (sorted by
-            block index).  Bit-identical across ``jobs`` settings.
+            block index).  Bit-identical across ``jobs`` settings and
+            core counts.
         """
         workload = Workload.coerce(workload)
         answers = np.asarray(answers, dtype=float)
         if answers.shape != (len(workload),):
             raise ValueError("answers must align with the query list")
+        csr = workload.matrix(sparse=True)
         if partition is None:
             partition = BlockPartition.from_workload(workload)
         elif partition.n != workload.n:
             raise ValueError(
                 f"partition addresses n={partition.n}, workload has n={workload.n}"
             )
-        csr = workload.matrix(sparse=True)
+        else:
+            _check_fits(partition, csr)
 
         tasks = _build_tasks(partition)
         weights = [
@@ -392,14 +410,13 @@ class ShardedReconstructor:
         result = l2_decode(
             Workload.from_csr(matrix, copy=False), shard_answers, self.alpha
         )
-        return self._certify_or_escalate(
-            index,
-            matrix,
-            shard_answers,
-            result.reconstruction,
-            result.fractional,
-            result.max_residual,
-        )
+        bits, max_residual = result.reconstruction, result.max_residual
+        escalated = self._fails(max_residual)
+        if escalated:
+            bits, max_residual = self._escalate(
+                matrix, shard_answers, result.fractional
+            )
+        return index, bits, self._report(index, matrix, bits, max_residual, escalated)
 
     def _decode_batch(
         self,
@@ -409,7 +426,13 @@ class ShardedReconstructor:
         task: list[int],
         columns: np.ndarray,
     ) -> list[tuple[int, np.ndarray, ShardReport]]:
-        """Decode a batch of equal-shape shards with one batched l2 call."""
+        """Decode a batch of equal-shape shards with one batched l2 call.
+
+        The shards that fail the certificate escalate together, on a thread
+        per usable core: HiGHS releases the GIL while it solves, and each
+        LP reads only its own shard, so the solves overlap and return what
+        they would one after another.  Results go back in block order.
+        """
         rows = np.concatenate([partition.query_blocks[index] for index in task])
         shape = (
             len(task),
@@ -418,58 +441,109 @@ class ShardedReconstructor:
         )
         stacked = _dense_stack(csr, rows, columns, shape)
         stacked_answers = answers[rows].reshape(shape[:2])
-        bits, fractional, residuals = l2_decode_batch(
+        l2_bits, fractional, l2_residuals = l2_decode_batch(
             stacked, stacked_answers, self.alpha
         )
-        return [
-            self._certify_or_escalate(
-                index,
-                stacked[j],
-                stacked_answers[j],
-                bits[j],
-                fractional[j],
-                float(residuals[j]),
-            )
-            for j, index in enumerate(task)
-        ]
+        residuals = l2_residuals.tolist()
+        failed = [j for j, residual in enumerate(residuals) if self._fails(residual)]
+        solved = parallel_map(
+            lambda j: self._escalate(stacked[j], stacked_answers[j], fractional[j]),
+            failed,
+            jobs=-1,
+            backend="thread",
+        )
+        escalated = dict(zip(failed, solved))
+        outputs = []
+        for j, index in enumerate(task):
+            bits, residual = escalated.get(j, (l2_bits[j], residuals[j]))
+            report = self._report(index, stacked[j], bits, residual, j in escalated)
+            outputs.append((index, bits, report))
+        return outputs
 
-    def _certify_or_escalate(
+    def _fails(self, max_residual: float) -> bool:
+        """Whether l2 bits fail the finite-``alpha`` certificate (and escalate)."""
+        return self.alpha is not None and not max_residual <= self.alpha
+
+    def _escalate(
+        self,
+        matrix: np.ndarray | scipy.sparse.csr_matrix,
+        answers: np.ndarray,
+        fractional: np.ndarray,
+    ) -> tuple[np.ndarray, float]:
+        """Re-solve one shard by the feasibility LP: its bits and residual.
+
+        ``matrix`` is the shard's system, dense or CSR; the LP is
+        warm-started with the l2 ``fractional``.
+        """
+        lp = reconstruct_from_answers(
+            Workload.from_csr(scipy.sparse.csr_matrix(matrix), copy=False),
+            answers,
+            alpha=self.alpha,
+            warm_start=fractional,
+        )
+        bits = lp.reconstruction
+        residual = float(np.max(np.abs(matrix @ bits.astype(np.float64) - answers)))
+        return bits, residual
+
+    def _report(
         self,
         index: int,
         matrix: np.ndarray | scipy.sparse.csr_matrix,
-        answers: np.ndarray,
         bits: np.ndarray,
-        fractional: np.ndarray,
         max_residual: float,
-    ) -> tuple[int, np.ndarray, ShardReport]:
-        """Certify one shard's l2 bits, or re-solve the shard by LP.
+        escalated: bool,
+    ) -> ShardReport:
+        """One shard's report.
 
-        ``matrix`` is the shard's system, dense or CSR.  The shard escalates
-        exactly when a finite ``alpha`` is set and the bits fail its
-        certificate; the LP is warm-started with the l2 ``fractional``.
+        A shard is certified when ``alpha`` is set and its l2 bits did not
+        escalate.
         """
-        certified = self.alpha is not None and max_residual <= self.alpha
-        escalated = self.alpha is not None and not certified
-        if escalated:
-            lp = reconstruct_from_answers(
-                Workload.from_csr(scipy.sparse.csr_matrix(matrix), copy=False),
-                answers,
-                alpha=self.alpha,
-                warm_start=fractional,
-            )
-            bits = lp.reconstruction
-            max_residual = float(
-                np.max(np.abs(matrix @ bits.astype(np.float64) - answers))
-            )
-        report = ShardReport(
+        return ShardReport(
             block=index,
             size=len(bits),
             queries=matrix.shape[0],
             max_residual=max_residual,
-            certified=certified,
+            certified=self.alpha is not None and not escalated,
             escalated=escalated,
         )
-        return index, bits, report
+
+
+def _check_fits(partition: BlockPartition, csr: scipy.sparse.csr_matrix) -> None:
+    """Raise ``ValueError`` unless ``partition`` fits the workload ``csr``.
+
+    One ``O(nnz)`` pass: the query blocks must hold every row exactly
+    once, and the positions each query reads must all sit in its block
+    (their least and greatest block number equal the row's).  A partition
+    discovered on another workload of the same ``n`` would otherwise drop
+    or misindex rows.
+    """
+    m, n = csr.shape
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *partition.query_blocks])
+    if (
+        len(rows) != m
+        or ((rows < 0) | (rows >= m)).any()
+        or (np.bincount(rows, minlength=m) != 1).any()
+    ):
+        raise ValueError(
+            f"the partition's query blocks do not hold the workload's {m} rows "
+            "exactly once"
+        )
+    numbers = np.arange(partition.num_blocks, dtype=np.int32)
+    row_block = np.empty(m, dtype=np.int32)
+    row_block[rows] = np.repeat(numbers, [len(r) for r in partition.query_blocks])
+    position_block = np.full(n, -1, dtype=np.int32)
+    position_block[np.concatenate(partition.blocks)] = np.repeat(
+        numbers, partition.block_sizes
+    )
+    read = np.flatnonzero(np.diff(csr.indptr))  # rows with a non-empty support
+    entry_block = position_block[csr.indices]
+    starts = csr.indptr[read]
+    low = np.minimum.reduceat(entry_block, starts)
+    high = np.maximum.reduceat(entry_block, starts)
+    outside = (low != row_block[read]) | (high != row_block[read])
+    if outside.any():
+        row = int(read[np.flatnonzero(outside)[0]])
+        raise ValueError(f"query {row} reads positions outside its partition block")
 
 
 def _build_tasks(partition: BlockPartition) -> list[list[int]]:

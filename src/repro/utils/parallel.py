@@ -58,17 +58,29 @@ R = TypeVar("R")
 BACKENDS = ("auto", "serial", "thread", "process")
 
 
+def usable_cores() -> int:
+    """Cores this process may run on.
+
+    Its CPU affinity where the platform reports one, so a process pinned
+    by ``taskset`` or a cpuset-limited container counts only its own
+    cores; ``os.cpu_count()`` elsewhere.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
 def effective_jobs(jobs: int | None) -> int:
     """Normalize a ``jobs`` request into a concrete worker count.
 
-    ``None``/``0`` mean serial; a negative value means "all cores"
-    (``os.cpu_count()``); positive values pass through.
+    ``None``/``0`` mean serial; a negative value means "all usable cores"
+    (:func:`usable_cores`); positive values pass through.
     """
     if jobs is None or jobs == 0:
         return 1
     jobs = int(jobs)
     if jobs < 0:
-        return max(1, os.cpu_count() or 1)
+        return usable_cores()
     return jobs
 
 

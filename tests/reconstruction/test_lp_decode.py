@@ -207,6 +207,14 @@ class TestWarmStart:
                 workload, answers, alpha=0.5, warm_start=np.zeros(3)
             )
 
+    @pytest.mark.parametrize("alpha", [None, float("inf")])
+    def test_least_l1_checks_the_warm_start_shape(self, alpha):
+        # Least-l1 never reads the warm start, but a wrong-shaped one is
+        # refused with the feasibility mode's message all the same.
+        workload, _, answers = self._transcript(n=16, seed=35)
+        with pytest.raises(ValueError, match=r"warm_start has shape \(7,\), expected \(16,\)"):
+            reconstruct_from_answers(workload, answers, alpha=alpha, warm_start=np.zeros(7))
+
 
 class TestInfeasibleFeasibility:
     """An LP with no solution at the stated alpha is reported as least-l1."""

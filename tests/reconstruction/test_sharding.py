@@ -1,10 +1,14 @@
 """Sharded reconstruction: partition discovery, equivalence, determinism."""
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from repro.queries.workload import Workload
 from repro.reconstruction import sharding
@@ -16,11 +20,18 @@ from repro.reconstruction.sharding import (
     _block_columns,
     _dense_stack,
 )
+from repro.utils import parallel
 from repro.utils.rng import derive_rng
 
 
 def _block_separable(
-    block_sizes, seed, queries_factor=3, permute=False, singletons=False
+    block_sizes,
+    seed,
+    queries_factor=3,
+    permute=False,
+    singletons=False,
+    queries=None,
+    unconstrained=0,
 ):
     """A block-diagonal workload over blocks of the given sizes.
 
@@ -28,12 +39,15 @@ def _block_separable(
     positions of different blocks are interleaved, so discovery cannot rely
     on contiguity.  ``singletons`` adds the per-position singleton queries,
     which (with exact answers and alpha < 0.5) make the transcript determine
-    the data uniquely — any feasible point rounds to the truth.
+    the data uniquely — any feasible point rounds to the truth.  Each block
+    gets ``queries`` random queries (``queries_factor`` times its size when
+    omitted); ``unconstrained`` appends that many positions no query reads,
+    each under a label of its own.
     """
     rng = derive_rng(seed, "sharding-test", tuple(block_sizes))
     mats, bits, labels = [], [], []
     for index, b in enumerate(block_sizes):
-        m = queries_factor * b
+        m = queries or queries_factor * b
         masks = rng.random((m, b)) < 0.5
         empty = ~masks.any(axis=1)
         while empty.any():
@@ -45,6 +59,11 @@ def _block_separable(
         bits.append(rng.integers(0, 2, size=b))
         labels.extend([index] * b)
     matrix = scipy.sparse.block_diag(mats, format="csr")
+    if unconstrained:
+        idle = scipy.sparse.csr_matrix((matrix.shape[0], unconstrained))
+        matrix = scipy.sparse.hstack([matrix, idle], format="csr")
+        bits.append(rng.integers(0, 2, size=unconstrained))
+        labels.extend(range(len(block_sizes), len(block_sizes) + unconstrained))
     data = np.concatenate(bits)
     labels = np.asarray(labels)
     if permute:
@@ -54,6 +73,47 @@ def _block_separable(
         labels = labels[permutation]
     workload = Workload.from_csr(matrix, copy=False)
     return workload, data, workload.true_answers(data).astype(float), labels
+
+
+def _star_graph_partition(workload):
+    """Blocks, query blocks and unconstrained positions, found the way
+    discovery used to: a star graph joining each query's first position to
+    its others, components labelled by the graph's own numbering."""
+    csr = workload.matrix(sparse=True)
+    m, n = csr.shape
+    heads = csr.indices[csr.indptr[:-1]]
+    tails = np.delete(csr.indices, csr.indptr[:-1])
+    star = scipy.sparse.coo_matrix(
+        (np.ones(len(tails)), (np.repeat(heads, np.diff(csr.indptr) - 1), tails)),
+        shape=(n, n),
+    )
+    _, labels = connected_components(star, directed=False)
+    covered = np.zeros(n, dtype=bool)
+    covered[csr.indices] = True
+    members = {}
+    for position in np.flatnonzero(covered):
+        members.setdefault(labels[position], []).append(int(position))
+    order = sorted(members, key=lambda label: members[label][0])
+    rows = {label: [] for label in order}
+    for row, head in enumerate(heads):
+        rows[labels[head]].append(row)
+    return (
+        [members[label] for label in order],
+        [rows[label] for label in order],
+        np.flatnonzero(~covered).tolist(),
+    )
+
+
+def _noisy_batch(seed=6):
+    """Twenty 8-person blocks under ±1 noise at alpha=1: one batch, six of
+    whose blocks (3, 4, 11, 17, 18, 19) fail the certificate."""
+    workload, data, answers, _ = _block_separable([8] * 20, seed=seed)
+    noisy = answers + derive_rng(seed, "noise").integers(-1, 2, size=len(answers))
+    return workload, data, noisy
+
+
+def _on_cores(monkeypatch, cores):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
 
 
 class TestBlockPartition:
@@ -132,6 +192,35 @@ class TestBlockPartition:
         partition = BlockPartition.from_workload(Workload(masks))
         assert _block_columns(partition).tolist() == [-1, 0, 0, 1, -1]
 
+    @given(
+        seed=st.integers(0, 1000),
+        block_sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        queries=st.integers(1, 12),
+        singletons=st.booleans(),
+        unconstrained=st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bipartite_discovery_equals_the_star_graph(
+        self, seed, block_sizes, queries, singletons, unconstrained
+    ):
+        # Interleaved positions, single-position queries and positions no
+        # query reads: the query-position graph finds the star graph's
+        # components, numbered by their smallest position.
+        workload, _, _, _ = _block_separable(
+            block_sizes,
+            seed,
+            permute=True,
+            singletons=singletons,
+            queries=queries,
+            unconstrained=unconstrained,
+        )
+        blocks, query_blocks, idle = _star_graph_partition(workload)
+        partition = BlockPartition.from_workload(workload)
+        assert [block.tolist() for block in partition.blocks] == blocks
+        assert [rows.tolist() for rows in partition.query_blocks] == query_blocks
+        assert partition.unconstrained.tolist() == idle
+        assert len(idle) >= unconstrained
+
     def test_empty_query_rejected(self):
         matrix = scipy.sparse.csr_matrix(
             np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -174,8 +263,15 @@ class TestShardedReconstructor:
         reconstructor = ShardedReconstructor(alpha=1.0)
         tasks = sharding._build_tasks(BlockPartition.from_workload(workload))
         assert sorted(len(task) for task in tasks) == [1, 1, 1, 4, 4, 5]
-        reference = reconstructor.reconstruct(workload, noisy, jobs=1)
+        # The serial reference: one usable core, so every escalation
+        # solves on the calling thread.
+        with monkeypatch.context() as one_core:
+            _on_cores(one_core, 1)
+            reference = reconstructor.reconstruct(workload, noisy, jobs=1)
         assert reference.escalated > 0
+        pooled = reconstructor.reconstruct(workload, noisy, jobs=1)
+        assert np.array_equal(reference.reconstruction, pooled.reconstruction)
+        assert reference.shard_reports == pooled.shard_reports
         for jobs in (2, 3, 4):
             assert len(tasks) > jobs
             for backend in ("thread", "process"):
@@ -194,6 +290,44 @@ class TestShardedReconstructor:
         assert result.agreement_with(data) >= 0.95
         assert result.certified + result.escalated >= result.blocks
         assert result.blocks == 20
+
+    def test_a_batch_escalations_overlap(self, monkeypatch):
+        # Two usable cores: the first two escalations of the batch must be
+        # in flight together.  Each waits for the other at a barrier; run
+        # one after another, the first times out and the test fails.
+        workload, _, noisy = _noisy_batch()
+        reconstructor = ShardedReconstructor(alpha=1.0)
+        with monkeypatch.context() as one_core:
+            _on_cores(one_core, 1)
+            serial = reconstructor.reconstruct(workload, noisy)
+        _on_cores(monkeypatch, 2)
+        barrier = threading.Barrier(2, timeout=30)
+        calls = itertools.count()
+
+        def meet_then_solve(*args, **kwargs):
+            if next(calls) < 2:
+                barrier.wait()
+            return reconstruct_from_answers(*args, **kwargs)
+
+        monkeypatch.setattr(sharding, "reconstruct_from_answers", meet_then_solve)
+        overlapped = reconstructor.reconstruct(workload, noisy)
+        assert next(calls) == serial.escalated == 6
+        assert np.array_equal(serial.reconstruction, overlapped.reconstruction)
+        assert serial.shard_reports == overlapped.shard_reports
+
+    def test_an_escalation_error_propagates(self, monkeypatch):
+        workload, _, noisy = _noisy_batch()
+        _on_cores(monkeypatch, 2)
+        calls = itertools.count()
+
+        def fail_once(*args, **kwargs):
+            if next(calls) == 3:
+                raise RuntimeError("solver crashed")
+            return reconstruct_from_answers(*args, **kwargs)
+
+        monkeypatch.setattr(sharding, "reconstruct_from_answers", fail_once)
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            ShardedReconstructor(alpha=1.0).reconstruct(workload, noisy)
 
     def test_escalation_can_be_disabled(self):
         # Without alpha there is no certificate: no shard certifies, and
@@ -249,6 +383,30 @@ class TestShardedReconstructor:
             reconstructor.reconstruct(workload, answers, partition=other)
         with pytest.raises(ValueError):
             ShardedReconstructor(alpha=-1.0)
+
+    def test_partition_must_fit_the_workload(self):
+        # Discovered on 4 blocks of 8 people with 24 queries each (96 rows).
+        workload, _, answers, _ = _block_separable([8] * 4, seed=14, queries=24)
+        partition = BlockPartition.from_workload(workload)
+        reconstructor = ShardedReconstructor(alpha=0.5)
+        own = reconstructor.reconstruct(workload, answers, partition=partition)
+        assert np.array_equal(
+            own.reconstruction, reconstructor.reconstruct(workload, answers).reconstruction
+        )
+        # Same n, more rows (120): the partition would leave 24 unread.
+        more, _, more_answers, _ = _block_separable([8] * 4, seed=14, queries=30)
+        with pytest.raises(ValueError, match="rows exactly once"):
+            reconstructor.reconstruct(more, more_answers, partition=partition)
+        # Same n, fewer rows (80): the partition names rows that do not exist.
+        fewer, _, fewer_answers, _ = _block_separable([8] * 4, seed=14, queries=20)
+        with pytest.raises(ValueError, match="rows exactly once"):
+            reconstructor.reconstruct(fewer, fewer_answers, partition=partition)
+        # Same n and rows, blocks over other positions: supports cross blocks.
+        shuffled, _, shuffled_answers, _ = _block_separable(
+            [8] * 4, seed=14, queries=24, permute=True
+        )
+        with pytest.raises(ValueError, match="outside its partition block"):
+            reconstructor.reconstruct(shuffled, shuffled_answers, partition=partition)
 
     def test_batch_size_option_is_gone(self):
         # Batches are bounded by MAX_BATCH_BYTES of dense stack, not a count.

@@ -14,6 +14,7 @@ from repro.utils.parallel import (
     fork_available,
     parallel_map,
     resolve_backend,
+    usable_cores,
 )
 
 
@@ -27,7 +28,26 @@ class TestEffectiveJobs:
         assert effective_jobs(4) == 4
 
     def test_negative_means_all_cores(self):
-        assert effective_jobs(-1) == max(1, os.cpu_count() or 1)
+        assert effective_jobs(-1) == usable_cores()
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cores() == len(os.sched_getaffinity(0))
+
+    def test_usable_cores_follow_the_affinity(self, monkeypatch):
+        # A process pinned to some cores counts those, not the machine's.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert effective_jobs(-1) == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False
+        )
+        assert effective_jobs(-1) == 3
+
+    def test_usable_cores_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert effective_jobs(-1) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert effective_jobs(-1) == 1
 
 
 class TestChunkIndices:
