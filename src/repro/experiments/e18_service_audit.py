@@ -88,10 +88,12 @@ def run(
         # Screen passes with the first-order decoder; any pass within the
         # margin of the trip bar is re-decided by the exact LP replay, so
         # verdicts (and the agreement at trip) match the pure-LP auditor.
+        # Once the attacker's pass escalates, later passes skip the screen
+        # and run the LP alone: least-l1 never reads the screened point.
         screen="l2",
-        # Each pass starts from the previous pass's solution.  Verdicts are
-        # still LP-decided (least-l1 ignores the warm point), and the full
-        # headline is bit-identical to cold passes for this seed.
+        # Each screened pass starts from the previous pass's solution.
+        # Verdicts are still LP-decided, and the full headline is
+        # bit-identical to cold passes for this seed.
         warm_start_passes=True,
     )
     # Budget generous enough that the auditor, not the ledger, is the

@@ -14,8 +14,8 @@ pipeline end to end:
 2. every block decodes on the first-order l2 fast path, batched across
    equal-shape shards;
 3. blocks whose rounded candidate fails the feasibility certificate
-   escalate to per-block LPs, warm-started with the l2 fractional
-   iterate; a batch's LPs solve concurrently, one thread per usable core.
+   escalate to per-block LPs, solved from a cold start; a batch's LPs
+   solve concurrently, one thread per usable core.
 
 The headline is the attacker's throughput: reconstructed records per
 second at >= 0.95 agreement.  A side probe re-runs a small population with
@@ -47,6 +47,10 @@ QUERIES_PER_BLOCK = 96
 #: Worst-case answer noise: each count is off by at most 1.
 NOISE_BOUND = 1.0
 
+#: Blocks whose masks are drawn (and whose CSR column indices are taken)
+#: at a time: 1,024 default-size blocks are a 24 MiB float64 draw.
+BUILD_CHUNK_BLOCKS = 1024
+
 
 def build_population(
     num_blocks: int, rng: np.random.Generator, block_size: int = BLOCK_SIZE
@@ -60,19 +64,39 @@ def build_population(
     size).  Answers carry independent uniform noise in ``{-1, 0, +1}`` —
     bounded by :data:`NOISE_BOUND`, which is the certificate the decoder
     tests against.
+
+    Memory stays near the CSR's own size: the masks are drawn
+    :data:`BUILD_CHUNK_BLOCKS` blocks at a time straight into one boolean
+    array (the same stream as one whole draw), empty rows are redrawn,
+    and the CSR is filled in place, its row pointers from the row counts
+    and its column indices chunk by chunk.
     """
     b, m = block_size, block_size * QUERIES_PER_BLOCK // BLOCK_SIZE
-    masks = rng.random((num_blocks, m, b)) < 0.5
+    masks = np.empty((num_blocks, m, b), dtype=bool)
+    chunks = [
+        (start, min(start + BUILD_CHUNK_BLOCKS, num_blocks))
+        for start in range(0, num_blocks, BUILD_CHUNK_BLOCKS)
+    ]
+    for start, stop in chunks:
+        masks[start:stop] = rng.random((stop - start, m, b)) < 0.5
     empty = ~masks.any(axis=2)
     while empty.any():
         masks[empty] = rng.random((int(empty.sum()), b)) < 0.5
         empty = ~masks.any(axis=2)
-    block, row, col = np.nonzero(masks)
+
+    rows = masks.reshape(num_blocks * m, b)
+    counts = np.count_nonzero(rows, axis=1)
+    nnz = int(counts.sum())
+    # scipy's own choice for this shape and entry count.
+    index_dtype = np.int32 if max(nnz, num_blocks * m) < 2**31 else np.int64
+    indptr = np.zeros(num_blocks * m + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index_dtype)
+    for start, stop in chunks:
+        row, col = np.nonzero(rows[start * m : stop * m])
+        indices[indptr[start * m] : indptr[stop * m]] = (start + row // m) * b + col
     matrix = scipy.sparse.csr_matrix(
-        (
-            np.ones(len(block), dtype=np.float64),
-            (block * m + row, block * b + col),
-        ),
+        (np.ones(nnz), indices, indptr),
         shape=(num_blocks * m, num_blocks * b),
     )
     workload = Workload.from_csr(matrix, copy=False)

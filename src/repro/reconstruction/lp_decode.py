@@ -169,8 +169,8 @@ def reconstruct_from_answers(
     across whole noise sweeps.  A finite ``alpha`` selects feasibility
     mode, anything else least-l1; ``solver``, ``warm_start`` and the
     least-l1 fallback behave as in :func:`lp_reconstruction`.  The sharded
-    pipeline escalates failed l2 shards through here with the l2
-    fractional iterate as the warm start.
+    pipeline escalates failed l2 shards through here, and the service's
+    reconstruction auditor replays analysts' transcripts through it.
     """
     _check_alpha(alpha)
     workload = Workload.coerce(queries)

@@ -17,8 +17,8 @@ subset-query attacks:
   every shard with the first-order l2 fast path
   (:mod:`repro.reconstruction.l2_decode`) at its default settings,
   escalates a shard to the feasibility LP exactly when its l2 bits fail
-  the ``alpha`` certificate (warm-started with the l2 fractional
-  iterate), and joins the per-shard bits back into one reconstruction.
+  the ``alpha`` certificate (the LP starts cold: the l2 point just
+  failed), and joins the per-shard bits back into one reconstruction.
   Its one setting is ``alpha``.  Equal-shape shards decode together:
   their dense systems are scattered straight from the CSR into one
   ``(k, m, b)`` stack of at most :data:`MAX_BATCH_BYTES` — a whole census
@@ -282,7 +282,7 @@ class ShardedReconstructor:
         alpha: worst-case answer error bound, when known.  Each shard's
             rounded l2 bits are checked against the feasibility certificate
             ``max |A x~ - a| <= alpha``; a shard that fails it is re-solved
-            by the feasibility LP, warm-started with its l2 iterate.  With
+            by the feasibility LP from a cold start.  With
             no finite ``alpha`` there is nothing to certify, and no shard
             escalates.
     """
@@ -413,9 +413,7 @@ class ShardedReconstructor:
         bits, max_residual = result.reconstruction, result.max_residual
         escalated = self._fails(max_residual)
         if escalated:
-            bits, max_residual = self._escalate(
-                matrix, shard_answers, result.fractional
-            )
+            bits, max_residual = self._escalate(matrix, shard_answers)
         return index, bits, self._report(index, matrix, bits, max_residual, escalated)
 
     def _decode_batch(
@@ -441,13 +439,11 @@ class ShardedReconstructor:
         )
         stacked = _dense_stack(csr, rows, columns, shape)
         stacked_answers = answers[rows].reshape(shape[:2])
-        l2_bits, fractional, l2_residuals = l2_decode_batch(
-            stacked, stacked_answers, self.alpha
-        )
+        l2_bits, _, l2_residuals = l2_decode_batch(stacked, stacked_answers, self.alpha)
         residuals = l2_residuals.tolist()
         failed = [j for j, residual in enumerate(residuals) if self._fails(residual)]
         solved = parallel_map(
-            lambda j: self._escalate(stacked[j], stacked_answers[j], fractional[j]),
+            lambda j: self._escalate(stacked[j], stacked_answers[j]),
             failed,
             jobs=-1,
             backend="thread",
@@ -468,18 +464,17 @@ class ShardedReconstructor:
         self,
         matrix: np.ndarray | scipy.sparse.csr_matrix,
         answers: np.ndarray,
-        fractional: np.ndarray,
     ) -> tuple[np.ndarray, float]:
         """Re-solve one shard by the feasibility LP: its bits and residual.
 
-        ``matrix`` is the shard's system, dense or CSR; the LP is
-        warm-started with the l2 ``fractional``.
+        ``matrix`` is the shard's system, dense or CSR.  The LP starts cold:
+        a warm start only saves the solve when it certifies, and the l2
+        point rounds to the bits that just failed.
         """
         lp = reconstruct_from_answers(
             Workload.from_csr(scipy.sparse.csr_matrix(matrix), copy=False),
             answers,
             alpha=self.alpha,
-            warm_start=fractional,
         )
         bits = lp.reconstruction
         residual = float(np.max(np.abs(matrix @ bits.astype(np.float64) - answers)))

@@ -348,11 +348,14 @@ class AuditReport:
     mode: str
     threshold: float
     elapsed_seconds: float = field(compare=False, default=0.0)
-    #: Whether an l2 screening pass escalated to the confirming LP solve
+    #: Whether an l2-screening auditor decided the pass by the LP: the
+    #: screen escalated, or was skipped after an earlier escalation
     #: (always ``False`` for pure-LP auditors).
     escalated: bool = False
-    #: Whether the pass started from the analyst's stored solution
-    #: (``warm_start_passes``; an analyst's first pass is always cold).
+    #: Whether the analyst's stored solution (``warm_start_passes``) reached
+    #: a decoder that reads it: the l2 screen or a feasibility-mode LP.  An
+    #: analyst's first pass is always cold, and so is a pass that runs only
+    #: a least-l1 LP.
     warm_started: bool = False
 
 
@@ -389,6 +392,13 @@ class ReconstructionAuditor:
             instead of an LP, while any pass that could possibly
             trip is still decided by the exact same LP solve (and therefore
             the same agreement value and verdict) as ``screen="lp"``.
+            In least-l1 mode (no finite ``alpha``) the LP never reads the
+            screened point, and an analyst who once came within the margin
+            stays near the bar as the transcript grows; so after an
+            analyst's first escalation, their later passes skip the screen
+            and go straight to the LP.  With a finite ``alpha`` every pass
+            is screened: the feasibility LP returns the screened point
+            whenever it certifies.
         screen_margin: how far below the threshold the l2 agreement must
             stay for a screened pass to skip the confirming LP.
         warm_start_passes: start each pass's decoder from the previous
@@ -401,8 +411,9 @@ class ReconstructionAuditor:
             to a *different* (equally valid) fractional point, so enabling
             it may change screened agreement values; verdicts near the trip
             threshold are still decided by the exact LP either way.  The
-            pass that trips an analyst's breaker discards that analyst's
-            warm state.
+            state is kept only while a later pass reads it: never for a
+            least-l1 LP, not after an analyst's passes stop screening, and
+            not after the pass that trips the analyst's breaker.
     """
 
     def __init__(
@@ -442,6 +453,12 @@ class ReconstructionAuditor:
         self._reports: list[AuditReport] = []
         # Last pass's fractional solution per analyst (warm-start state).
         self._warm: dict[str, np.ndarray] = {}
+        # A least-l1 LP reads no start point: neither the stored solution
+        # nor the screened one.
+        self._least_l1 = alpha is None or not np.isfinite(alpha)
+        # Analysts whose screened pass escalated in least-l1 mode: their
+        # later passes go straight to the LP.
+        self._escalated: set[str] = set()
 
     @property
     def reports(self) -> tuple[AuditReport, ...]:
@@ -507,12 +524,11 @@ class ReconstructionAuditor:
             np.stack([record.mask() for record in unique]), copy=False
         )
         answers = np.array([record.answer for record in unique], dtype=float)
-        warm = None
-        if self.warm_start_passes:
-            with self._lock:
-                warm = self._warm.get(analyst)
+        with self._lock:
+            warm = self._warm.get(analyst)
+            screens = self.screen == "l2" and analyst not in self._escalated
         escalated = False
-        if self.screen == "l2":
+        if screens:
             screened = l2_decode(workload, answers, self.alpha, x0=warm)
             agreement = screened.agreement_with(self._data)
             mode = "l2-screen"
@@ -531,6 +547,9 @@ class ReconstructionAuditor:
                 mode = result.mode
                 final_fractional = result.fractional
         else:
+            # A pure-LP auditor, or an l2 auditor past this analyst's first
+            # least-l1 escalation: the screen would change nothing.
+            escalated = self.screen == "l2"
             result = reconstruct_from_answers(
                 workload,
                 answers,
@@ -558,11 +577,18 @@ class ReconstructionAuditor:
             trips = report.flagged and analyst not in self._tripped
             if trips:
                 self._tripped[analyst] = report
-            if self.warm_start_passes:
-                if trips:
-                    # maybe_audit never runs another pass for a tripped
-                    # analyst, so its warm start would be kept for nothing.
-                    self._warm.pop(analyst, None)
-                else:
-                    self._warm[analyst] = np.asarray(final_fractional, dtype=np.float64)
+                # maybe_audit never runs another pass for a tripped
+                # analyst, so its state would be kept for nothing.
+                self._escalated.discard(analyst)
+                self._warm.pop(analyst, None)
+                return report
+            if escalated and self._least_l1:
+                self._escalated.add(analyst)
+            reads_warm = not self._least_l1 or (
+                self.screen == "l2" and analyst not in self._escalated
+            )
+            if self.warm_start_passes and reads_warm:
+                self._warm[analyst] = np.asarray(final_fractional, dtype=np.float64)
+            else:
+                self._warm.pop(analyst, None)
         return report

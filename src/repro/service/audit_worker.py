@@ -23,7 +23,7 @@ Three dispatches:
     (:func:`~repro.privacy.accounting.stable_shard` routing, the same
     partitioner the sharded accountant uses).  Workers tail the
     append-only :class:`~repro.service.audit.AuditLog` and run the same
-    warm-started screening passes the inline path would; verdicts publish
+    passes the inline path would; verdicts publish
     through the *existing* circuit breaker
     (``ReconstructionAuditor._tripped``), so a tripped analyst is refused
     by the very next request's Compliance step.  Because an analyst's
@@ -254,9 +254,10 @@ class AuditWorkerPool(AuditDispatch):
     def _record_pass(self, report) -> None:
         """Record one completed pass: latency (cold/warm), escalation, trip.
 
-        "Warm" means the pass started from the auditor's stored solution
-        for that analyst (``warm_start_passes``), so its latency belongs
-        in a separate histogram.
+        "Warm" means the auditor's stored solution for that analyst
+        (``warm_start_passes``) reached a decoder that reads it
+        (:attr:`~repro.service.audit.AuditReport.warm_started`), so its
+        latency belongs in a separate histogram.
         """
         self._pass_hist["warm" if report.warm_started else "cold"].observe(
             float(report.elapsed_seconds)

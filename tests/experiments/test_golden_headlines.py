@@ -3,9 +3,9 @@
 E11 (DP verification + PSO under DP) and E18 (service audit) route every
 noise draw and every accountant charge through ``repro.privacy``; their
 quick-mode seed-0 headlines below were recorded pre-refactor and must stay
-bit-identical (hex-float comparison, no tolerance).  E19 (synthetic-data
-release) is pinned the same way so any drift in the synthesis stack is a
-deliberate, reviewed change.
+bit-identical (hex-float comparison, no tolerance).  E18's full-scale
+headline and E19 (synthetic-data release) are pinned the same way, so any
+drift in the audit or synthesis stacks is a deliberate, reviewed change.
 """
 
 import pytest
@@ -51,6 +51,21 @@ def test_e18_quick_headline_bit_identical(audit_dispatch):
     assert float(headline["dashboard_cache_hit_rate"]).hex() == "0x1.eb851eb851eb8p-1"
     assert float(headline["dashboard_replay_drift"]).hex() == "0x0.0p+0"
     assert float(headline["attacker_epsilon_spent"]).hex() == "0x1.f000000000000p+6"
+
+
+def test_e18_full_headline_bit_identical():
+    # The full run (n=256) trips later and higher than the quick one; it
+    # is the run EXPERIMENTS.md reports.
+    headline = run_experiment("E18", seed=0).headline
+    assert headline["attacker_flagged"] is True
+    assert headline["dashboard_flagged"] is False
+    assert headline["researcher_flagged"] is False
+    assert headline["queries_served_before_trip"] == 576
+    assert headline["audit_passes"] == 18
+    assert float(headline["agreement_at_trip"]).hex() == "0x1.a600000000000p-1"
+    assert float(headline["dashboard_cache_hit_rate"]).hex() == "0x1.eb851eb851eb8p-1"
+    assert float(headline["dashboard_replay_drift"]).hex() == "0x0.0p+0"
+    assert float(headline["attacker_epsilon_spent"]).hex() == "0x1.2000000000000p+7"
 
 
 def test_e18_headline_unchanged_by_telemetry_and_tracing(monkeypatch):

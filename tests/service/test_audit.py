@@ -1,13 +1,19 @@
 """Audit log structure and the reconstruction auditor's verdicts."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.queries.mechanism import ExactAnswerer
+from repro.queries.mechanism import ExactAnswerer, LaplaceAnswerer
 from repro.queries.workload import Workload
 from repro.reconstruction.l2_decode import l2_decode
+from repro.reconstruction.lp_decode import reconstruct_from_answers
+from repro.service import audit as audit_module
 from repro.service import (
     AuditLog,
     CircuitBreakerTripped,
@@ -320,3 +326,229 @@ class TestWarmStartPasses:
         answers = np.array([record.answer for record in records])
         replay = l2_decode(workload, answers, 0.0, x0=auditor._warm["attacker"])
         assert replay.iterations == 0
+
+
+class _Attack:
+    """A least-l1 attacker whose transcript grows by one Laplace batch a call."""
+
+    def __init__(self, n=64, batch=16, epsilon=0.5, seed=0):
+        self.n, self.batch = n, batch
+        self.data = derive_rng(seed, "data").integers(0, 2, size=n)
+        self.answerer = LaplaceAnswerer(self.data, epsilon, rng=derive_rng(seed, "noise"))
+        self.rng = derive_rng(seed, "w")
+        self.log = AuditLog()
+
+    def auditor(self, **overrides):
+        kwargs = dict(
+            agreement_threshold=0.8,
+            audit_every=self.batch,
+            min_queries=self.batch,
+            alpha=None,
+            screen="l2",
+        )
+        kwargs.update(overrides)
+        return ReconstructionAuditor(self.data, **kwargs)
+
+    def grow(self):
+        workload = Workload.random(self.n, self.batch, rng=self.rng)
+        _log_workload(self.log, "attacker", workload, self.answerer.answer_workload(workload))
+
+    def lp_agreement(self):
+        records = self.log.unique_records("attacker")
+        workload = Workload(np.stack([record.mask() for record in records]))
+        answers = np.array([record.answer for record in records])
+        return reconstruct_from_answers(workload, answers).agreement_with(self.data)
+
+
+class TestEscalatedAnalystsSkipTheScreen:
+    """Least-l1: after an analyst's first escalation, passes run the LP alone.
+
+    Seed 0's passes: the third escalates without tripping, the seventh trips.
+    """
+
+    def _escalate_once(self, **overrides):
+        attack = _Attack()
+        auditor = attack.auditor(**overrides)
+        for _ in range(3):
+            attack.grow()
+            report = auditor.maybe_audit(attack.log, "attacker")
+        assert report.escalated and not report.flagged
+        return attack, auditor
+
+    def test_pass_after_an_escalation_calls_no_screen(self, monkeypatch):
+        attack, auditor = self._escalate_once(warm_start_passes=True)
+        assert auditor._escalated == {"attacker"}
+        assert auditor._warm == {}  # nothing would read it
+
+        def no_screen(*args, **kwargs):
+            raise AssertionError("the l2 screen ran")
+
+        monkeypatch.setattr(audit_module, "l2_decode", no_screen)
+        attack.grow()
+        report = auditor.maybe_audit(attack.log, "attacker")
+        assert report.escalated is True
+        assert report.mode == "least-l1"
+        assert report.agreement == attack.lp_agreement()
+        assert report.warm_started is False
+
+    def test_trip_drops_the_entry(self):
+        attack, auditor = self._escalate_once(warm_start_passes=True)
+        while not auditor.is_tripped("attacker"):
+            attack.grow()
+            auditor.maybe_audit(attack.log, "attacker")
+            assert auditor._warm == {}
+        assert auditor._escalated == set()
+        assert auditor.reports[-1].mode == "least-l1"
+        assert len(auditor.reports) == 7
+
+    def test_screened_passes_still_read_the_warm_state(self):
+        attack = _Attack()
+        auditor = attack.auditor(warm_start_passes=True)
+        reports = []
+        for _ in range(4):
+            attack.grow()
+            reports.append(auditor.maybe_audit(attack.log, "attacker"))
+        assert [r.mode for r in reports] == ["l2-screen", "l2-screen"] + ["least-l1"] * 2
+        assert [r.escalated for r in reports] == [False, False, True, True]
+        # The screen reads the stored point; the pass after the escalation
+        # runs only a least-l1 LP, which does not.
+        assert [r.warm_started for r in reports] == [False, True, True, False]
+
+    def test_finite_alpha_screens_every_pass(self, monkeypatch):
+        # With a finite alpha the feasibility LP can return the screened
+        # point itself, so no pass may skip the screen.
+        attack = _Attack()
+        auditor = ReconstructionAuditor(
+            attack.data,
+            agreement_threshold=1.0,
+            screen_margin=0.5,
+            audit_every=16,
+            min_queries=16,
+            alpha=0.0,
+            screen="l2",
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return l2_decode(*args, **kwargs)
+
+        monkeypatch.setattr(audit_module, "l2_decode", counted)
+        reports = []
+        for _ in range(3):
+            workload = Workload.random(attack.n, 16, rng=attack.rng)
+            answers = ExactAnswerer(attack.data).answer_workload(workload)
+            _log_workload(attack.log, "attacker", workload, answers)
+            reports.append(auditor.maybe_audit(attack.log, "attacker"))
+        assert [report.escalated for report in reports] == [True] * 3
+        assert [report.flagged for report in reports] == [False, False, True]
+        assert len(calls) == 3
+        assert auditor._escalated == set()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+        warm_start_passes=st.booleans(),
+    )
+    def test_escalated_reports_equal_the_lp_auditor(self, seed, epsilon, warm_start_passes):
+        attack = _Attack(n=32, batch=8, epsilon=epsilon, seed=seed)
+        screened = attack.auditor(warm_start_passes=warm_start_passes)
+        exact = attack.auditor(screen="lp", warm_start_passes=warm_start_passes)
+        escalated = False
+        for _ in range(16):
+            attack.grow()
+            l2_report = screened.maybe_audit(attack.log, "attacker")
+            lp_report = exact.maybe_audit(attack.log, "attacker")
+            escalated = escalated or l2_report.escalated
+            if escalated:
+                assert l2_report.escalated
+                assert (l2_report.agreement, l2_report.flagged, l2_report.mode) == (
+                    lp_report.agreement,
+                    lp_report.flagged,
+                    lp_report.mode,
+                )
+            if lp_report.flagged or l2_report.flagged:
+                break
+
+    def test_concurrent_analysts_match_a_serial_replay(self):
+        # Analysts' passes run concurrently under an AuditWorkerPool; the
+        # per-analyst screen-skip state must come out as a serial replay's.
+        n, batch, analysts = 32, 8, 6
+        data = derive_rng(0, "data").integers(0, 2, size=n)
+
+        def attack(index, auditor, log, reports):
+            analyst = f"analyst-{index}"
+            answerer = LaplaceAnswerer(data, 0.5, rng=derive_rng(index, "noise"))
+            rng = derive_rng(index, "w")
+            for _ in range(12):
+                workload = Workload.random(n, batch, rng=rng)
+                _log_workload(log, analyst, workload, answerer.answer_workload(workload))
+                report = auditor.maybe_audit(log, analyst)
+                if report is None:  # tripped
+                    break
+                reports[index].append((report.agreement, report.mode, report.escalated))
+
+        def replay(concurrent):
+            auditor = ReconstructionAuditor(
+                data, audit_every=batch, min_queries=batch, alpha=None, screen="l2"
+            )
+            log, reports = AuditLog(), [[] for _ in range(analysts)]
+            if not concurrent:
+                for index in range(analysts):
+                    attack(index, auditor, log, reports)
+                return auditor, reports
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=attack, args=(index, auditor, log, reports))
+                    for index in range(analysts)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            return auditor, reports
+
+        serial_auditor, serial = replay(concurrent=False)
+        concurrent_auditor, concurrent = replay(concurrent=True)
+        assert concurrent == serial
+        assert concurrent_auditor._escalated == serial_auditor._escalated
+        # The replay exercises the skip: some analyst ran LP-only passes.
+        skipped = [
+            later
+            for passes in serial
+            for earlier, later in zip(passes, passes[1:])
+            if earlier[2] and later[2]
+        ]
+        assert skipped
+
+
+class TestWarmLabel:
+    """``warm_started`` says whether the stored point reached a decoder."""
+
+    def _reports(self, passes=3, **overrides):
+        attack = _Attack()
+        auditor = attack.auditor(warm_start_passes=True, **overrides)
+        reports = []
+        for _ in range(passes):
+            attack.grow()
+            reports.append(auditor.maybe_audit(attack.log, "attacker"))
+        return auditor, reports
+
+    def test_least_l1_lp_passes_are_cold(self):
+        # The least-l1 LP never reads a start point, so nothing is stored
+        # and no pass is labelled warm.
+        auditor, reports = self._reports(screen="lp")
+        assert [r.warm_started for r in reports] == [False, False, False]
+        assert auditor._warm == {}
+
+    def test_feasibility_lp_passes_are_warm(self):
+        auditor, reports = self._reports(screen="lp", alpha=1e9)
+        assert [r.mode for r in reports] == ["feasibility"] * 3
+        assert [r.warm_started for r in reports] == [False, True, True]
+        assert set(auditor._warm) == {"attacker"}

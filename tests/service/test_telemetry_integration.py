@@ -433,6 +433,37 @@ class TestAuditInstrumentation:
             [False] + [warm_start_passes] * 3
         )
 
+    def test_least_l1_lp_passes_are_labelled_cold(self):
+        # A least-l1 LP reads no start point, so with screen="lp" every
+        # pass is cold, warm_start_passes or not.
+        telemetry = Telemetry()
+        data = make_data()
+        auditor = ReconstructionAuditor(
+            data,
+            agreement_threshold=0.99,
+            audit_every=N // 8,
+            min_queries=N // 4,
+            alpha=None,
+            screen="lp",
+            warm_start_passes=True,
+        )
+        pool = AuditWorkerPool(auditor, workers=2, telemetry=telemetry)
+        server = QueryServer(
+            data, auditor=auditor, audit_dispatch=pool, telemetry=telemetry
+        )
+        rng = derive_rng(0, "audit-traffic")
+        for _ in range(4):
+            server.ask_workload("alice", Workload.random(N, N // 4, rng=rng))
+            assert pool.flush(timeout=30.0)
+        server.close()
+        passes = {
+            dict(point.labels)["warm"]: point.count
+            for point in telemetry.snapshot().histograms
+            if point.name == AUDIT_PASS_SECONDS
+        }
+        assert passes == {"cold": 4, "warm": 0}
+        assert [report.warm_started for report in auditor.reports] == [False] * 4
+
     def test_pass_finishing_mid_bind_is_not_an_error(self):
         data = make_data()
         auditor = self.make_auditor(data)
