@@ -10,10 +10,11 @@ timed at several ``jobs`` values.  Every parallel run is asserted
 bit-identical to the serial run (same ``PSOTrial`` tuples, same estimates),
 so the speedup column measures the engine, not a different computation.
 Speedups are reported against measured wall-clock together with the
-machine's CPU count: on a single-core box the process backend cannot beat
-serial (there is nothing to run concurrently on) and the table will honestly
-show ~1x or a small regression; on 4+ cores the game scales near-linearly
-because trials are embarrassingly parallel.
+machine's usable core count: on a single-core box forked workers cannot
+beat serial (there is nothing to run concurrently on) and the table will
+honestly show ~1x or a small regression; on 4+ cores the game scales
+near-linearly because trials are embarrassingly parallel.  Without
+``fork`` every ``jobs`` value runs inline.
 
 **Workload B — weight-bound cache.**  Repeated ``Predicate.weight_bound``
 calls on opaque (Monte-Carlo-priced) predicates, cache on vs off, with the
@@ -25,10 +26,9 @@ wall-clock win that does not depend on core count.
 from __future__ import annotations
 
 import argparse
-import os
 import time
 
-from repro.core.attackers import CountExploitingAttacker, TrivialAttacker
+from repro.core.attackers import CountExploitingAttacker
 from repro.core.leftover_hash import hash_bit_predicate
 from repro.core.mechanisms import CountMechanism
 from repro.core.predicate import (
@@ -38,7 +38,7 @@ from repro.core.predicate import (
 )
 from repro.core.pso import PSOGame
 from repro.data.distributions import uniform_bits_distribution
-from repro.utils.parallel import fork_available
+from repro.utils.parallel import usable_cores
 from repro.utils.rng import derive_rng
 from repro.utils.tables import Table
 
@@ -96,13 +96,13 @@ def bench_game_scaling(trials: int, jobs_grid: list[int], seed: int) -> Table:
     serial_prints = _trial_fingerprint(serial_result)
 
     table = Table(
-        ["jobs", "backend", "wall-clock (s)", "speedup vs jobs=1", "bit-identical"],
+        ["jobs", "wall-clock (s)", "speedup vs jobs=1", "bit-identical"],
         title=(
             f"Workload A: count-PSO game, n={n}, {trials} trials "
-            f"({os.cpu_count()} CPU cores, fork={'yes' if fork_available() else 'no'})"
+            f"({usable_cores()} usable cores)"
         ),
     )
-    table.add_row([1, "serial", f"{serial_elapsed:.2f}", "1.00x", "-"])
+    table.add_row([1, f"{serial_elapsed:.2f}", "1.00x", "-"])
     for jobs in jobs_grid:
         if jobs <= 1:
             continue
@@ -113,13 +113,7 @@ def bench_game_scaling(trials: int, jobs_grid: list[int], seed: int) -> Table:
         )
         assert identical, f"jobs={jobs} diverged from the serial run"
         table.add_row(
-            [
-                jobs,
-                "process" if fork_available() else "serial-fallback",
-                f"{elapsed:.2f}",
-                f"{serial_elapsed / elapsed:.2f}x",
-                "yes",
-            ]
+            [jobs, f"{elapsed:.2f}", f"{serial_elapsed / elapsed:.2f}x", "yes"]
         )
     return table
 
@@ -210,11 +204,11 @@ def main(argv: list[str] | None = None) -> int:
     print(bench_game_scaling(args.trials, args.jobs, args.seed).render())
     print()
     print(bench_weight_cache(args.repeats, args.predicates, args.samples, args.seed).render())
-    if (os.cpu_count() or 1) < 2:
+    if usable_cores() < 2:
         print()
         print(
-            "note: this machine exposes a single CPU core, so workload A's "
-            "process backend has no parallel hardware to use; expect ~1x there "
+            "note: this process may use a single CPU core, so workload A's "
+            "forked workers have no parallel hardware to use; expect ~1x there "
             "and rely on workload B for the single-core win."
         )
     return 0

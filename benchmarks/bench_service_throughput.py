@@ -29,8 +29,8 @@ single-lock front end does.
 **Load generator.**  Closed-loop session churn: ``--loadgen-sessions``
 distinct analysts (10^4 and 10^5 in full mode, 64 in smoke) each open a
 session, ask a deterministic per-analyst query stream, and replay it for
-cache hits, driven by worker threads over
-:func:`repro.utils.parallel.parallel_map`.  This exercises the
+cache hits, driven by worker threads on a
+:class:`~concurrent.futures.ThreadPoolExecutor`.  This exercises the
 registry/admission path at session counts the per-analyst-dict design has
 to survive, and reports end-to-end sessions/sec (setup included).
 
@@ -76,6 +76,7 @@ import platform
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,6 @@ from repro.service import (
     ReconstructionAuditor,
     ShardedQueryServer,
 )
-from repro.utils.parallel import chunk_indices, parallel_map
 from repro.utils.rng import derive_rng
 
 #: The ISSUE acceptance bar for the cached per-query path.
@@ -384,10 +384,10 @@ def bench_load_generator(
 
     Each analyst asks ``queries_per_session // 2`` distinct queries from
     its own deterministic stream, then replays them (cache hits), so the
-    aggregate hit rate is 0.5 by construction.  Workers drain contiguous
-    session ranges via the thread backend of ``parallel_map`` — a
-    closed-loop load generator, not an open-loop arrival process: each
-    worker starts the next session only when the previous one finishes.
+    aggregate hit rate is 0.5 by construction.  Worker ``w`` of a thread
+    pool drains sessions ``w, w + workers, ...`` — a closed-loop load
+    generator, not an open-loop arrival process: each worker starts the
+    next session only when the previous one finishes.
 
     With ``audit=True`` the sharded server runs a reconstruction auditor
     behind :class:`~repro.service.AuditWorkerPool` background workers
@@ -427,9 +427,10 @@ def bench_load_generator(
             served += 2 * len(queries)
         return served
 
-    ranges = chunk_indices(total_sessions, workers)
+    ranges = [range(worker, total_sessions, workers) for worker in range(workers)]
     start = time.perf_counter()
-    served = sum(parallel_map(run_range, ranges, jobs=workers, backend="thread"))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        served = sum(pool.map(run_range, ranges))
     elapsed = time.perf_counter() - start
 
     audit_stats = None

@@ -118,7 +118,6 @@ def estimate_agreement_attack_success(
     strategy: str = "sorted",
     rng: RngSeed = None,
     jobs: int = 1,
-    backend: str = "auto",
 ):
     """Monte-Carlo estimate of the PSO attack success against this anonymizer.
 
@@ -129,7 +128,7 @@ def estimate_agreement_attack_success(
     ``"singleton"`` Cohen's ~100% strengthening).  Trials fan out across
     ``jobs`` workers; for a fixed ``rng`` the returned
     :class:`~repro.core.pso.PSOGameResult` is bit-identical for every
-    ``jobs`` value and backend.
+    ``jobs`` value.
     """
     # Imported lazily: repro.core.theorems imports this module at package
     # import time, so a top-level import of repro.core here would cycle.
@@ -141,4 +140,4 @@ def estimate_agreement_attack_success(
         AgreementAnonymizer(k, strategy=strategy), label="agreement"
     )
     game = PSOGame(distribution, n, mechanism, KAnonymityPSOAttacker(mode))
-    return game.run(trials, rng, jobs=jobs, backend=backend)
+    return game.run(trials, rng, jobs=jobs)

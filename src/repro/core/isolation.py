@@ -62,7 +62,6 @@ def estimate_isolation_rate(
     trials: int,
     rng: RngSeed = None,
     jobs: int = 1,
-    backend: str = "auto",
 ) -> BinomialEstimate:
     """Monte-Carlo estimate of ``Pr_{x ~ D^n}[p isolates in x]``.
 
@@ -70,7 +69,8 @@ def estimate_isolation_rate(
     weight-``1/n`` predicate isolates in a fresh dataset with probability
     ``n * w * (1-w)^(n-1)``.  One dataset is sampled per trial from an
     independent spawned stream, so for a fixed ``rng`` the estimate is
-    identical for every ``jobs`` value and backend.
+    identical for every ``jobs`` value (trials fan out through
+    :func:`repro.utils.parallel.parallel_map`).
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -78,5 +78,5 @@ def estimate_isolation_rate(
     def one_trial(stream) -> bool:
         return isolates(predicate, distribution.sample(n, stream))
 
-    wins = parallel_map(one_trial, spawn_rngs(rng, trials), jobs=jobs, backend=backend)
+    wins = parallel_map(one_trial, spawn_rngs(rng, trials), jobs=jobs)
     return estimate_proportion(sum(wins), trials)

@@ -228,7 +228,6 @@ class PSOGame:
         trials: int,
         rng: RngSeed = None,
         jobs: int = 1,
-        backend: str = "auto",
     ) -> PSOGameResult:
         """Play ``trials`` independent games and aggregate.
 
@@ -236,16 +235,16 @@ class PSOGame:
             trials: number of independent games.
             rng: master seed; it fans out into one stream per trial.
             jobs: worker count for trial execution (``1`` = in-process
-                serial loop; ``-1`` = all cores).  For a fixed ``rng`` the
-                result is bit-identical for every ``jobs`` value and
-                backend — trials are pure functions of their spawned
-                stream, and work-splitting is deterministic.
-            backend: executor backend (see :mod:`repro.utils.parallel`).
+                serial loop; ``-1`` = all cores; see
+                :func:`repro.utils.parallel.parallel_map`).  For a fixed
+                ``rng`` the result is bit-identical for every ``jobs``
+                value — trials are pure functions of their spawned stream,
+                and results return in trial order.
         """
         if trials <= 0:
             raise ValueError("trials must be positive")
         streams = spawn_rngs(rng, trials)
-        outcomes = tuple(parallel_map(self.run_trial, streams, jobs=jobs, backend=backend))
+        outcomes = tuple(parallel_map(self.run_trial, streams, jobs=jobs))
         return PSOGameResult(
             mechanism_name=self.mechanism.name,
             adversary_name=self.adversary.name,

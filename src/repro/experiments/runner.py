@@ -7,7 +7,7 @@ records.
 
 Experiments are independent given the master seed (each derives its own
 sub-streams by id), so :func:`run_experiments` can fan experiment ids out
-across a process pool (``jobs > 1``); experiments whose ``run`` accepts a
+across forked workers (``jobs > 1``); experiments whose ``run`` accepts a
 ``jobs`` parameter additionally parallelize their inner Monte-Carlo trials
 when run one at a time.  Either way the numbers are identical to a serial
 run for a fixed seed.
@@ -134,15 +134,15 @@ def run_experiments(
     seed: int = 0,
     quick: bool = False,
     jobs: int = 1,
-    backend: str = "auto",
 ) -> list[ExperimentResult]:
     """Run the given experiments, optionally fanning ids out across workers.
 
     With ``jobs > 1`` and several ids, whole experiments run concurrently
-    (one per worker) and their inner estimators stay serial — nesting
-    process pools would oversubscribe.  With a single id the ``jobs``
-    budget is passed down into the experiment's own trial loops instead.
-    Results return in input order and match a serial run exactly.
+    (one per forked worker, see :func:`repro.utils.parallel.parallel_map`)
+    and their inner estimators stay serial — nesting pools would
+    oversubscribe.  With a single id the ``jobs`` budget is passed down
+    into the experiment's own trial loops instead.  Results return in
+    input order and match a serial run exactly.
     """
     ids = list(experiment_ids)
     workers = effective_jobs(jobs)
@@ -152,7 +152,7 @@ def run_experiments(
     def one_experiment(experiment_id: str) -> ExperimentResult:
         return run_experiment(experiment_id, seed=seed, quick=quick, jobs=1)
 
-    return parallel_map(one_experiment, ids, jobs=workers, backend=backend)
+    return parallel_map(one_experiment, ids, jobs=workers)
 
 
 def run_all_experiments(

@@ -22,7 +22,7 @@ and re-identification by joining against a synthetic commercial file.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -32,7 +32,6 @@ from scipy.optimize import LinearConstraint, milp
 from repro.data.censusblocks import ETHNICITIES, RACES, SEXES
 from repro.data.dataset import Dataset
 from repro.reconstruction.tabulation import BlockTables
-from repro.utils.parallel import parallel_map
 
 #: A reconstructed person: (block, sex, age, race, ethnicity).
 ReconstructedRecord = tuple[int, str, int, str, str]
@@ -91,8 +90,6 @@ class CensusReconstructionResult:
 def reconstruct_census(
     tables: dict[int, BlockTables],
     truth: Dataset | None = None,
-    jobs: int | None = 1,
-    backend: str = "auto",
 ) -> CensusReconstructionResult:
     """Reconstruct person-level records from published block tables.
 
@@ -101,15 +98,11 @@ def reconstruct_census(
             :func:`repro.reconstruction.tabulation.tabulate_blocks`).
         truth: the original microdata, used only for scoring
             ``exact_matches``; pass ``None`` to skip scoring (all zeros).
-        jobs: worker count for the per-block integer solves.  Blocks are
-            independent (the defining property of the attack), so they
-            dispatch through :func:`repro.utils.parallel.parallel_map`
-            weighted by block population; results join in block order, so
-            the output is identical for every ``jobs`` setting.
-        backend: parallel backend name (see :mod:`repro.utils.parallel`).
 
     Returns:
-        Reconstruction of every block, with per-block exactness scores.
+        Reconstruction of every block, with per-block exactness scores, in
+        block order.  Blocks are independent (the defining property of the
+        attack), so each is one small integer solve.
     """
     truth_by_block: dict[int, Counter] = {}
     if truth is not None:
@@ -124,13 +117,7 @@ def reconstruct_census(
             truth_by_block.setdefault(key[0], Counter())[key] += 1
 
     ordered = sorted(tables.items())
-    solutions = parallel_map(
-        lambda item: _reconstruct_block(item[1]),
-        ordered,
-        jobs=jobs,
-        backend=backend,
-        weights=[block_tables.total for _, block_tables in ordered],
-    )
+    solutions = [_reconstruct_block(block_tables) for _, block_tables in ordered]
 
     blocks = []
     for (block_id, _), (records, solved) in zip(ordered, solutions):

@@ -26,19 +26,19 @@ subset-query attacks:
   :func:`~repro.reconstruction.l2_decode.l2_decode_batch`.  The batch's
   escalations then solve concurrently, on a thread per usable core.
   Shards larger than :data:`DENSE_LIMIT` decode alone on the sparse path.
-  Tasks are dispatched through :func:`repro.utils.parallel.parallel_map`
-  with per-task cost weights.
+  Tasks are dispatched through :func:`repro.utils.parallel.parallel_map`.
 
 Determinism: shard formation and batching are pure functions of
-(workload, partition) — never of ``jobs``, the backend, the core count or
-scheduling order — no decode draws randomness, and every per-shard
-decode (l2 or LP) is independent of its batch-mates, so the joined
-reconstruction is bit-identical across ``jobs=1`` and ``jobs=N`` and
-however many escalations solve at once.
+(workload, partition) — never of ``jobs``, the core count or scheduling
+order — no decode draws randomness, and every per-shard decode (l2 or
+LP) is independent of its batch-mates, so the joined reconstruction is
+bit-identical across ``jobs=1`` and ``jobs=N`` and however many
+escalations solve at once.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,7 +50,7 @@ from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
 from repro.reconstruction.l2_decode import l2_decode, l2_decode_batch
 from repro.reconstruction.lp_decode import _check_alpha, reconstruct_from_answers
-from repro.utils.parallel import parallel_map
+from repro.utils import parallel
 
 #: Byte bound on one batch's dense ``(k, m, b)`` float64 stack.  A batch
 #: iterates until its slowest block stops: most census blocks certify
@@ -100,12 +100,13 @@ class BlockPartition:
         connects them: the connected components of the bipartite graph
         joining each query to the positions it reads, ``O(nnz)`` edges
         rather than the ``O(sum m_i^2)`` of the full per-query cliques.
-        The graph is the workload's CSR itself, with query ``i`` as node
-        ``i`` and position ``j`` as node ``m + j`` (position nodes store no
-        edges of their own), so ``connected_components`` gets a CSR graph
-        and neither converts nor sorts it.  Blocks are numbered by their
-        smallest position index, so the labeling is a pure function of the
-        workload.
+        The graph is the workload's CSR itself, with position ``j`` as
+        node ``j`` and query ``i`` as node ``n + i``: the CSR's own
+        ``indices`` and ``data`` behind ``n`` empty position rows, so
+        building it copies no edge array, and ``connected_components``
+        (which reads only the structure) neither converts nor sorts it.
+        Blocks are numbered by their smallest position index, so the
+        labeling is a pure function of the workload.
         """
         workload = Workload.coerce(workload)
         csr = workload.matrix(sparse=True)
@@ -117,17 +118,12 @@ class BlockPartition:
             raise ValueError(
                 f"query {empty} has empty support and cannot be assigned to a block"
             )
-        nnz = len(indices)
         graph = scipy.sparse.csr_matrix(
-            (
-                np.ones(nnz),
-                indices + m,
-                np.concatenate([indptr, np.full(n, nnz, dtype=indptr.dtype)]),
-            ),
-            shape=(m + n, m + n),
+            (csr.data, indices, np.concatenate([np.zeros(n, indptr.dtype), indptr])),
+            shape=(n + m, n + m),
         )
         num_components, labels = connected_components(graph, directed=False)
-        query_labels, labels = labels[:m], labels[m:]
+        labels, query_labels = labels[:n], labels[n:]
 
         covered = np.zeros(n, dtype=bool)
         covered[indices] = True
@@ -298,7 +294,6 @@ class ShardedReconstructor:
         *,
         partition: BlockPartition | None = None,
         jobs: int | None = 1,
-        backend: str = "auto",
     ) -> ShardedReconstructionResult:
         """Decode ``(workload, answers)`` shard-by-shard and join the bits.
 
@@ -310,11 +305,10 @@ class ShardedReconstructor:
                 given partition must fit this workload: its query blocks
                 hold every row exactly once, and each query's support lies
                 inside its block (``ValueError`` otherwise).
-            jobs: how many workers decode tasks (see
+            jobs: how many forked workers decode tasks (see
                 :func:`repro.utils.parallel.parallel_map`).  Whatever it
                 is, a batch's LP escalations solve on a thread per usable
                 core (:func:`repro.utils.parallel.usable_cores`).
-            backend: parallel backend name.
 
         Returns:
             The joined reconstruction plus per-shard reports (sorted by
@@ -335,18 +329,8 @@ class ShardedReconstructor:
         else:
             _check_fits(partition, csr)
 
-        tasks = _build_tasks(partition)
-        weights = [
-            sum(
-                len(partition.query_blocks[i]) * len(partition.blocks[i])
-                for i in task
-            )
-            for task in tasks
-        ]
         worker = self._make_worker(csr, answers, partition)
-        shard_outputs = parallel_map(
-            worker, tasks, jobs=jobs, backend=backend, weights=weights
-        )
+        shard_outputs = parallel.parallel_map(worker, _build_tasks(partition), jobs=jobs)
 
         reconstruction = np.zeros(partition.n, dtype=np.int64)
         reports: list[ShardReport] = []
@@ -442,12 +426,16 @@ class ShardedReconstructor:
         l2_bits, _, l2_residuals = l2_decode_batch(stacked, stacked_answers, self.alpha)
         residuals = l2_residuals.tolist()
         failed = [j for j, residual in enumerate(residuals) if self._fails(residual)]
-        solved = parallel_map(
-            lambda j: self._escalate(stacked[j], stacked_answers[j]),
-            failed,
-            jobs=-1,
-            backend="thread",
-        )
+
+        def escalate(j: int) -> tuple[np.ndarray, float]:
+            return self._escalate(stacked[j], stacked_answers[j])
+
+        workers = min(parallel.usable_cores(), len(failed))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                solved = list(pool.map(escalate, failed))
+        else:
+            solved = [escalate(j) for j in failed]
         escalated = dict(zip(failed, solved))
         outputs = []
         for j, index in enumerate(task):

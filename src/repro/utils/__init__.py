@@ -3,8 +3,9 @@
 Everything stochastic in this library flows through :func:`ensure_rng`, so
 experiments are reproducible from a single integer seed.  The statistics
 helpers provide the confidence intervals used by every Monte-Carlo
-experiment, :mod:`repro.utils.parallel` fans trial loops out across
-workers without perturbing those seeds, and :mod:`repro.utils.tables`
+experiment, :func:`~repro.utils.parallel.parallel_map` fans trial loops
+out across forked workers (``jobs`` is its one setting) without
+perturbing those seeds, and :mod:`repro.utils.tables`
 renders the paper-vs-measured tables printed by the benchmark harness.
 """
 

@@ -1,8 +1,8 @@
-"""Bit-identical results across execution backends (the engine's contract).
+"""Bit-identical results across worker counts (the engine's contract).
 
 Every Monte-Carlo estimator that takes ``jobs`` must produce exactly the
 same numbers for a fixed seed no matter how the trials are scheduled:
-serial, thread pool, or forked process pool.  These tests pin that down on
+inline or across a pool of forked workers.  These tests pin that down on
 the three wired layers — the PSO game, the isolation estimator, and the
 agreement-attack estimator.
 """
@@ -27,25 +27,20 @@ def distribution():
 class TestGameDeterminism:
     TRIALS = 24
 
-    def _run(self, distribution, jobs, backend="auto"):
+    def _run(self, distribution, jobs):
         game = PSOGame(
             distribution,
             120,
             CountMechanism(hash_bit_predicate("det-q", 0)),
             TrivialAttacker("negligible"),
         )
-        return game.run(self.TRIALS, rng=7, jobs=jobs, backend=backend)
+        return game.run(self.TRIALS, rng=7, jobs=jobs)
 
     def test_process_jobs_match_serial_trials_exactly(self, distribution):
         serial = self._run(distribution, jobs=1)
         parallel = self._run(distribution, jobs=4)
         assert parallel.trials == serial.trials
         assert str(parallel.success) == str(serial.success)
-
-    def test_thread_backend_matches_serial_trials_exactly(self, distribution):
-        serial = self._run(distribution, jobs=1)
-        threaded = self._run(distribution, jobs=3, backend="thread")
-        assert threaded.trials == serial.trials
 
     def test_different_seeds_differ(self, distribution):
         game = PSOGame(
@@ -73,8 +68,8 @@ class TestEstimatorDeterminism:
     def test_agreement_attack_across_jobs_and_backends(self, distribution):
         results = [
             estimate_agreement_attack_success(
-                distribution, n=40, k=2, trials=10, rng=3, jobs=jobs, backend=backend
+                distribution, n=40, k=2, trials=10, rng=3, jobs=jobs
             )
-            for jobs, backend in ((1, "serial"), (4, "process"), (3, "thread"))
+            for jobs in (1, 4, 3)
         ]
         assert results[0].trials == results[1].trials == results[2].trials

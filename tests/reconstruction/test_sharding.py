@@ -274,12 +274,9 @@ class TestShardedReconstructor:
         assert reference.shard_reports == pooled.shard_reports
         for jobs in (2, 3, 4):
             assert len(tasks) > jobs
-            for backend in ("thread", "process"):
-                other = reconstructor.reconstruct(
-                    workload, noisy, jobs=jobs, backend=backend
-                )
-                assert np.array_equal(reference.reconstruction, other.reconstruction)
-                assert reference.shard_reports == other.shard_reports
+            other = reconstructor.reconstruct(workload, noisy, jobs=jobs)
+            assert np.array_equal(reference.reconstruction, other.reconstruction)
+            assert reference.shard_reports == other.shard_reports
 
     def test_escalation_engages_and_recovers(self):
         # ±1 noise at a tight certificate: some shards must fail the l2
