@@ -12,7 +12,6 @@ import pytest
 from repro.anonymity import (
     AgreementAnonymizer,
     DataflyAnonymizer,
-    IncognitoAnonymizer,
     MondrianAnonymizer,
 )
 from repro.anonymity.metrics import discernibility_metric, generalization_precision

@@ -62,7 +62,7 @@ from repro.experiments.e20_sharded_reconstruction import BLOCK_SIZE, build_popul
 from repro.queries.mechanism import BoundedNoiseAnswerer
 from repro.queries.workload import Workload
 from repro.reconstruction.l2_decode import l2_decode
-from repro.reconstruction.lp_decode import DEFAULT_LP_SOLVER, reconstruct_from_answers
+from repro.reconstruction.lp_decode import LP_SOLVER, reconstruct_from_answers
 from repro.reconstruction.sharding import BlockPartition, ShardedReconstructor
 from repro.utils.rng import derive_rng
 from repro.utils.tables import Table
@@ -159,7 +159,7 @@ def bench_answering(n: int, seed: int) -> dict:
     }
 
 
-def bench_lp(entry: dict, solver: str) -> dict:
+def bench_lp(entry: dict) -> dict:
     """Sparse-feasibility decode of the workload answered in bench_answering."""
     workload: Workload = entry["workload"]
     matrix = workload.matrix(sparse=True)
@@ -169,14 +169,12 @@ def bench_lp(entry: dict, solver: str) -> dict:
     dense_bytes = 2 * m * n * 8
 
     start = time.perf_counter()
-    result = reconstruct_from_answers(
-        workload, entry["answers"], alpha=entry["alpha"], solver=solver
-    )
+    result = reconstruct_from_answers(workload, entry["answers"], alpha=entry["alpha"])
     elapsed = time.perf_counter() - start
     return {
         "n": n,
         "m": m,
-        "solver": solver,
+        "solver": LP_SOLVER,
         "mode": result.mode,
         "lp_seconds": elapsed,
         "agreement": result.agreement_with(entry["data"]),
@@ -306,9 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--solver", default=DEFAULT_LP_SOLVER, help="HiGHS algorithm for the LP"
-    )
-    parser.add_argument(
         "--skip-lp", action="store_true", help="only benchmark workload answering"
     )
     parser.add_argument(
@@ -332,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         title="Workload answering: per-query loop vs answer_workload",
     )
     lp_table = Table(
-        ["n", "m", "solver", "LP (s)", "agreement", "nnz", "dense/sparse bytes"],
-        title=f"Sparse LP decoding (feasibility, {args.solver})",
+        ["n", "m", "LP (s)", "agreement", "nnz", "dense/sparse bytes"],
+        title=f"Sparse LP decoding (feasibility, {LP_SOLVER})",
     )
     l2_table = Table(
         ["n", "m", "l2 (s)", "LP (s)", "speedup", "iters", "certified", "agreement"],
@@ -363,13 +358,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"answering n={n}: {entry['speedup']:.1f}x", flush=True)
         lp_entry = None
         if not args.skip_lp:
-            lp_entry = bench_lp(entry, args.solver)
+            lp_entry = bench_lp(entry)
             lp_rows.append(lp_entry)
             lp_table.add_row(
                 [
                     lp_entry["n"],
                     lp_entry["m"],
-                    lp_entry["solver"],
                     f"{lp_entry['lp_seconds']:.1f}",
                     f"{lp_entry['agreement']:.3f}",
                     lp_entry["constraint_nnz"],
@@ -427,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "lp_reconstruction",
         "smoke": args.smoke,
         "seed": args.seed,
-        "solver": args.solver,
+        "solver": LP_SOLVER,
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,

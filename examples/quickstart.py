@@ -17,7 +17,9 @@ from repro.core import (
 )
 from repro.core.attackers import build_composition_suite
 from repro.core.mechanisms import ComposedMechanism, DPCountMechanism
+from repro.core.theorems import TheoremCheck
 from repro.data.distributions import uniform_bits_distribution
+from repro.legal import legal_corollary_2_1, legal_theorem_2_1, working_party_comparison
 
 N = 250  # dataset size
 K = 4  # anonymity parameter
@@ -58,9 +60,6 @@ print(f"\ncomposition attack vs exact counts: success {exact_result.success}")
 print(f"same attack vs eps=1 DP counts:     success {dp_result.success}")
 
 # --- 4. from measurements to legal theorems (Section 2.4) --------------------
-from repro.core.theorems import TheoremCheck
-from repro.legal import legal_corollary_2_1, legal_theorem_2_1, working_party_comparison
-
 evidence = TheoremCheck(
     theorem="2.10",
     claim="k-anonymity fails PSO (measured above)",

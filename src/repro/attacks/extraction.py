@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 from repro.lm.ngram import NgramLanguageModel, synthetic_corpus
 from repro.utils.rng import RngSeed, derive_rng, ensure_rng

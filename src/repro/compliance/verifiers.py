@@ -16,9 +16,8 @@ trusting any label:
 * :class:`KAnonymityClaimVerifier` re-derives k from
   :mod:`repro.anonymity` equivalence classes;
 * :class:`ReconstructionResistanceVerifier` replays the release through
-  :func:`repro.reconstruction.l2_decode.l2_decode` /
-  :func:`repro.reconstruction.lp_decode.reconstruct_from_answers` — the
-  auditor's attack, run *before* approval instead of after damage;
+  :func:`repro.reconstruction.l2_decode.l2_decode` — the auditor's screen,
+  run *before* approval instead of after damage;
 * :class:`DeletionVerifier` replays
   :func:`repro.legal.deletion.verify_exact_deletion` so the service can
   prove it honors erasure before it ever serves.
@@ -46,7 +45,6 @@ from repro.legal.hipaa import is_safe_harbor_compliant
 from repro.privacy.kernels import MechanismSpec
 from repro.queries.workload import Workload
 from repro.reconstruction.l2_decode import l2_decode
-from repro.reconstruction.lp_decode import reconstruct_from_answers
 from repro.synth.base import SyntheticRelease
 
 __all__ = [
@@ -360,15 +358,10 @@ class ReconstructionResistanceVerifier(Verifier):
     Draws the Theorem 1.1(ii) random workload from the pipeline's seed
     stream, answers it *on the release* (exact post-processing — precisely
     what an attacker holding the published object can do), decodes with
-    the first-order :func:`~repro.reconstruction.l2_decode.l2_decode`
-    (``solver="lp"`` escalates to the exact LP), and scores agreement
-    against the true private data.  Agreement at or above the policy bar
-    is blatant non-privacy; the release is refused before it is ever
-    served.
-
-    Args:
-        solver: ``"l2"`` (default, the fast certified first-order decoder)
-            or ``"lp"`` (the exact LP).
+    the first-order :func:`~repro.reconstruction.l2_decode.l2_decode`,
+    and scores agreement against the true private data.  Agreement at or
+    above the policy bar is blatant non-privacy; the release is refused
+    before it is ever served.
     """
 
     identifier = "RECON"
@@ -376,11 +369,6 @@ class ReconstructionResistanceVerifier(Verifier):
         "a replayed reconstruction attack on the release agrees with the "
         "private data strictly below the policy's blatant-non-privacy bar"
     )
-
-    def __init__(self, solver: str = "l2"):
-        if solver not in ("l2", "lp"):
-            raise ValueError(f"solver must be 'l2' or 'lp', got {solver!r}")
-        self.solver = solver
 
     def check(self, context, policy, rng) -> CheckResult:
         if context.data is None:
@@ -415,10 +403,7 @@ class ReconstructionResistanceVerifier(Verifier):
             answers = np.asarray(
                 workload.matrix(sparse=True) @ vector, dtype=np.float64
             )
-        if self.solver == "lp":
-            result = reconstruct_from_answers(workload, answers, alpha=0.5)
-        else:
-            result = l2_decode(workload, answers, 0.5)
+        result = l2_decode(workload, answers, 0.5)
         agreement = result.agreement_with(data)
         passed = agreement < policy.reconstruction_agreement_max
         return CheckResult(
@@ -429,7 +414,7 @@ class ReconstructionResistanceVerifier(Verifier):
                 "agreement": float(agreement),
                 "threshold": float(policy.reconstruction_agreement_max),
                 "queries": int(queries),
-                "solver": self.solver,
+                "solver": "l2",
             },
             detail=""
             if passed

@@ -12,7 +12,7 @@ datasets, which keeps the provenance of each experiment auditable.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 

@@ -15,7 +15,7 @@ which the PSO experiments need for exact predicate weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.data.dataset import Dataset
 from repro.data.distributions import AttributeDistribution, ProductDistribution

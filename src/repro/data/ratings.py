@@ -18,7 +18,7 @@ imitating cross-referenced IMDb reviews).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np

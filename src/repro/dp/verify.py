@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.privacy.kernels import MechanismSpec
-from repro.utils.rng import RngSeed, ensure_rng, spawn_rngs
+from repro.utils.rng import RngSeed, spawn_rngs
 from repro.utils.stats import clopper_pearson_interval
 
 Output = TypeVar("Output")

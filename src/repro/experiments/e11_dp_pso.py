@@ -98,7 +98,7 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
         result = game.run(trials, derive_rng(seed, "e11-dp", total_epsilon), jobs=jobs)
         pso_table.add_row(
             [
-                f"Laplace, eps/l each",
+                "Laplace, eps/l each",
                 total_epsilon,
                 str(result.success),
                 result.isolation_rate.estimate,

@@ -33,7 +33,10 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
             )
             for repeat in range(repeats)
         ]
-        mean = lambda key: sum(getattr(r, key) for r in results) / len(results)
+
+        def mean(key: str) -> float:
+            return sum(getattr(r, key) for r in results) / len(results)
+
         return (
             mean("auc"),
             mean("advantage"),

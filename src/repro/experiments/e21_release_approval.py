@@ -29,8 +29,6 @@ will synthesize (synthesis is seed-deterministic), and refuses the exact
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.anonymity import MondrianAnonymizer
 from repro.compliance import (
     ComplianceDenied,

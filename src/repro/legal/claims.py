@@ -19,7 +19,7 @@ every verdict — they are the part a court or regulator may dispute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.theorems import TheoremCheck
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -20,7 +20,7 @@ from repro.queries.mechanism import (
     RoundingAnswerer,
     SubsamplingAnswerer,
 )
-from repro.queries.query import SubsetQuery, queries_to_matrix
+from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload, all_subset_queries, random_subset_queries
 
 __all__ = [
@@ -36,6 +36,5 @@ __all__ = [
     "SubsetQuery",
     "Workload",
     "all_subset_queries",
-    "queries_to_matrix",
     "random_subset_queries",
 ]

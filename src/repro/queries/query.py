@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 
 class SubsetQuery:
@@ -75,33 +74,6 @@ class SubsetQuery:
 
     def __repr__(self) -> str:
         return f"SubsetQuery(n={self.n}, size={self.size})"
-
-
-def queries_to_matrix(
-    queries: Sequence[SubsetQuery],
-    dtype: np.dtype | type = np.float64,
-    sparse: bool = False,
-):
-    """Stack queries into an ``(m, n)`` 0/1 matrix for linear-algebra attacks.
-
-    Args:
-        queries: the workload rows, all addressing the same ``n``.
-        dtype: element type of the result.  ``bool`` returns the packed masks
-            themselves (1 byte/cell instead of float64's 8 — a 16k x 2k
-            workload drops from ~256 MB to ~32 MB).
-        sparse: return a :class:`scipy.sparse.csr_matrix` instead of a dense
-            array; the memory then scales with the number of *set* positions.
-    """
-    if not queries:
-        raise ValueError("need at least one query")
-    n = queries[0].n
-    for query in queries:
-        if query.n != n:
-            raise ValueError("all queries must address the same dataset size")
-    stacked = np.stack([query.mask for query in queries])
-    if sparse:
-        return scipy.sparse.csr_matrix(stacked, dtype=dtype)
-    return np.asarray(stacked, dtype=dtype)
 
 
 def _validate_binary(data: np.ndarray, n: int) -> np.ndarray:

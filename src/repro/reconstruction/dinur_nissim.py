@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.queries.mechanism import QueryAnswerer
 from repro.queries.workload import Workload
+from repro.reconstruction.lp_decode import _check_alpha
 
 #: Hard cap: the candidate x answer table is O(4^n) work.
 MAX_EXHAUSTIVE_N = 16
@@ -44,16 +45,16 @@ def _bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
     return ((values[:, None] >> np.arange(width)) & 1).astype(np.uint8)
 
 
-def _scan_candidates(
-    candidates: np.ndarray, masks: np.ndarray, answers: np.ndarray, alpha: float
-):
-    """Yield ``(candidate_position, candidate)`` for every consistent candidate.
+def _scan_candidates(n: int, masks: np.ndarray, answers: np.ndarray, alpha: float):
+    """Yield every consistent candidate in ``{0,1}^n``, as an int, ascending.
 
+    Candidate ``c`` is the bit vector of the integer ``c`` (little-endian).
     Vectorized: each batch ANDs all candidates against all query masks at
     once and popcounts the matrix (``np.bitwise_count``), so no Python-level
     per-candidate loop survives.  Batches keep peak memory bounded by
     :data:`_SCAN_CELLS` cells.
     """
+    candidates = np.arange(2**n, dtype=np.uint32)
     batch = max(1, _SCAN_CELLS // max(1, masks.size))
     tolerance = alpha + 1e-9
     for start in range(0, candidates.size, batch):
@@ -61,7 +62,7 @@ def _scan_candidates(
         counts = np.bitwise_count(masks[None, :] & chunk[:, None])
         consistent = np.all(np.abs(answers[None, :] - counts) <= tolerance, axis=1)
         for offset in np.flatnonzero(consistent):
-            yield start + int(offset), chunk[offset]
+            yield int(chunk[offset])
 
 
 def _ask_all_subset_queries(answerer: QueryAnswerer, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +110,7 @@ class ExhaustiveReconstructionResult:
 
 
 def exhaustive_reconstruction(
-    answerer: QueryAnswerer,
-    alpha: float | None = None,
-    candidate_order: str = "ascending",
+    answerer: QueryAnswerer, alpha: float | None = None
 ) -> ExhaustiveReconstructionResult:
     """Run the Theorem 1.1(i) attack against ``answerer``.
 
@@ -120,19 +119,17 @@ def exhaustive_reconstruction(
             at most :data:`MAX_EXHAUSTIVE_N`.
         alpha: the consistency slack.  Defaults to the answerer's declared
             ``error_bound`` (the attacker knows the accuracy guarantee).
-        candidate_order: ``"ascending"`` enumerates candidates as integers
-            0, 1, 2, ...; ``"descending"`` from ``2^n - 1`` down.  Exposed so
-            tests can verify the *set* of consistent candidates is a small
-            Hamming ball regardless of which member is returned.
 
     Returns:
-        The first consistent candidate found, with bookkeeping.
+        The first consistent candidate, enumerating candidates as the
+        integers 0, 1, 2, ..., with bookkeeping.
 
     Raises:
-        ValueError: for oversized ``n``, an unbounded-error answerer with no
-            explicit ``alpha``, or (impossibly, given the accuracy model) no
-            consistent candidate.
+        ValueError: for oversized ``n``, a negative ``alpha``, an
+            unbounded-error answerer with no explicit ``alpha``, or
+            (impossibly, given the accuracy model) no consistent candidate.
     """
+    _check_alpha(alpha)
     n = answerer.n
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(
@@ -149,17 +146,11 @@ def exhaustive_reconstruction(
     # Ask every non-empty subset query, indexed by its bitmask.
     masks, answers = _ask_all_subset_queries(answerer, n)
 
-    candidates = np.arange(2**n, dtype=np.uint32)
-    if candidate_order == "descending":
-        candidates = candidates[::-1]
-    elif candidate_order != "ascending":
-        raise ValueError(f"unknown candidate order: {candidate_order!r}")
-
-    for position, candidate in _scan_candidates(candidates, masks, answers, alpha):
+    for candidate in _scan_candidates(n, masks, answers, alpha):
         return ExhaustiveReconstructionResult(
             reconstruction=_bit_matrix(np.array([candidate]), n)[0].astype(np.int64),
             queries_used=int(masks.size),
-            candidates_checked=position + 1,
+            candidates_checked=candidate + 1,
             alpha=float(alpha),
         )
     raise ValueError(
@@ -177,6 +168,7 @@ def consistent_candidates(
     within Hamming distance ``4 * alpha`` of the truth.  Exponential in
     ``n``; intended for ``n <= 12``.
     """
+    _check_alpha(alpha)
     n = answerer.n
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"n={n} exceeds the cap {MAX_EXHAUSTIVE_N}")
@@ -185,8 +177,7 @@ def consistent_candidates(
     if not np.isfinite(alpha):
         raise ValueError("pass an explicit alpha for unbounded-error answerers")
     masks, answers = _ask_all_subset_queries(answerer, n)
-    candidates = np.arange(2**n, dtype=np.uint32)
     return [
         _bit_matrix(np.array([candidate]), n)[0].astype(np.int64)
-        for _position, candidate in _scan_candidates(candidates, masks, answers, alpha)
+        for candidate in _scan_candidates(n, masks, answers, alpha)
     ]

@@ -8,8 +8,7 @@ reconstructs in the same noise regime, for a tiny fraction of the cost.
 This module implements that decoder as the default fast path of the
 reconstruction stack:
 
-* :func:`l2_decode` minimizes ``0.5 * ||A z - a||^2`` (plus an optional
-  ridge term pulling toward the uninformative center ``1/2``) over the box
+* :func:`l2_decode` minimizes ``0.5 * ||A z - a||^2`` over the box
   ``[0, 1]^n`` with FISTA (accelerated projected gradient) — no simplex
   pivots, no interior-point factorizations.  The gradient
   ``A^T (A y - a)`` takes one of two forms, chosen from the matrix's
@@ -25,8 +24,7 @@ reconstruction stack:
   ``max |A x~ - a| <= alpha`` — the exact condition the feasibility LP
   enforces.  A candidate that passes is a valid LP solution outright,
   which is what lets the sharded pipeline skip the LP entirely on most
-  blocks and escalate (warm-started with the fractional iterate) only
-  when the certificate fails.
+  blocks and escalate only when the certificate fails.
 * :func:`l2_decode_batch` runs the same iteration simultaneously over a
   stack of equal-shape dense subproblems — the census regime, where tens
   of thousands of small per-block systems decode in a handful of batched
@@ -57,15 +55,15 @@ from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
 from repro.reconstruction.lp_decode import _check_alpha
 
-#: Default FISTA iteration cap.  Sparse matvecs are cheap; the certificate
-#: check usually exits long before this.
-DEFAULT_MAX_ITERS = 2000
+#: FISTA iteration cap.  Sparse matvecs are cheap; the certificate check
+#: usually exits long before this.
+MAX_ITERS = 2000
 
 #: How often (in iterations) to test the rounded candidate's certificate.
-DEFAULT_CHECK_EVERY = 25
+CHECK_EVERY = 25
 
-#: Default early-stop tolerance on the sup-norm iterate change.
-DEFAULT_TOL = 1e-6
+#: Early-stop tolerance on the sup-norm iterate change.
+TOL = 1e-6
 
 #: Smallest fill ``nnz / n^2`` for the Gram form.  One Gram iteration is a
 #: dense ``n x n`` matvec; one CSR iteration is two sparse matvecs over
@@ -165,25 +163,11 @@ def _gram(matrix) -> np.ndarray:
     return gram
 
 
-def _check_iteration(max_iters: int, check_every: int, reg: float) -> None:
-    """Reject FISTA settings that cannot run (shared by both decoders)."""
-    if max_iters <= 0:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
-    if check_every <= 0:
-        raise ValueError(f"check_every must be positive, got {check_every}")
-    if reg < 0:
-        raise ValueError(f"reg must be non-negative, got {reg}")
-
-
 def l2_decode(
     queries: Workload | Sequence[SubsetQuery],
     answers: np.ndarray,
     alpha: float | None = None,
     *,
-    reg: float = 0.0,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    check_every: int = DEFAULT_CHECK_EVERY,
     x0: np.ndarray | None = None,
 ) -> L2ReconstructionResult:
     """Decode a (workload, answers) transcript by projected least squares.
@@ -193,12 +177,10 @@ def l2_decode(
         answers: the released noisy answers, aligned with ``queries``.
         alpha: worst-case error bound, when one is known.  Enables the
             feasibility-certificate early exit: iteration stops as soon as
-            the rounded candidate satisfies ``max |A x~ - a| <= alpha``.
-        reg: ridge coefficient pulling the iterate toward the center
-            ``1/2`` — stabilizes underdetermined or very noisy systems.
-        max_iters: FISTA iteration cap.
-        tol: sup-norm iterate-change early stop.
-        check_every: cadence (iterations) of the certificate check.
+            the rounded candidate satisfies ``max |A x~ - a| <= alpha``
+            (tested every :data:`CHECK_EVERY` iterations).  Otherwise
+            iteration stops when no coordinate moves by :data:`TOL`, or
+            after :data:`MAX_ITERS` iterations.
         x0: optional warm start for the iterate (clipped into ``[0,1]^n``);
             defaults to the uninformative center ``1/2``.  An auditor
             re-decoding a transcript that grew by one audit window starts
@@ -213,16 +195,14 @@ def l2_decode(
     if answers.shape != (len(workload),):
         raise ValueError("answers must align with the query list")
     _check_alpha(alpha)
-    _check_iteration(max_iters, check_every, reg)
 
     matrix = workload.matrix(sparse=True)
     m, n = matrix.shape
-    step = 1.0 / (_lipschitz_bound(matrix) + reg)
+    step = 1.0 / _lipschitz_bound(matrix)
     bound = float("inf") if alpha is None else float(alpha)
 
-    center = np.full(n, 0.5)
     if x0 is None:
-        z = center.copy()
+        z = np.full(n, 0.5)
     else:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n,):
@@ -231,6 +211,7 @@ def l2_decode(
     y = z.copy()
     t = 1.0
     iterations = 0
+    max_iters = MAX_ITERS
     if x0 is not None and np.isfinite(bound):
         # A warm start that already certifies costs one matvec, not a solve.
         rounded = (z >= 0.5).astype(np.float64)
@@ -244,8 +225,6 @@ def l2_decode(
             gradient = matrix.T @ (matrix @ y - answers)
         else:
             gradient = gram @ y - correlation
-        if reg:
-            gradient += reg * (y - center)
         z_next = np.clip(y - step * gradient, 0.0, 1.0)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = z_next + ((t - 1.0) / t_next) * (z_next - z)
@@ -253,11 +232,11 @@ def l2_decode(
         z = z_next
         t = t_next
         iterations = iteration
-        if np.isfinite(bound) and iteration % check_every == 0:
+        if np.isfinite(bound) and iteration % CHECK_EVERY == 0:
             rounded = (z >= 0.5).astype(np.float64)
             if float(np.max(np.abs(matrix @ rounded - answers))) <= bound:
                 break
-        if shift < tol:
+        if shift < TOL:
             break
 
     reconstruction = (z >= 0.5).astype(np.int64)
@@ -279,19 +258,14 @@ def l2_decode_batch(
     systems: np.ndarray,
     answers: np.ndarray,
     alpha: float | None = None,
-    *,
-    reg: float = 0.0,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    check_every: int = DEFAULT_CHECK_EVERY,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode ``k`` equal-shape dense systems simultaneously.
 
     Args:
         systems: ``(k, m, b)`` stack of per-block query matrices.
         answers: ``(k, m)`` released answers.
-        alpha: shared worst-case error bound (certificate early exit).
-        reg, max_iters, tol, check_every: as in :func:`l2_decode`.
+        alpha: shared worst-case error bound (certificate early exit, as
+            in :func:`l2_decode`).
 
     Returns:
         ``(bits, fractional, max_residuals)`` with shapes ``(k, b)`` int64,
@@ -315,13 +289,12 @@ def l2_decode_batch(
     if answers.shape != (k, m):
         raise ValueError(f"answers must be ({k}, {m}), got {answers.shape}")
     _check_alpha(alpha)
-    _check_iteration(max_iters, check_every, reg)
     bound = float("inf") if alpha is None else float(alpha)
 
     # Per-block deterministic step sizes from the norm-product bound.
     row_sums = systems.sum(axis=2).max(axis=1)  # (k,) max row sums
     col_sums = systems.sum(axis=1).max(axis=1)  # (k,) max col sums
-    steps = 1.0 / (np.maximum(row_sums * col_sums, 1e-12) + reg)  # (k,)
+    steps = 1.0 / np.maximum(row_sums * col_sums, 1e-12)  # (k,)
 
     transposed = systems.transpose(0, 2, 1)
     gram = transposed @ systems  # (k, b, b)
@@ -335,10 +308,8 @@ def l2_decode_batch(
     a_vecs = answers
     step = steps[:, None]
     t = 1.0
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, MAX_ITERS + 1):
         gradient = (gram @ y[:, :, None])[:, :, 0] - correlation
-        if reg:
-            gradient += reg * (y - 0.5)
         z_next = np.clip(y - step * gradient, 0.0, 1.0)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = z_next + ((t - 1.0) / t_next) * (z_next - z)
@@ -346,13 +317,13 @@ def l2_decode_batch(
         z = z_next
         t = t_next
 
-        done = shifts < tol
-        if np.isfinite(bound) and iteration % check_every == 0:
+        done = shifts < TOL
+        if np.isfinite(bound) and iteration % CHECK_EVERY == 0:
             rounded = (z >= 0.5).astype(np.float64)
             cert = np.abs((a_mats @ rounded[:, :, None])[:, :, 0] - a_vecs).max(axis=1)
             done |= cert <= bound
-        if done.any() or iteration == max_iters:
-            finished = done if iteration < max_iters else np.ones_like(done)
+        if done.any() or iteration == MAX_ITERS:
+            finished = done if iteration < MAX_ITERS else np.ones_like(done)
             fractional[active[finished]] = z[finished]
             keep = ~finished
             if not keep.any():

@@ -7,7 +7,7 @@ rounds.  Dinur-Nissim showed the rounded vector disagrees with the truth on
 ``o(n)`` positions; later work ([18, 21, 31] in the paper) sharpened the
 constants and connected it to LP decoding of error-correcting codes.
 
-Two solver modes are provided:
+Two modes are provided, and ``alpha`` alone selects between them:
 
 * **feasibility** — when a worst-case error bound ``alpha`` is known, find
   any ``z`` with ``|<q, z> - a_q| <= alpha`` for every query (the classical
@@ -18,9 +18,8 @@ Two solver modes are provided:
   minimize the total L1 residual instead; this is the robust variant used
   in practice (cf. "Linear Program Reconstruction in Practice" [13]).
 
-Both modes run on HiGHS through :func:`scipy.optimize.linprog`; the one
-knob is ``solver``, the HiGHS algorithm (default
-:data:`DEFAULT_LP_SOLVER`).  The constraint system is assembled in CSR
+Both modes run HiGHS's :data:`LP_SOLVER` algorithm through
+:func:`scipy.optimize.linprog`.  The constraint system is assembled in CSR
 sparse form from a packed :class:`~repro.queries.workload.Workload` (never
 as a dense float64 block), and one assembled workload is shared across the
 feasibility solve, its least-l1 fallback, and any repeated attacks on the
@@ -43,10 +42,10 @@ from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
 from repro.utils.rng import RngSeed, ensure_rng
 
-#: Default HiGHS algorithm for the decoding LPs.  Interior point beats dual
-#: simplex by ~10x on these wide, degenerate systems (zero/uniform objective,
-#: massive feasible sets); pass ``solver="highs"`` to let HiGHS pick simplex.
-DEFAULT_LP_SOLVER = "highs-ipm"
+#: HiGHS algorithm for the decoding LPs.  Interior point beats dual simplex
+#: by ~10x on these wide, degenerate systems (zero/uniform objective,
+#: massive feasible sets).
+LP_SOLVER = "highs-ipm"
 
 
 def _check_alpha(alpha: float | None) -> None:
@@ -89,12 +88,9 @@ def lp_reconstruction(
     answerer: QueryAnswerer,
     num_queries: int | None = None,
     alpha: float | None = None,
-    mode: str = "auto",
     density: float = 0.5,
     rng: RngSeed = None,
     workload: Workload | None = None,
-    solver: str = DEFAULT_LP_SOLVER,
-    warm_start: np.ndarray | None = None,
 ) -> LpReconstructionResult:
     """Run the Theorem 1.1(ii) attack against ``answerer``.
 
@@ -102,22 +98,15 @@ def lp_reconstruction(
         answerer: mechanism under attack.
         num_queries: workload size; defaults to ``8 * n`` random subsets,
             comfortably in the regime where LP decoding succeeds.
-        alpha: consistency slack for feasibility mode; defaults to the
-            answerer's declared error bound.
-        mode: ``"feasibility"``, ``"least-l1"``, or ``"auto"`` (feasibility
-            when a finite error bound is available, least-l1 otherwise).
+        alpha: consistency slack; defaults to the answerer's declared
+            error bound.  Finite, it selects feasibility mode; infinite
+            (an unbounded-noise answerer), least-l1.
         density: per-position inclusion probability of the random subsets.
             Lower densities (e.g. ``64 / n``) keep the constraint matrix
             genuinely sparse and are how the attack runs at large ``n``.
         rng: randomness for the workload.
         workload: a pre-built workload to attack with, reusing its cached
             sparse assembly; overrides ``num_queries``/``density``/``rng``.
-        solver: HiGHS algorithm passed to :func:`scipy.optimize.linprog`.
-        warm_start: a candidate point in ``[0, 1]^n`` (typically the
-            fractional iterate of :func:`repro.reconstruction.l2_decode.
-            l2_decode`).  In feasibility mode a warm start that already
-            satisfies every constraint is returned without invoking the
-            solver at all — checking the certificate is one matvec.
 
     Returns:
         The rounded reconstruction with bookkeeping.  A feasibility LP
@@ -137,28 +126,16 @@ def lp_reconstruction(
     elif workload.n != n:
         raise ValueError(f"workload addresses n={workload.n}, answerer has n={n}")
 
-    if mode == "auto":
-        bound = answerer.error_bound if alpha is None else alpha
-        mode = "feasibility" if np.isfinite(bound) else "least-l1"
-    if mode == "feasibility":
-        if alpha is None:
-            alpha = answerer.error_bound
-        if not np.isfinite(alpha):
-            raise ValueError("feasibility mode needs a finite alpha")
-    elif mode == "least-l1":
-        alpha = None
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
-
+    if alpha is None:
+        alpha = answerer.error_bound
     answers = answerer.answer_workload(workload)
-    return _decode(workload, answers, alpha, solver, warm_start)
+    return _decode(workload, answers, alpha, warm_start=None)
 
 
 def reconstruct_from_answers(
     queries: Workload | Sequence[SubsetQuery],
     answers: np.ndarray,
     alpha: float | None = None,
-    solver: str = DEFAULT_LP_SOLVER,
     warm_start: np.ndarray | None = None,
 ) -> LpReconstructionResult:
     """LP-decode a pre-collected (workload, answers) transcript.
@@ -167,24 +144,27 @@ def reconstruct_from_answers(
     mechanism that limits each caller's query budget), and by the
     experiments to reuse one workload — and its one-time sparse assembly —
     across whole noise sweeps.  A finite ``alpha`` selects feasibility
-    mode, anything else least-l1; ``solver``, ``warm_start`` and the
-    least-l1 fallback behave as in :func:`lp_reconstruction`.  The sharded
-    pipeline escalates failed l2 shards through here, and the service's
-    reconstruction auditor replays analysts' transcripts through it.
+    mode, anything else least-l1; the least-l1 fallback behaves as in
+    :func:`lp_reconstruction`.  ``warm_start`` is a candidate point in
+    ``[0, 1]^n`` (the service's auditor passes its l2 screen's fractional
+    iterate): in feasibility mode one that already satisfies every
+    constraint is returned without invoking the solver at all — checking
+    the certificate is one matvec.  The sharded pipeline escalates failed
+    l2 shards through here, and the service's reconstruction auditor
+    replays analysts' transcripts through it.
     """
     _check_alpha(alpha)
     workload = Workload.coerce(queries)
     answers = np.asarray(answers, dtype=float)
     if answers.shape != (len(workload),):
         raise ValueError("answers must align with the query list")
-    return _decode(workload, answers, alpha, solver, warm_start)
+    return _decode(workload, answers, alpha, warm_start)
 
 
 def _decode(
     workload: Workload,
     answers: np.ndarray,
     alpha: float | None,
-    solver: str,
     warm_start: np.ndarray | None,
 ) -> LpReconstructionResult:
     """Feasibility at a finite ``alpha``; least-l1 without one or when it fails.
@@ -196,11 +176,9 @@ def _decode(
     warm_start = _validated_warm_start(warm_start, workload.n)
     fractional = None
     if alpha is not None and np.isfinite(alpha):
-        fractional = _solve_feasibility(
-            matrix, answers, float(alpha), solver, warm_start
-        )
+        fractional = _solve_feasibility(matrix, answers, float(alpha), warm_start)
     if fractional is None:
-        fractional = solve_least_l1(matrix, answers, solver=solver)
+        fractional = solve_least_l1(matrix, answers)
         mode, used_alpha = "least-l1", float("nan")
     else:
         mode, used_alpha = "feasibility", float(alpha)
@@ -226,7 +204,6 @@ def _solve_feasibility(
     matrix,
     answers: np.ndarray,
     alpha: float,
-    solver: str,
     warm_start: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Find z in [0,1]^n with |A z - a| <= alpha (elementwise).
@@ -254,7 +231,7 @@ def _solve_feasibility(
         A_ub=a_ub,
         b_ub=b_ub,
         bounds=[(0.0, 1.0)] * n,
-        method=solver,
+        method=LP_SOLVER,
     )
     if not result.success:
         return None
@@ -267,7 +244,6 @@ def solve_least_l1(
     *,
     lower: float = 0.0,
     upper: float | None = 1.0,
-    solver: str = DEFAULT_LP_SOLVER,
 ) -> np.ndarray:
     """Minimize ``||A z - a||_1`` over box-bounded ``z`` via the LP lift.
 
@@ -300,7 +276,7 @@ def solve_least_l1(
         identity = np.eye(m)
         a_eq = np.hstack([matrix, -identity, identity])
     bounds = [(lower, upper)] * n + [(0.0, None)] * (2 * m)
-    result = linprog(c=c, A_eq=a_eq, b_eq=answers, bounds=bounds, method=solver)
+    result = linprog(c=c, A_eq=a_eq, b_eq=answers, bounds=bounds, method=LP_SOLVER)
     if not result.success:
         raise RuntimeError(f"LP solver failed: {result.message}")
     if upper is None:

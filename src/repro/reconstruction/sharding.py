@@ -15,7 +15,7 @@ subset-query attacks:
 * :class:`ShardedReconstructor` decomposes a (workload, answers)
   transcript along a partition into independent per-block shards, decodes
   every shard with the first-order l2 fast path
-  (:mod:`repro.reconstruction.l2_decode`) at its default settings,
+  (:mod:`repro.reconstruction.l2_decode`),
   escalates a shard to the feasibility LP exactly when its l2 bits fail
   the ``alpha`` certificate (the LP starts cold: the l2 point just
   failed), and joins the per-shard bits back into one reconstruction.
@@ -145,56 +145,6 @@ class BlockPartition:
         label_to_block = np.full(num_components, -1, dtype=np.int64)
         label_to_block[uniq] = rank
         row_block = label_to_block[query_labels]
-        query_blocks = _group_by(np.arange(m), row_block, len(uniq))
-        return cls(
-            n=n,
-            blocks=blocks,
-            query_blocks=query_blocks,
-            unconstrained=unconstrained,
-        )
-
-    @classmethod
-    def from_labels(
-        cls,
-        labels: np.ndarray | Sequence[int],
-        workload: Workload | Sequence[SubsetQuery],
-    ) -> "BlockPartition":
-        """Build a partition from caller-supplied per-position block labels.
-
-        Validates that every query's support stays inside one label — a
-        query spanning labels would couple the shards and the decomposition
-        would be wrong, so that is an error, not a silent merge.  Positions
-        touched by no query are reported as unconstrained even if labeled.
-        """
-        workload = Workload.coerce(workload)
-        labels = np.asarray(labels)
-        if labels.shape != (workload.n,):
-            raise ValueError(
-                f"labels must have shape ({workload.n},), got {labels.shape}"
-            )
-        csr = workload.matrix(sparse=True)
-        m, n = csr.shape
-        indptr, indices = csr.indptr, csr.indices
-        sizes = np.diff(indptr)
-        if (sizes == 0).any():
-            empty = int(np.flatnonzero(sizes == 0)[0])
-            raise ValueError(
-                f"query {empty} has empty support and cannot be assigned to a block"
-            )
-        support_labels = labels[indices]
-        row_min = np.minimum.reduceat(support_labels, indptr[:-1])
-        row_max = np.maximum.reduceat(support_labels, indptr[:-1])
-        if (row_min != row_max).any():
-            bad = int(np.flatnonzero(row_min != row_max)[0])
-            raise ValueError(f"query {bad} spans multiple blocks")
-
-        covered = np.zeros(n, dtype=bool)
-        covered[indices] = True
-        unconstrained = np.flatnonzero(~covered)
-        positions = np.flatnonzero(covered)
-        uniq, inverse = np.unique(labels[positions], return_inverse=True)
-        blocks = _group_by(positions, inverse, len(uniq))
-        row_block = np.searchsorted(uniq, row_min)
         query_blocks = _group_by(np.arange(m), row_block, len(uniq))
         return cls(
             n=n,
@@ -378,9 +328,9 @@ class ShardedReconstructor:
         matrix = csr[rows][:, partition.blocks[index]]
         shard_answers = answers[rows]
         if matrix.shape[0] == 0:
-            # No query touches the block alone — cannot happen for
-            # discovered partitions, but a caller-supplied one may isolate
-            # an unqueried label; the uninformative answer is all zeros.
+            # No query reads the block — cannot happen for discovered
+            # partitions, but a caller-built one may hold such a block;
+            # the uninformative answer is all zeros.
             bits = np.zeros(matrix.shape[1], dtype=np.int64)
             report = ShardReport(
                 block=index,

@@ -20,10 +20,9 @@ the generator — it sees only these tables, exactly like the real attack.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from repro.data.censusblocks import ETHNICITIES, RACES, SEXES
 from repro.data.dataset import Dataset
 
 

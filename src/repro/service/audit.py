@@ -382,7 +382,7 @@ class ReconstructionAuditor:
         alpha: feasibility slack for the replay LP; ``None`` uses least-l1
             decoding (the right mode for unbounded-noise mechanisms).
             The replay LP runs HiGHS's :data:`~repro.reconstruction.
-            lp_decode.DEFAULT_LP_SOLVER` algorithm.
+            lp_decode.LP_SOLVER` algorithm.
         screen: ``"lp"`` replays every pass through the LP decoder (the
             original behavior).  ``"l2"`` first replays through the cheap
             first-order decoder (:func:`repro.reconstruction.l2_decode.

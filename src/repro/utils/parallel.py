@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -91,8 +90,9 @@ def parallel_map(
 
     Returns:
         ``[fn(item) for item in items]``, whatever ``jobs`` is.  Should the
-        pool break, or a result raise ``PicklingError`` on its way back,
-        the work is redone inline with a ``RuntimeWarning``.
+        pool break (a worker dies), the work is redone inline with a
+        ``RuntimeWarning``.  Any other error, including a result that
+        fails to pickle on its way back, reaches the caller.
     """
     items = list(items)
     jobs = min(effective_jobs(jobs), len(items))
@@ -107,9 +107,8 @@ def parallel_map(
         ) as pool:
             chunksize = max(1, len(items) // (4 * jobs))
             return list(pool.map(_call, range(len(items)), chunksize=chunksize))
-    except (BrokenProcessPool, pickle.PicklingError) as error:
-        # Results (or internals) failed to cross the process boundary;
-        # the work itself is sound, so redo it in-process.
+    except BrokenProcessPool as error:
+        # A worker died; redo the work in-process.
         warnings.warn(
             f"process pool failed ({error!r}); falling back to serial",
             RuntimeWarning,

@@ -10,7 +10,6 @@ from repro.anonymity.checks import (
     is_t_close,
     t_closeness,
 )
-from repro.data.dataset import Dataset
 from repro.data.domain import CategoricalDomain, IntegerDomain
 from repro.data.generalized import GeneralizedDataset, GeneralizedRecord
 from repro.data.hierarchy import GeneralizedValue

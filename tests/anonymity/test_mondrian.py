@@ -8,7 +8,7 @@ from repro.anonymity.checks import is_k_anonymous
 from repro.anonymity.mondrian import MondrianAnonymizer
 from repro.data.dataset import Dataset
 from repro.data.distributions import uniform_bits_distribution
-from repro.data.domain import CategoricalDomain, IntegerDomain
+from repro.data.domain import IntegerDomain
 from repro.data.population import PopulationConfig, generate_population, gic_release
 from repro.data.schema import Attribute, AttributeKind, Schema
 

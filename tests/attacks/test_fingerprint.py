@@ -11,7 +11,6 @@ from repro.data.ratings import (
     AuxiliaryRating,
     Rating,
     RatingsConfig,
-    auxiliary_knowledge,
     generate_ratings,
 )
 

@@ -1,6 +1,5 @@
 """Shared fixtures for the release-approval subsystem tests."""
 
-import numpy as np
 import pytest
 
 from repro.compliance import Policy

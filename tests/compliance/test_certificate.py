@@ -9,15 +9,12 @@ from repro.anonymity import MondrianAnonymizer
 from repro.compliance import (
     CompliancePipeline,
     DpClaimVerifier,
-    Policy,
     ReconstructionResistanceVerifier,
     release_fingerprint,
     spec_fingerprint,
 )
-from repro.data.dataset import Dataset
 from repro.data.population import PopulationConfig, generate_population, gic_release
-from repro.synth import BinaryRelease, synthesize_binary
-from repro.utils.rng import derive_rng
+from repro.synth import BinaryRelease
 
 
 @pytest.fixture(scope="module")

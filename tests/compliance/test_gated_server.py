@@ -7,9 +7,7 @@ from repro.compliance import (
     ComplianceDenied,
     ComplianceGate,
     CompliancePipeline,
-    CompositionPolicyVerifier,
     DpClaimVerifier,
-    Policy,
     ReconstructionResistanceVerifier,
 )
 from repro.privacy.accounting import BasicAccountant, ShardedAccountant

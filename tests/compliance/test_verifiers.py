@@ -176,17 +176,15 @@ class TestReconstructionResistanceVerifier:
         assert not result.passed
         assert result.measurements["agreement"] == 1.0
 
-    def test_lp_solver_variant(self, secret, policy):
+    def test_vector_release_is_replayed(self, secret, policy):
+        # A bare vector is answered by matrix product, then decoded by l2.
         leak = np.array(secret, dtype=np.float64)
-        result = ReconstructionResistanceVerifier(solver="lp").check(
+        result = ReconstructionResistanceVerifier().check(
             ReleaseContext(release=leak, data=secret), policy, _rng()
         )
         assert not result.passed
-        assert result.measurements["solver"] == "lp"
-
-    def test_solver_validated(self):
-        with pytest.raises(ValueError):
-            ReconstructionResistanceVerifier(solver="sat")
+        assert result.measurements["agreement"] == 1.0
+        assert result.measurements["solver"] == "l2"
 
     def test_size_mismatch_fails(self, secret, policy):
         result = ReconstructionResistanceVerifier().check(

@@ -44,12 +44,11 @@ class TestTrivialAttacker:
         predicate = TrivialAttacker(0.125).attack(None, context, _rng())
         assert predicate.analytic_weight == 0.125
 
-    def test_fresh_salts_per_attack(self, context, distribution):
+    def test_fresh_salts_per_attack(self, context):
         attacker = TrivialAttacker("optimal")
         rng = _rng()
         a = attacker.attack(None, context, rng)
         b = attacker.attack(None, context, rng)
-        record = distribution.sample_record(rng=1)
         # Different salts: descriptions differ.
         assert a.description != b.description
 
@@ -174,7 +173,6 @@ class TestCountExploitingAttacker:
         from repro.core.attackers import CountExploitingAttacker
 
         attacker = CountExploitingAttacker()
-        rng = _rng()
         a = attacker.attack(17, context, np.random.default_rng(0))
         b = attacker.attack(18, context, np.random.default_rng(0))
         assert a.description != b.description  # output folded into the salt

@@ -12,7 +12,6 @@ from repro.core.predicate import (
 )
 from repro.data.dataset import Record
 from repro.data.distributions import (
-    AttributeDistribution,
     ProductDistribution,
     uniform_bits_distribution,
 )

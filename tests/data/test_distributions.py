@@ -1,6 +1,5 @@
 """Tests for attribute and product distributions."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,5 @@
 """Tests for AboveThreshold (sparse vector technique)."""
 
-import numpy as np
 import pytest
 
 from repro.core.predicate import attribute_predicate

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queries.query import SubsetQuery, queries_to_matrix
+from repro.queries.query import SubsetQuery
+from repro.queries.workload import Workload
 
 
 class TestSubsetQuery:
@@ -74,34 +75,35 @@ class TestSubsetQuery:
 
 
 class TestQueriesToMatrix:
+    """Queries stack into one matrix through ``Workload.from_queries``."""
+
     def test_stacks_masks(self):
         queries = [SubsetQuery([True, False]), SubsetQuery([True, True])]
-        matrix = queries_to_matrix(queries)
+        matrix = Workload.from_queries(queries).matrix()
         assert matrix.shape == (2, 2)
         assert matrix.tolist() == [[1.0, 0.0], [1.0, 1.0]]
 
     def test_mismatched_sizes_rejected(self):
         queries = [SubsetQuery([True]), SubsetQuery([True, False])]
         with pytest.raises(ValueError):
-            queries_to_matrix(queries)
+            Workload.from_queries(queries)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            queries_to_matrix([])
+            Workload.from_queries([])
 
     def test_dtype_option(self):
         queries = [SubsetQuery([True, False]), SubsetQuery([True, True])]
-        matrix = queries_to_matrix(queries, dtype=np.int64)
-        assert matrix.dtype == np.int64
-        assert queries_to_matrix(queries, dtype=bool).dtype == bool
+        workload = Workload.from_queries(queries)
+        assert workload.matrix(dtype=np.int64).dtype == np.int64
+        assert workload.matrix(dtype=bool).dtype == bool
 
     def test_sparse_option(self):
         import scipy.sparse
 
         queries = [SubsetQuery([True, False]), SubsetQuery([False, True])]
-        matrix = queries_to_matrix(queries, sparse=True)
+        workload = Workload.from_queries(queries)
+        matrix = workload.matrix(sparse=True)
         assert scipy.sparse.issparse(matrix)
         assert matrix.format == "csr"
-        assert np.array_equal(
-            matrix.toarray(), queries_to_matrix(queries)
-        )
+        assert np.array_equal(matrix.toarray(), workload.matrix())

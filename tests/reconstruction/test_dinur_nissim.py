@@ -26,21 +26,6 @@ class TestExhaustiveReconstruction:
         # Theorem: any consistent candidate is within 4*alpha of the truth.
         assert result.hamming_distance(data) <= 4 * alpha
 
-    def test_candidate_order_does_not_break_bound(self):
-        rng = np.random.default_rng(2)
-        n = 8
-        alpha = 1.0
-        data = rng.integers(0, 2, size=n)
-        for order in ("ascending", "descending"):
-            answerer = BoundedNoiseAnswerer(data, alpha, rng=np.random.default_rng(3))
-            result = exhaustive_reconstruction(answerer, candidate_order=order)
-            assert result.hamming_distance(data) <= 4 * alpha
-
-    def test_unknown_order_rejected(self):
-        data = np.zeros(4, dtype=int)
-        with pytest.raises(ValueError):
-            exhaustive_reconstruction(ExactAnswerer(data), candidate_order="sideways")
-
     def test_oversized_n_rejected(self):
         data = np.zeros(20, dtype=int)
         with pytest.raises(ValueError):
@@ -85,6 +70,16 @@ class TestConsistentCandidates:
         assert candidates  # the truth is always consistent
         for candidate in candidates:
             assert int((candidate != data).sum()) <= 4 * alpha
+
+    def test_attack_returns_the_first_candidate(self):
+        # At alpha = 1 every one-bit flip of the truth is consistent too;
+        # the attack returns the first consistent candidate in integer order.
+        data = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        candidates = consistent_candidates(ExactAnswerer(data), alpha=1.0)
+        assert len(candidates) > 1
+        assert not np.array_equal(candidates[0], data)
+        result = exhaustive_reconstruction(ExactAnswerer(data), alpha=1.0)
+        np.testing.assert_array_equal(result.reconstruction, candidates[0])
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

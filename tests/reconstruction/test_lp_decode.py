@@ -5,6 +5,10 @@ import pytest
 
 from repro.queries.mechanism import BoundedNoiseAnswerer, ExactAnswerer, LaplaceAnswerer
 from repro.queries.workload import Workload, random_subset_queries
+from repro.reconstruction.dinur_nissim import (
+    consistent_candidates,
+    exhaustive_reconstruction,
+)
 from repro.reconstruction.l2_decode import l2_decode, l2_decode_batch
 from repro.reconstruction.lp_decode import lp_reconstruction, reconstruct_from_answers
 from repro.service.audit import ReconstructionAuditor
@@ -42,17 +46,14 @@ class TestLpReconstruction:
         assert np.isnan(result.alpha)
 
     def test_explicit_mode(self):
+        # An infinite alpha selects least-l1 even against exact answers.
         data = np.random.default_rng(9).integers(0, 2, size=32)
         result = lp_reconstruction(
-            ExactAnswerer(data), mode="least-l1", num_queries=160, rng=10
+            ExactAnswerer(data), alpha=np.inf, num_queries=160, rng=10
         )
         assert result.mode == "least-l1"
+        assert np.isnan(result.alpha)
         assert result.agreement_with(data) >= 0.95
-
-    def test_unknown_mode_rejected(self):
-        data = np.zeros(8, dtype=int)
-        with pytest.raises(ValueError):
-            lp_reconstruction(ExactAnswerer(data), mode="magic")
 
     def test_invalid_query_count(self):
         data = np.zeros(8, dtype=int)
@@ -135,18 +136,6 @@ class TestSparsePath:
         answerer = BoundedNoiseAnswerer(data, alpha=2.0, rng=rng)
         result = lp_reconstruction(answerer, density=density, rng=20)
         assert result.agreement_with(data) >= 0.9
-
-    def test_solver_knob(self):
-        data = np.random.default_rng(21).integers(0, 2, size=32)
-        ipm = lp_reconstruction(ExactAnswerer(data), rng=22, solver="highs-ipm")
-        simplex = lp_reconstruction(ExactAnswerer(data), rng=22, solver="highs")
-        # Both algorithms decode the same transcript to the same bits.
-        assert np.array_equal(ipm.reconstruction, simplex.reconstruction)
-
-    def test_unknown_solver_rejected(self):
-        data = np.zeros(8, dtype=int)
-        with pytest.raises(ValueError):
-            lp_reconstruction(ExactAnswerer(data), solver="not-a-solver")
 
 
 class TestWarmStart:
@@ -246,10 +235,7 @@ class TestInfeasibleFeasibility:
         # A twin answerer with the same noise stream gives the same answers.
         answers = self._answerer(seed=1).answer_workload(workload)
         result = lp_reconstruction(
-            self._answerer(seed=1),
-            alpha=self.ALPHA,
-            mode="feasibility",
-            workload=workload,
+            self._answerer(seed=1), alpha=self.ALPHA, workload=workload
         )
         self._assert_least_l1(result, workload, answers)
 
@@ -273,6 +259,12 @@ class TestInfeasibleFeasibility:
         lambda w, a: l2_decode(w, a, alpha=-0.5),
         lambda w, a: l2_decode_batch(w.matrix()[None], a[None], alpha=-0.5),
         lambda w, a: ReconstructionAuditor(np.zeros(w.n, dtype=int), alpha=-0.5),
+        lambda w, a: exhaustive_reconstruction(
+            ExactAnswerer(np.zeros(w.n, dtype=int)), alpha=-0.5
+        ),
+        lambda w, a: consistent_candidates(
+            ExactAnswerer(np.zeros(w.n, dtype=int)), alpha=-0.5
+        ),
     ],
     ids=[
         "lp_reconstruction",
@@ -280,6 +272,8 @@ class TestInfeasibleFeasibility:
         "l2_decode",
         "l2_decode_batch",
         "ReconstructionAuditor",
+        "exhaustive_reconstruction",
+        "consistent_candidates",
     ],
 )
 def test_negative_alpha_rejected(decode):

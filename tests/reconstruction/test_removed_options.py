@@ -1,7 +1,9 @@
 """The decoders run at one configuration: their removed options stay removed.
 
 Each keyword here was never set outside tests, or was set and read by
-nothing; the LP layer keeps ``solver=`` as its one knob.
+nothing.  What they set is now a module constant: the LP's HiGHS
+algorithm (``lp_decode.LP_SOLVER``) and the FISTA cap, tolerance and
+certificate cadence (``l2_decode.MAX_ITERS``, ``TOL``, ``CHECK_EVERY``).
 """
 
 import importlib
@@ -9,11 +11,15 @@ import importlib
 import numpy as np
 import pytest
 
+from repro.compliance.verifiers import ReconstructionResistanceVerifier
 from repro.queries.mechanism import ExactAnswerer
 from repro.queries.workload import Workload
 from repro.reconstruction import (
+    BlockPartition,
     ShardedReconstructor,
+    exhaustive_reconstruction,
     l2_decode,
+    l2_decode_batch,
     lp_reconstruction,
     reconstruct_from_answers,
     solve_least_l1,
@@ -31,6 +37,9 @@ CALLS = {
         0.5
     ).reconstruct(WORKLOAD, ANSWERS, **kw),
     "l2_decode": lambda **kw: l2_decode(WORKLOAD, ANSWERS, 0.5, **kw),
+    "l2_decode_batch": lambda **kw: l2_decode_batch(
+        WORKLOAD.matrix()[None], ANSWERS[None], 0.5, **kw
+    ),
     "lp_reconstruction": lambda **kw: lp_reconstruction(
         ExactAnswerer(DATA), workload=WORKLOAD, **kw
     ),
@@ -40,7 +49,13 @@ CALLS = {
     "solve_least_l1": lambda **kw: solve_least_l1(
         WORKLOAD.matrix(sparse=True), ANSWERS, **kw
     ),
+    "exhaustive_reconstruction": lambda **kw: exhaustive_reconstruction(
+        ExactAnswerer(DATA), **kw
+    ),
     "ReconstructionAuditor": lambda **kw: ReconstructionAuditor(DATA, **kw),
+    "ReconstructionResistanceVerifier": lambda **kw: ReconstructionResistanceVerifier(
+        **kw
+    ),
     "HierarchicalSynthesizer": lambda **kw: HierarchicalSynthesizer(1.0, **kw),
 }
 
@@ -57,10 +72,25 @@ REMOVED = [
     ("ShardedReconstructor.reconstruct", "seed", 0),
     ("l2_decode", "lipschitz", "auto"),
     ("l2_decode", "rng", 0),
+    ("l2_decode", "reg", 0.0),
+    ("l2_decode", "max_iters", 2000),
+    ("l2_decode", "tol", 1e-6),
+    ("l2_decode", "check_every", 25),
+    ("l2_decode_batch", "reg", 0.0),
+    ("l2_decode_batch", "max_iters", 2000),
+    ("l2_decode_batch", "tol", 1e-6),
+    ("l2_decode_batch", "check_every", 25),
     ("lp_reconstruction", "options", None),
+    ("lp_reconstruction", "solver", "highs-ipm"),
+    ("lp_reconstruction", "mode", "auto"),
+    ("lp_reconstruction", "warm_start", None),
     ("reconstruct_from_answers", "options", None),
+    ("reconstruct_from_answers", "solver", "highs-ipm"),
     ("solve_least_l1", "options", None),
+    ("solve_least_l1", "solver", "highs-ipm"),
+    ("exhaustive_reconstruction", "candidate_order", "ascending"),
     ("ReconstructionAuditor", "solver", "highs-ipm"),
+    ("ReconstructionResistanceVerifier", "solver", "l2"),
     ("HierarchicalSynthesizer", "solver", "highs-ipm"),
 ]
 
@@ -71,7 +101,8 @@ REMOVED = [
     ids=[f"{target}-{keyword}" for target, keyword, _ in REMOVED],
 )
 def test_removed_keyword_is_a_type_error(target, keyword, value):
-    with pytest.raises(TypeError, match=keyword):
+    # A class without an __init__ of its own refuses every argument.
+    with pytest.raises(TypeError, match=f"{keyword}|takes no arguments"):
         CALLS[target](**{keyword: value})
 
 
@@ -84,9 +115,28 @@ def test_lp_solver_options_is_gone():
     assert not hasattr(lp_decode, "_resolve_options")
 
 
-def test_solver_stays_the_lp_knob():
-    # The kept knob reaches HiGHS: an unknown algorithm name is refused.
-    with pytest.raises(ValueError):
-        reconstruct_from_answers(WORKLOAD, ANSWERS, 0.5, solver="not-a-solver")
-    with pytest.raises(ValueError):
-        solve_least_l1(WORKLOAD.matrix(sparse=True), ANSWERS, solver="not-a-solver")
+def test_test_only_entry_points_are_gone():
+    assert not hasattr(BlockPartition, "from_labels")
+    for name in ("repro.queries", "repro.queries.query"):
+        module = importlib.import_module(name)
+        assert not hasattr(module, "queries_to_matrix"), name
+        assert "queries_to_matrix" not in getattr(module, "__all__", ()), name
+    l2_module = importlib.import_module("repro.reconstruction.l2_decode")
+    assert not hasattr(l2_module, "_check_iteration")
+
+
+def test_every_lp_runs_the_one_algorithm(monkeypatch):
+    lp_decode = importlib.import_module("repro.reconstruction.lp_decode")
+    real = lp_decode.linprog
+    methods = []
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_decode, "linprog", recording)
+    assert reconstruct_from_answers(WORKLOAD, ANSWERS, 0.5).mode == "feasibility"
+    assert reconstruct_from_answers(WORKLOAD, ANSWERS).mode == "least-l1"
+    solve_least_l1(WORKLOAD.matrix(sparse=True), ANSWERS, upper=None)
+    assert methods == ["highs-ipm"] * 3
+    assert lp_decode.LP_SOLVER == "highs-ipm"

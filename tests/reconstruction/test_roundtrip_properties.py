@@ -1,6 +1,5 @@
 """Property-based tests on the census tabulate -> reconstruct roundtrip."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

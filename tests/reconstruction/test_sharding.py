@@ -150,27 +150,25 @@ class TestBlockPartition:
         assert len(partition.blocks[0]) == 16
 
     def test_from_labels_matches_discovery(self):
-        workload, _, _, labels = _block_separable([4, 4, 4], seed=3)
-        discovered = BlockPartition.from_workload(workload)
-        labeled = BlockPartition.from_labels(labels, workload)
-        assert labeled.num_blocks == discovered.num_blocks
-        for a, b in zip(labeled.blocks, discovered.blocks):
-            assert np.array_equal(a, b)
-        for a, b in zip(labeled.query_blocks, discovered.query_blocks):
-            assert np.array_equal(a, b)
-
-    def test_from_labels_rejects_spanning_query(self):
-        workload, _, _, _ = _block_separable([4, 4], seed=4)
-        wrong = np.zeros(workload.n, dtype=int)
-        wrong[2:] = 1  # splits the first true block
-        with pytest.raises(ValueError, match="spans multiple blocks"):
-            BlockPartition.from_labels(wrong, workload)
+        # Discovery recovers the ground-truth label groups, interleaved
+        # positions and all, numbered by their smallest position.
+        workload, _, _, labels = _block_separable([4, 6, 3], seed=3, permute=True)
+        csr = workload.matrix(sparse=True)
+        row_labels = labels[csr.indices[csr.indptr[:-1]]]
+        order = sorted(set(labels.tolist()), key=lambda k: np.flatnonzero(labels == k)[0])
+        partition = BlockPartition.from_workload(workload)
+        assert [block.tolist() for block in partition.blocks] == [
+            np.flatnonzero(labels == k).tolist() for k in order
+        ]
+        assert [rows.tolist() for rows in partition.query_blocks] == [
+            np.flatnonzero(row_labels == k).tolist() for k in order
+        ]
 
     def test_dense_stack_equals_per_shard_slices(self):
         # Interleaved positions: no block's columns are contiguous, so each
         # entry must find its in-block column through the position map.
-        workload, _, _, labels = _block_separable([5] * 4 + [7] * 3, seed=11, permute=True)
-        partition = BlockPartition.from_labels(labels, workload)
+        workload, _, _, _ = _block_separable([5] * 4 + [7] * 3, seed=11, permute=True)
+        partition = BlockPartition.from_workload(workload)
         csr = workload.matrix(sparse=True)
         columns = _block_columns(partition)
         slices = []
@@ -181,8 +179,8 @@ class TestBlockPartition:
             np.testing.assert_array_equal(stack[0], sliced)
             slices.append(sliced)
         # A multi-shard task stacks the shards in task order.
-        task = [3, 0, 2]
-        assert len({slices[i].shape for i in task}) == 1
+        fives = np.flatnonzero(partition.block_sizes == 5)
+        task = [fives[3], fives[0], fives[2]]
         rows = np.concatenate([partition.query_blocks[i] for i in task])
         stack = _dense_stack(csr, rows, columns, (3, *slices[0].shape))
         np.testing.assert_array_equal(stack, np.stack([slices[i] for i in task]))

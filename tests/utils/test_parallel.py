@@ -4,12 +4,27 @@ import multiprocessing
 import os
 import pickle
 import threading
+import warnings
 
 import pytest
 
 from repro.utils.parallel import effective_jobs, parallel_map, usable_cores
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
+
+#: A module-level lambda: pickle looks it up by the name ``<lambda>`` and
+#: fails with ``PicklingError``.
+MODULE_LAMBDA = lambda: None  # noqa: E731
+
+#: The test process; forked workers have other pids.
+PARENT_PID = os.getpid()
+
+
+def _dies_in_a_worker(x):
+    """Kill a forked worker outright; run normally in the test process."""
+    if os.getpid() != PARENT_PID:
+        os._exit(3)
+    return 2 * x
 
 
 @pytest.fixture
@@ -144,3 +159,28 @@ class TestParallelMap:
         assert parallel_map(inner, range(8), jobs=2) == [
             [x * y for y in range(4)] for x in range(8)
         ]
+
+    @pytest.mark.skipif(not FORK, reason="needs fork start method")
+    @pytest.mark.parametrize(
+        "result, error",
+        [
+            # A local closure: AttributeError, or PicklingError on
+            # Pythons whose pickle raises that for local objects.
+            (lambda x: (lambda: x), (AttributeError, pickle.PicklingError)),
+            (lambda x: threading.Lock(), TypeError),
+            (lambda x: MODULE_LAMBDA, pickle.PicklingError),
+        ],
+        ids=["local-closure", "lock", "module-lambda"],
+    )
+    def test_an_unpicklable_result_raises(self, result, error):
+        # Results must be picklable when jobs > 1: each pickling error
+        # reaches the caller, and none is retried inline.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error):
+                parallel_map(result, range(4), jobs=2)
+
+    @pytest.mark.skipif(not FORK, reason="needs fork start method")
+    def test_a_dying_worker_falls_back_inline(self):
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
+            assert parallel_map(_dies_in_a_worker, range(4), jobs=2) == [0, 2, 4, 6]

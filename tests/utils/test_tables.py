@@ -22,6 +22,7 @@ class TestTable:
         # Header and rows share the second-column start offset.
         offsets = {line.rstrip().rfind(text) for line, text in zip(lines, ["x", "-", "1", "2"])}
         assert len(lines) == 4
+        assert len(offsets) == 1
 
     def test_wrong_arity_rejected(self):
         table = Table(["a", "b"])
