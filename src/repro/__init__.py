@@ -33,7 +33,7 @@ the most commonly used entry points are re-exported here:
   :class:`~repro.telemetry.SpanRecorder`, and
   :func:`~repro.telemetry.snapshot` (enable with ``REPRO_TELEMETRY=1``);
 * the experiment harness —
-  :func:`~repro.experiments.run_experiment` (E1-E19).
+  :func:`~repro.experiments.run_experiment` (E1–E21).
 
 Quick tour::
 

@@ -6,13 +6,14 @@ every record is identical to at least ``k - 1`` others, with anonymizers
 that *optimize information content* — the very property Theorem 2.10 turns
 against them.
 
-* :mod:`repro.anonymity.checks` — k-anonymity, l-diversity and t-closeness
-  verification on released data.
+* :mod:`repro.anonymity.checks` — the k-anonymity check and the achieved
+  l (distinct l-diversity) and t (t-closeness) of a release.
+* :mod:`repro.anonymity.agreement` — the suppression-only anonymizer the
+  Theorem 2.10 proof analyzes: groups of ``k`` keep the values they agree on.
 * :mod:`repro.anonymity.mondrian` — the Mondrian multidimensional
   partitioning anonymizer (greedy median cuts).
 * :mod:`repro.anonymity.datafly` — Datafly-style greedy full-domain
   generalization over hierarchies, with outlier suppression.
-* :mod:`repro.anonymity.suppression` — record-suppression baseline.
 * :mod:`repro.anonymity.metrics` — discernibility / average-class-size /
   precision utility metrics ("maximizing some measure of information
   content", as the paper puts it).
@@ -23,12 +24,9 @@ from repro.anonymity.checks import (
     distinct_l_diversity,
     equivalence_classes_on,
     is_k_anonymous,
-    is_l_diverse,
-    is_t_close,
     t_closeness,
 )
 from repro.anonymity.datafly import DataflyAnonymizer
-from repro.anonymity.incognito import IncognitoAnonymizer
 from repro.anonymity.metrics import (
     average_class_size_ratio,
     discernibility_metric,
@@ -36,12 +34,10 @@ from repro.anonymity.metrics import (
     utility_report,
 )
 from repro.anonymity.mondrian import MondrianAnonymizer
-from repro.anonymity.suppression import suppress_small_classes
 
 __all__ = [
     "AgreementAnonymizer",
     "DataflyAnonymizer",
-    "IncognitoAnonymizer",
     "MondrianAnonymizer",
     "average_class_size_ratio",
     "discernibility_metric",
@@ -49,9 +45,6 @@ __all__ = [
     "equivalence_classes_on",
     "generalization_precision",
     "is_k_anonymous",
-    "is_l_diverse",
-    "is_t_close",
-    "suppress_small_classes",
     "t_closeness",
     "utility_report",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.data.dataset import Dataset
 from repro.data.generalized import GeneralizedDataset, GeneralizedRecord
 from repro.data.hierarchy import GeneralizedValue
-from repro.utils.rng import RngSeed
 
 
 class AgreementAnonymizer:
@@ -107,37 +106,3 @@ class AgreementAnonymizer:
 def _sort_key(row: tuple) -> tuple:
     """Type-stable lexicographic key (mixed int/str columns sort per-column)."""
     return tuple((type(value).__name__, value) for value in row)
-
-
-def estimate_agreement_attack_success(
-    distribution,
-    n: int,
-    k: int,
-    trials: int,
-    mode: str = "refine",
-    strategy: str = "sorted",
-    rng: RngSeed = None,
-    jobs: int = 1,
-):
-    """Monte-Carlo estimate of the PSO attack success against this anonymizer.
-
-    The Theorem 2.10 headline quantity: play the PSO game against
-    :class:`AgreementAnonymizer` releases with the
-    :class:`~repro.core.attackers.KAnonymityPSOAttacker` (mode
-    ``"refine"`` reproduces the paper's ``(1 - 1/k')^(k'-1) ~ 37%``,
-    ``"singleton"`` Cohen's ~100% strengthening).  Trials fan out across
-    ``jobs`` workers; for a fixed ``rng`` the returned
-    :class:`~repro.core.pso.PSOGameResult` is bit-identical for every
-    ``jobs`` value.
-    """
-    # Imported lazily: repro.core.theorems imports this module at package
-    # import time, so a top-level import of repro.core here would cycle.
-    from repro.core.attackers import KAnonymityPSOAttacker
-    from repro.core.mechanisms import KAnonymityMechanism
-    from repro.core.pso import PSOGame
-
-    mechanism = KAnonymityMechanism(
-        AgreementAnonymizer(k, strategy=strategy), label="agreement"
-    )
-    game = PSOGame(distribution, n, mechanism, KAnonymityPSOAttacker(mode))
-    return game.run(trials, rng, jobs=jobs)

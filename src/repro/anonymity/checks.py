@@ -4,6 +4,9 @@ These are the *checkers* for k-anonymity and its refinements l-diversity
 [29] and t-closeness [28] (paper, footnote 3).  They operate on
 :class:`~repro.data.generalized.GeneralizedDataset` releases and treat the
 quasi-identifier columns as the linkage surface, per the standard model.
+The refinements are measured rather than tested against a threshold: a
+release is l-diverse when :func:`distinct_l_diversity` is at least ``l``,
+and t-close when :func:`t_closeness` is at most ``t``.
 """
 
 from __future__ import annotations
@@ -71,18 +74,6 @@ def distinct_l_diversity(
     return worst
 
 
-def is_l_diverse(
-    release: GeneralizedDataset,
-    l: int,
-    sensitive: str,
-    quasi_identifiers: list[str] | tuple[str, ...] | None = None,
-) -> bool:
-    """Whether every equivalence class has >= ``l`` distinct sensitive values."""
-    if l <= 0:
-        raise ValueError(f"l must be positive, got {l}")
-    return distinct_l_diversity(release, sensitive, quasi_identifiers) >= l
-
-
 def t_closeness(
     release: GeneralizedDataset,
     sensitive: str,
@@ -115,15 +106,3 @@ def t_closeness(
         )
         worst = max(worst, distance)
     return worst
-
-
-def is_t_close(
-    release: GeneralizedDataset,
-    t: float,
-    sensitive: str,
-    quasi_identifiers: list[str] | tuple[str, ...] | None = None,
-) -> bool:
-    """Whether every class's sensitive distribution is within ``t`` of global."""
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return t_closeness(release, sensitive, quasi_identifiers) <= t

@@ -36,7 +36,7 @@ from repro.core.attackers import (
     KAnonymityPSOAttacker,
     TrivialAttacker,
 )
-from repro.core.isolation import isolates, matching_count
+from repro.core.isolation import isolates
 from repro.core.leftover_hash import (
     RecordHasher,
     hash_bit_predicate,
@@ -105,5 +105,4 @@ __all__ = [
     "hash_bit_predicate",
     "hash_threshold_predicate",
     "isolates",
-    "matching_count",
 ]

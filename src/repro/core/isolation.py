@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.data.dataset import Dataset, Record
 from repro.data.distributions import ProductDistribution
 from repro.utils.negligible import (
@@ -34,20 +32,8 @@ __all__ = [
     "estimate_isolation_rate",
     "isolates",
     "isolation_probability",
-    "matching_count",
-    "matching_indices",
     "optimal_isolation_weight",
 ]
-
-
-def matching_count(predicate: Callable[[Record], bool], dataset: Dataset) -> int:
-    """``sum_i p(x_i)`` — how many records the predicate matches."""
-    return dataset.match_count(predicate)
-
-
-def matching_indices(predicate: Callable[[Record], bool], dataset: Dataset) -> list[int]:
-    """Indices of the matched records (diagnostic; attacks never see these)."""
-    return [int(i) for i in np.flatnonzero(dataset.match_mask(predicate))]
 
 
 def isolates(predicate: Callable[[Record], bool], dataset: Dataset) -> bool:

@@ -290,7 +290,7 @@ def check_cohen_singleton_attack(
 
 def check_ldiversity_fails_pso(
     k: int = 4,
-    l: int = 2,
+    diversity: int = 2,
     n: int = 250,
     width: int = 96,
     secret_values: int = 50,
@@ -337,7 +337,7 @@ def check_ldiversity_fails_pso(
         release = anonymizer.anonymize(data)
         if not (
             is_k_anonymous(release, k)
-            and distinct_l_diversity(release, "secret") >= l
+            and distinct_l_diversity(release, "secret") >= diversity
         ):
             return False, False  # this release is out of the claim's scope
         predicate = adversary.attack(release, context_game.context, adv_rng)
@@ -368,7 +368,7 @@ def check_ldiversity_fails_pso(
         passed=success.lower >= 0.8,
         measurements={
             "k": k,
-            "l": l,
+            "l": diversity,
             "n": n,
             "l_diverse_trials": diverse_trials,
             "success_on_diverse_releases": str(success),

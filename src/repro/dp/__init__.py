@@ -1,46 +1,25 @@
 """Differential privacy substrate.
 
-Implements Definition 1.2 (epsilon-DP) and the mechanisms the paper's
-analysis relies on, plus the two properties Section 1.1 highlights —
-post-processing immunity and composition — as an accountant, and an
-*empirical verifier* so Theorem 1.3 ("the Laplace mechanism is
-epsilon-differentially private") is checked by measurement rather than
-assumed.
+Implements Definition 1.2 (epsilon-DP) with the mechanisms the experiments
+run: the Laplace mechanism of Theorem 1.3, the exponential mechanism (MWEM's
+query selection), and the DP census-table release.  An *empirical verifier*
+checks Theorem 1.3 ("the Laplace mechanism is epsilon-differentially
+private") by measurement rather than assuming it.  Composition accounting
+lives in :mod:`repro.privacy.accounting`, and every noise draw comes from a
+:mod:`repro.privacy.kernels` kernel.
 """
 
-from repro.privacy.accounting import (
-    BudgetExhausted,
-    PrivacyAccountant,
-    PrivacySpend,
-    advanced_composition,
-    basic_composition,
-)
 from repro.dp.exponential import ExponentialMechanism
-from repro.dp.gaussian import GaussianMechanism
-from repro.dp.laplace import GeometricMechanism, LaplaceMechanism, private_count
-from repro.dp.randomized_response import RandomizedResponse
-from repro.dp.sparse_vector import AboveThreshold, SparseVectorOutcome, sparse_count_queries
+from repro.dp.laplace import LaplaceMechanism
 from repro.dp.tabular import dp_block_tables, dp_tabulation
 from repro.dp.verify import DPVerdict, verify_dp, verify_spec
 
 __all__ = [
-    "AboveThreshold",
-    "BudgetExhausted",
     "DPVerdict",
     "ExponentialMechanism",
-    "GaussianMechanism",
-    "GeometricMechanism",
     "LaplaceMechanism",
-    "PrivacyAccountant",
-    "PrivacySpend",
-    "RandomizedResponse",
-    "SparseVectorOutcome",
-    "advanced_composition",
-    "basic_composition",
     "dp_block_tables",
     "dp_tabulation",
-    "private_count",
-    "sparse_count_queries",
     "verify_dp",
     "verify_spec",
 ]

@@ -1,4 +1,4 @@
-"""The Laplace mechanism (paper, Theorem 1.3) and its discrete sibling.
+"""The Laplace mechanism (paper, Theorem 1.3).
 
 ``M_Lap(x) = f(x) + Lap(sensitivity / epsilon)`` is epsilon-DP for any
 statistic ``f`` of global sensitivity ``sensitivity``.  The paper
@@ -8,13 +8,10 @@ sensitivity 1.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.data.dataset import Dataset, Record
 from repro.privacy.accounting import PrivacySpend
-from repro.privacy.kernels import GeometricKernel, LaplaceKernel, MechanismSpec
+from repro.privacy.kernels import LaplaceKernel, MechanismSpec
 from repro.utils.rng import RngSeed, ensure_rng
 
 
@@ -79,55 +76,3 @@ class LaplaceMechanism:
 
     def __repr__(self) -> str:
         return f"LaplaceMechanism(epsilon={self.epsilon}, sensitivity={self.sensitivity})"
-
-
-class GeometricMechanism:
-    """The two-sided geometric ("discrete Laplace") mechanism.
-
-    Integer-valued counterpart of the Laplace mechanism: adds noise with
-    ``P(k) proportional to exp(-epsilon * |k| / sensitivity)`` over the
-    integers.  Epsilon-DP for integer statistics of the given sensitivity,
-    and the natural choice for counts when the output must stay integral.
-    """
-
-    def __init__(self, epsilon: float, sensitivity: int = 1):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if sensitivity <= 0:
-            raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-        self.epsilon = float(epsilon)
-        self.sensitivity = int(sensitivity)
-        self.kernel = GeometricKernel.calibrate(self.epsilon, self.sensitivity)
-
-    def spec(self) -> MechanismSpec:
-        """The mechanism's auditable identity: kernel + per-release spend."""
-        return MechanismSpec(
-            name=f"geometric(eps={self.epsilon})",
-            kernel=self.kernel,
-            spend=PrivacySpend(self.epsilon),
-            sensitivity=float(self.sensitivity),
-            dp=True,
-        )
-
-    def release(self, true_value: int, rng: RngSeed = None) -> int:
-        """One noisy integer release of ``true_value``."""
-        generator = ensure_rng(rng)
-        return int(true_value + int(self.kernel.sample(generator)))
-
-    def __repr__(self) -> str:
-        return f"GeometricMechanism(epsilon={self.epsilon}, sensitivity={self.sensitivity})"
-
-
-def private_count(
-    dataset: Dataset,
-    predicate: Callable[[Record], bool],
-    epsilon: float,
-    rng: RngSeed = None,
-) -> float:
-    """Epsilon-DP count of records satisfying ``predicate``.
-
-    The differentially private version of the paper's counting mechanism
-    ``M#q``; a count has sensitivity 1 under record replacement.
-    """
-    mechanism = LaplaceMechanism(epsilon, sensitivity=1.0)
-    return mechanism.release(dataset.count(predicate), rng)

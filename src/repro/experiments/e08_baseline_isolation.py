@@ -10,7 +10,7 @@ closed-form curve ``n*w*(1-w)^(n-1)``.
 
 from __future__ import annotations
 
-from repro.core.isolation import isolates, isolation_probability
+from repro.core.isolation import estimate_isolation_rate, isolates, isolation_probability
 from repro.core.leftover_hash import hash_threshold_predicate
 from repro.core.predicate import attribute_predicate
 from repro.data.distributions import AttributeDistribution, ProductDistribution
@@ -43,15 +43,9 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     # (a) The literal birthday example: the fixed predicate "born Apr-30"
     # (day-of-year 120), exactly as in the paper.
     fixed_predicate = attribute_predicate("birthday", 120)
-
-    def fixed_trial(rng) -> int:
-        data = distribution.sample(n, rng)
-        return int(isolates(fixed_predicate, data))
-
-    successes = sum(
-        parallel_map(fixed_trial, spawn_rngs(derive_rng(seed, "e8-fixed"), trials), jobs=jobs)
+    fixed_estimate = estimate_isolation_rate(
+        fixed_predicate, distribution, n, trials, rng=derive_rng(seed, "e8-fixed"), jobs=jobs
     )
-    fixed_estimate = estimate_proportion(successes, trials)
 
     table = Table(
         ["predicate", "weight w", "measured isolation", "theory n*w*(1-w)^(n-1)"],

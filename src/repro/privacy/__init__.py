@@ -38,7 +38,6 @@ from repro.privacy.kernels import (
     LaplaceKernel,
     MechanismSpec,
     NoiseKernel,
-    RandomizedResponseKernel,
     ZeroKernel,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "NoiseKernel",
     "PrivacyAccountant",
     "PrivacySpend",
-    "RandomizedResponseKernel",
     "ServiceAccountant",
     "ZeroKernel",
     "advanced_composition",

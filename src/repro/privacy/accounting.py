@@ -8,7 +8,7 @@ where that property lives — once.  It provides:
 * :func:`basic_composition` / :func:`advanced_composition` — the Theorem
   2.8/2.9 bounds;
 * :class:`BudgetExhausted` — the refusal raised by *every* budget in the
-  repo (mechanism-level, analyst-level, service-level);
+  repo (a single ledger's, an analyst's, the service's);
 * :class:`PrivacyAccountant` — a thread-safe single ledger with
   all-or-nothing :meth:`~PrivacyAccountant.reserve` /
   :meth:`~PrivacyAccountant.rollback` semantics and an optional query-count
@@ -16,15 +16,13 @@ where that property lives — once.  It provides:
 * :class:`ServiceAccountant` and its :class:`BasicAccountant` /
   :class:`AdvancedAccountant` rules — the multi-analyst extension that
   keeps one :class:`PrivacyAccountant` sub-ledger per analyst and adds a
-  global cap across analysts.
+  global cap across analysts.  Its ``max_queries_per_analyst`` is the one
+  query cap in the repo: Theorem 1.1's "limit the number of queries"
+  defense.
 
-Before this layer existed, ``repro.dp.composition`` and
-``repro.service.accountant`` each carried their own copy of the ledger
-machinery and ``repro.queries.mechanism.BudgetedAnswerer`` kept a private
-counter; Cohen–Nissim's *Linear Program Reconstruction in Practice* shows
-that exactly this kind of drift between accounting layers is where
-production privacy bugs live.  The old module paths have been removed;
-this module is the single home.
+Cohen–Nissim's *Linear Program Reconstruction in Practice* shows that
+drift between accounting layers is where production privacy bugs live, so
+every budget and query cap in the repo is charged through this module.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ class PrivacyAccountant:
     checks stay O(#distinct epsilon) however many queries are charged; an
     ordered :attr:`spends` trail is additionally recorded unless
     ``record_entries=False`` (the high-volume configuration used for
-    per-analyst sub-ledgers and :class:`BudgetedAnswerer`).
+    per-analyst sub-ledgers).
 
     Composition rule: :meth:`composed_epsilon` (basic composition here) is
     the single hook subclasses override; a bound ``composition=`` callable
@@ -157,8 +155,9 @@ class PrivacyAccountant:
     * :meth:`spend` — the classic single-charge API (kept from the original
       ``repro.dp.composition`` accountant);
     * :meth:`reserve` / :meth:`rollback` — the all-or-nothing batch API the
-      query layers use: a refused reservation records nothing, and a
-      reservation whose work later fails can be rolled back.
+      synthesizers and the per-analyst service ledgers use: a refused
+      reservation records nothing, and a reservation whose work later fails
+      can be rolled back.
     """
 
     def __init__(

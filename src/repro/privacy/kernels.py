@@ -1,9 +1,9 @@
 """Noise kernels: the single home of every noise-sampling code path.
 
 A :class:`NoiseKernel` is a pure sampling object — it owns the calibration
-(scale, sigma, flip probability, ...) but *not* the random stream: every
-draw comes from a caller-supplied :class:`numpy.random.Generator`.  That
-split is what makes the layering auditable:
+(scale, sigma, success probability, bound) but *not* the random stream:
+every draw comes from a caller-supplied :class:`numpy.random.Generator`.
+That split is what makes the layering auditable:
 
 * the **kernel** is the only place the noise distribution is implemented,
 * the **answerer / mechanism** owns the RNG stream and the true statistic,
@@ -11,6 +11,12 @@ split is what makes the layering auditable:
   recorded next to the kernel in a :class:`MechanismSpec`,
 * the **verifier** (:func:`repro.dp.verify.verify_spec`) empirically tests
   the very same spec object the accountant charged.
+
+Each kernel has a caller outside the tests: Laplace (the Theorem 1.3
+mechanism, the Laplace answerer, the synthesizers), Gaussian (the Gaussian
+answerer and DP-SGD), geometric (the hierarchical synthesizer), the two
+bounded-noise shapes (the bounded-noise answerer) and zero (the noiseless
+answerers).
 
 Bit-identity contract
 ---------------------
@@ -38,7 +44,6 @@ __all__ = [
     "LaplaceKernel",
     "MechanismSpec",
     "NoiseKernel",
-    "RandomizedResponseKernel",
     "ZeroKernel",
 ]
 
@@ -254,44 +259,6 @@ class BoundedExtremesKernel(NoiseKernel):
 
     def __repr__(self) -> str:
         return f"BoundedExtremesKernel(alpha={self.alpha!r})"
-
-
-class RandomizedResponseKernel(NoiseKernel):
-    """Warner randomized response as a flip-indicator kernel.
-
-    Samples are ``1.0`` when the respondent must *flip* their bit and
-    ``0.0`` when they answer truthfully; the truthful probability is
-    ``p = e^eps / (1 + e^eps)``.  A released bit is
-    ``bit XOR flip`` — :class:`repro.dp.randomized_response.RandomizedResponse`
-    applies the indicator, this kernel owns the coin.
-    """
-
-    name = "randomized-response"
-
-    def __init__(self, truth_probability: float) -> None:
-        if not 0.5 <= truth_probability <= 1:
-            raise ValueError(
-                f"truth_probability must lie in [0.5, 1], got {truth_probability}"
-            )
-        self.truth_probability = float(truth_probability)
-
-    @classmethod
-    def calibrate(cls, epsilon: float) -> "RandomizedResponseKernel":
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        exp_eps = np.exp(epsilon)
-        return cls(exp_eps / (1.0 + exp_eps))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return 0.0 if rng.random() < self.truth_probability else 1.0
-
-    def sample_n(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        # The flip mask is the exact complement of the keep mask
-        # (u >= p  <=>  not (u < p)), drawn from the same uniforms.
-        return (rng.random(size) >= self.truth_probability).astype(np.float64)
-
-    def __repr__(self) -> str:
-        return f"RandomizedResponseKernel(truth_probability={self.truth_probability!r})"
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ reconstruction attacks in :mod:`repro.reconstruction` consume these.
 
 from repro.queries.mechanism import (
     BoundedNoiseAnswerer,
-    BudgetedAnswerer,
-    QueryBudgetExceeded,
     ExactAnswerer,
     GaussianAnswerer,
     LaplaceAnswerer,
@@ -25,8 +23,6 @@ from repro.queries.workload import Workload, all_subset_queries, random_subset_q
 
 __all__ = [
     "BoundedNoiseAnswerer",
-    "BudgetedAnswerer",
-    "QueryBudgetExceeded",
     "ExactAnswerer",
     "GaussianAnswerer",
     "LaplaceAnswerer",

@@ -35,7 +35,10 @@ bit-identical to the per-query loop for any seed and any batch split —
 determinism is never the price of speed.
 
 All answerers count how many queries they served; the attacks report that
-number, since "too many questions" is half of the Fundamental Law.
+number, since "too many questions" is half of the Fundamental Law.  The
+matching defense, a cap on the questions one analyst may ask, is the
+service accountant's ``max_queries_per_analyst``
+(:class:`~repro.privacy.accounting.ServiceAccountant`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.privacy.accounting import BudgetExhausted, PrivacyAccountant, PrivacySpend
+from repro.privacy.accounting import PrivacySpend
 from repro.privacy.kernels import (
     BoundedExtremesKernel,
     BoundedUniformKernel,
@@ -383,112 +386,3 @@ class GaussianAnswerer(QueryAnswerer):
     def _noisy_workload(self, workload: Workload) -> np.ndarray:
         true = workload.true_answers(self._data, validate=False).astype(np.float64)
         return true + self._kernel.sample_n(self._rng, len(workload))
-
-
-class QueryBudgetExceeded(BudgetExhausted):
-    """Raised when a budgeted answerer refuses further queries.
-
-    A :class:`~repro.privacy.accounting.BudgetExhausted` (and therefore a
-    ``RuntimeError``, as before the accounting layers were unified): the
-    mechanism-level query budget is the same kind of refusal the service
-    accountant issues, carrying the same ``scope``/``requested``/``budget``/
-    ``spent`` attributes.
-    """
-
-
-class BudgetedAnswerer(QueryAnswerer):
-    """Wraps an answerer with a hard query budget — Theorem 1.1's other escape.
-
-    The Fundamental Law offers two defenses: add noise, or "limit the number
-    of queries asked".  This wrapper implements the latter as infrastructure:
-    after ``max_queries`` answers it raises :class:`QueryBudgetExceeded`,
-    cutting the LP attack off below the m = Omega(n) it needs.  A batched
-    workload is all-or-nothing: if it does not fit in the remaining budget
-    it is refused outright, with no queries consumed.
-
-    The budget is a real :class:`~repro.privacy.accounting.PrivacyAccountant`
-    ledger — the same all-or-nothing reserve/rollback the service accountant
-    uses, charging the inner answerer's ``spec.spend`` per query — so
-    concurrent ``answer`` / ``answer_workload`` callers can never jointly
-    overshoot ``max_queries``, and :attr:`epsilon_spent` falls out of the
-    ledger instead of a private counter.
-    """
-
-    def __init__(self, inner: QueryAnswerer, max_queries: int):
-        if max_queries <= 0:
-            raise ValueError("max_queries must be positive")
-        # Share the inner answerer's data reference without re-validating.
-        self._data = inner._data
-        self.inner = inner
-        self.max_queries = int(max_queries)
-        self._epsilon_per_query = inner.spec.epsilon_per_query
-        self._ledger = PrivacyAccountant(
-            max_queries=self.max_queries, record_entries=False
-        )
-
-    @property
-    def spec(self) -> MechanismSpec:
-        """The wrapped mechanism's spec (budgeting adds no noise)."""
-        return self.inner.spec
-
-    @property
-    def error_bound(self) -> float:
-        return self.inner.error_bound
-
-    @property
-    def queries_answered(self) -> int:
-        """Queries charged against the budget so far."""
-        return self._ledger.queries_charged
-
-    @property
-    def epsilon_spent(self) -> float:
-        """Composed epsilon charged through the ledger (basic composition)."""
-        return self._ledger.total()[0]
-
-    @property
-    def remaining(self) -> int:
-        """Queries left in the budget."""
-        return self.max_queries - self._ledger.queries_charged
-
-    def _reserve(self, count: int) -> None:
-        """Atomically claim ``count`` queries or refuse without consuming any."""
-        try:
-            self._ledger.reserve(count, self._epsilon_per_query)
-        except BudgetExhausted as refusal:
-            if count == 1:
-                message = f"query budget of {self.max_queries} exhausted"
-            else:
-                message = (
-                    f"workload of {count} queries exceeds the remaining "
-                    f"budget of {self.remaining} (max {self.max_queries})"
-                )
-            raise QueryBudgetExceeded(
-                message,
-                scope=refusal.scope,
-                requested=refusal.requested,
-                budget=refusal.budget,
-                spent=refusal.spent,
-            ) from None
-
-    def _release(self, count: int) -> None:
-        self._ledger.rollback(count, self._epsilon_per_query)
-
-    def answer(self, query: SubsetQuery) -> float:
-        self._reserve(1)
-        try:
-            return self.inner.answer(query)
-        except Exception:
-            self._release(1)
-            raise
-
-    def answer_workload(self, workload: Workload | Sequence[SubsetQuery]) -> np.ndarray:
-        workload = Workload.coerce(workload)
-        self._reserve(len(workload))
-        try:
-            return self.inner.answer_workload(workload)
-        except Exception:
-            self._release(len(workload))
-            raise
-
-    def _noisy(self, query: SubsetQuery) -> float:  # pragma: no cover - unused
-        return self.inner._noisy(query)

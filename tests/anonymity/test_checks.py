@@ -6,8 +6,6 @@ from repro.anonymity.checks import (
     distinct_l_diversity,
     equivalence_classes_on,
     is_k_anonymous,
-    is_l_diverse,
-    is_t_close,
     t_closeness,
 )
 from repro.data.domain import CategoricalDomain, IntegerDomain
@@ -90,8 +88,6 @@ class TestLDiversity:
     def test_distinct_l(self, two_classes):
         # class A has one disease value, class B two.
         assert distinct_l_diversity(two_classes, "disease") == 1
-        assert is_l_diverse(two_classes, 1, "disease")
-        assert not is_l_diverse(two_classes, 2, "disease")
 
     def test_unknown_sensitive(self, two_classes):
         with pytest.raises(KeyError):
@@ -101,18 +97,12 @@ class TestLDiversity:
         with pytest.raises(ValueError):
             distinct_l_diversity(GeneralizedDataset(schema, []), "disease")
 
-    def test_invalid_l(self, two_classes):
-        with pytest.raises(ValueError):
-            is_l_diverse(two_classes, 0, "disease")
-
 
 class TestTCloseness:
     def test_skewed_class_far_from_global(self, two_classes):
         # Global: covid 1/2, cf 1/4, asthma 1/4.  Class A is all-covid:
         # TV distance = |1 - 0.5|/... = 0.5.
         assert t_closeness(two_classes, "disease") == pytest.approx(0.5)
-        assert is_t_close(two_classes, 0.5, "disease")
-        assert not is_t_close(two_classes, 0.4, "disease")
 
     def test_single_class_is_zero(self, schema):
         release = _release(
@@ -120,10 +110,6 @@ class TestTCloseness:
             [(["12345"], [30], "covid"), (["12345"], [30], "cf")],
         )
         assert t_closeness(release, "disease") == pytest.approx(0.0)
-
-    def test_invalid_t(self, two_classes):
-        with pytest.raises(ValueError):
-            is_t_close(two_classes, 1.5, "disease")
 
     def test_unknown_sensitive(self, two_classes):
         with pytest.raises(KeyError):

@@ -1,8 +1,10 @@
-"""Tests for the suppression baseline and the utility metrics."""
+"""Tests for the utility metrics, including their penalty for suppressed records."""
 
 import pytest
 
 from repro.anonymity.agreement import AgreementAnonymizer
+from repro.anonymity.checks import equivalence_classes_on
+from repro.anonymity.datafly import DataflyAnonymizer
 from repro.anonymity.metrics import (
     average_class_size_ratio,
     discernibility_metric,
@@ -10,7 +12,6 @@ from repro.anonymity.metrics import (
     utility_report,
 )
 from repro.anonymity.mondrian import MondrianAnonymizer
-from repro.anonymity.suppression import suppress_small_classes
 from repro.data.dataset import Dataset
 from repro.data.distributions import uniform_bits_distribution
 from repro.data.domain import IntegerDomain
@@ -25,35 +26,6 @@ def release_input():
     return gic_release(population)
 
 
-class TestSuppressionBaseline:
-    def test_survivors_have_multiplicity_k(self):
-        schema = Schema(
-            [Attribute("x", IntegerDomain(0, 3), AttributeKind.QUASI_IDENTIFIER)]
-        )
-        data = Dataset(schema, [(0,), (0,), (0,), (1,), (2,), (2,)])
-        release = suppress_small_classes(data, k=2)
-        assert len(release) == 5  # the lone (1,) was suppressed
-        assert release.suppressed_count == 1
-
-    def test_sparse_data_mostly_suppressed(self, release_input):
-        release = suppress_small_classes(release_input, k=2)
-        assert release.suppressed_count > 0.9 * len(release_input)
-
-    def test_survivors_are_raw(self):
-        schema = Schema(
-            [Attribute("x", IntegerDomain(0, 3), AttributeKind.QUASI_IDENTIFIER)]
-        )
-        data = Dataset(schema, [(0,), (0,)])
-        release = suppress_small_classes(data, k=2)
-        assert all(value.is_singleton for record in release for value in record.values)
-
-    def test_invalid_parameters(self, release_input):
-        with pytest.raises(ValueError):
-            suppress_small_classes(release_input, k=0)
-        with pytest.raises(KeyError):
-            suppress_small_classes(release_input, k=2, quasi_identifiers=["height"])
-
-
 class TestMetrics:
     def test_discernibility_sums_squares(self):
         data = uniform_bits_distribution(8).sample(40, rng=0)
@@ -62,9 +34,11 @@ class TestMetrics:
         assert discernibility_metric(release) == sum(size**2 for size in classes)
 
     def test_discernibility_penalizes_suppression(self, release_input):
-        release = suppress_small_classes(release_input, k=2)
-        metric = discernibility_metric(release)
-        assert metric >= release.suppressed_count * len(release_input)
+        release = DataflyAnonymizer(k=10, max_suppression=0.05).anonymize(release_input)
+        assert release.suppressed_count > 0
+        penalty = release.suppressed_count * len(release_input)
+        classes = equivalence_classes_on(release).values()
+        assert discernibility_metric(release) == sum(len(rows) ** 2 for rows in classes) + penalty
 
     def test_average_class_size_ratio(self):
         data = uniform_bits_distribution(8).sample(40, rng=1)
@@ -82,7 +56,8 @@ class TestMetrics:
             [Attribute("x", IntegerDomain(0, 3), AttributeKind.QUASI_IDENTIFIER)]
         )
         data = Dataset(schema, [(0,), (0,)])
-        release = suppress_small_classes(data, k=2)
+        # The two records agree, so the agreement anonymizer releases them raw.
+        release = AgreementAnonymizer(2).anonymize(data)
         assert generalization_precision(release) == 0.0
 
     def test_more_generalization_higher_precision_score(self, release_input):

@@ -1,8 +1,9 @@
 """Tests for isolation (Definition 2.1)."""
 
+import numpy as np
 import pytest
 
-from repro.core.isolation import isolates, matching_count, matching_indices
+from repro.core.isolation import isolates
 from repro.core.predicate import attribute_predicate
 from repro.data.dataset import Dataset
 from repro.data.domain import IntegerDomain
@@ -28,12 +29,13 @@ class TestIsolation:
     def test_absent_value_not_isolated(self, dataset):
         assert not isolates(attribute_predicate("v", 9), dataset)
 
-    def test_matching_count(self, dataset):
-        assert matching_count(attribute_predicate("v", 2), dataset) == 2
-        assert matching_count(attribute_predicate("v", {1, 2}), dataset) == 3
+    def test_match_count(self, dataset):
+        assert dataset.match_count(attribute_predicate("v", 2)) == 2
+        assert dataset.match_count(attribute_predicate("v", {1, 2})) == 3
 
-    def test_matching_indices(self, dataset):
-        assert matching_indices(attribute_predicate("v", 2), dataset) == [1, 2]
+    def test_match_mask(self, dataset):
+        mask = dataset.match_mask(attribute_predicate("v", 2))
+        assert np.flatnonzero(mask).tolist() == [1, 2]
 
     def test_tautology_not_isolating(self, dataset):
         assert not isolates(attribute_predicate("v", set(range(10))), dataset)

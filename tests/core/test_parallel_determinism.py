@@ -3,13 +3,11 @@
 Every Monte-Carlo estimator that takes ``jobs`` must produce exactly the
 same numbers for a fixed seed no matter how the trials are scheduled:
 inline or across a pool of forked workers.  These tests pin that down on
-the three wired layers — the PSO game, the isolation estimator, and the
-agreement-attack estimator.
+the two wired layers — the PSO game and the isolation estimator.
 """
 
 import pytest
 
-from repro.anonymity.agreement import estimate_agreement_attack_success
 from repro.core.attackers import TrivialAttacker
 from repro.core.isolation import estimate_isolation_rate
 from repro.core.leftover_hash import hash_threshold_predicate
@@ -64,12 +62,3 @@ class TestEstimatorDeterminism:
             for jobs in (1, 2, 4)
         ]
         assert runs[0] == runs[1] == runs[2]
-
-    def test_agreement_attack_across_jobs_and_backends(self, distribution):
-        results = [
-            estimate_agreement_attack_success(
-                distribution, n=40, k=2, trials=10, rng=3, jobs=jobs
-            )
-            for jobs in (1, 4, 3)
-        ]
-        assert results[0].trials == results[1].trials == results[2].trials

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.isolation import isolation_probability, isolates, matching_count
+from repro.core.isolation import isolation_probability, isolates
 from repro.core.leftover_hash import hash_threshold_predicate
 from repro.core.predicate import attribute_predicate, predicate_from_conditions
 from repro.data.distributions import uniform_bits_distribution
@@ -72,7 +72,7 @@ class TestIsolationLaws:
     def test_isolation_iff_count_one(self, seed, n):
         data = DIST.sample(n, rng=seed)
         predicate = hash_threshold_predicate(f"prop-{seed}", 0.1)
-        assert isolates(predicate, data) == (matching_count(predicate, data) == 1)
+        assert isolates(predicate, data) == (data.count(predicate) == 1)
 
     @given(n=st.integers(2, 5_000), w_scale=st.floats(0.05, 5.0))
     @settings(max_examples=60, deadline=None)

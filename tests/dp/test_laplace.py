@@ -1,10 +1,9 @@
-"""Tests for the Laplace and geometric mechanisms."""
+"""Tests for the Laplace mechanism."""
 
 import numpy as np
 import pytest
 
-from repro.data.distributions import bernoulli_distribution
-from repro.dp.laplace import GeometricMechanism, LaplaceMechanism, private_count
+from repro.dp.laplace import LaplaceMechanism
 
 
 class TestLaplaceMechanism:
@@ -48,39 +47,3 @@ class TestLaplaceMechanism:
     def test_release_many_validation(self):
         with pytest.raises(ValueError):
             LaplaceMechanism(1.0).release_many(0.0, 0)
-
-
-class TestGeometricMechanism:
-    def test_integer_output(self):
-        mechanism = GeometricMechanism(1.0)
-        assert isinstance(mechanism.release(10, rng=0), int)
-
-    def test_centered(self):
-        mechanism = GeometricMechanism(1.0)
-        rng = np.random.default_rng(1)
-        releases = [mechanism.release(50, rng) for _ in range(5_000)]
-        assert np.mean(releases) == pytest.approx(50.0, abs=0.2)
-
-    def test_smaller_epsilon_more_noise(self):
-        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
-        tight = [GeometricMechanism(2.0).release(0, rng_a) for _ in range(2_000)]
-        loose = [GeometricMechanism(0.2).release(0, rng_b) for _ in range(2_000)]
-        assert np.std(loose) > np.std(tight)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            GeometricMechanism(0.0)
-        with pytest.raises(ValueError):
-            GeometricMechanism(1.0, sensitivity=0)
-
-
-class TestPrivateCount:
-    def test_close_to_true_count(self):
-        data = bernoulli_distribution(0.5).sample(500, rng=0)
-        truth = data.count(lambda r: r["bit"] == 1)
-        rng = np.random.default_rng(1)
-        estimates = [
-            private_count(data, lambda r: r["bit"] == 1, epsilon=1.0, rng=rng)
-            for _ in range(300)
-        ]
-        assert np.mean(estimates) == pytest.approx(truth, abs=0.5)

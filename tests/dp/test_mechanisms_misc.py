@@ -1,4 +1,4 @@
-"""Tests for Gaussian, randomized-response, and exponential mechanisms."""
+"""Tests for the Gaussian and exponential mechanisms."""
 
 import numpy as np
 import pytest
@@ -6,83 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dp.exponential import ExponentialMechanism
-from repro.dp.gaussian import GaussianMechanism
-from repro.dp.randomized_response import RandomizedResponse
+from repro.privacy.kernels import GaussianKernel
 
 
 class TestGaussianMechanism:
+    """The Gaussian mechanism's noise is ``GaussianKernel.calibrate``."""
+
     def test_sigma_formula(self):
-        mechanism = GaussianMechanism(1.0, 1e-5, sensitivity=1.0)
-        expected = np.sqrt(2 * np.log(1.25 / 1e-5))
-        assert mechanism.sigma == pytest.approx(expected)
+        for epsilon, delta, sensitivity in [(1.0, 1e-5, 1.0), (0.5, 1e-5, 2.0)]:
+            kernel = GaussianKernel.calibrate(epsilon, delta, sensitivity=sensitivity)
+            expected = sensitivity * np.sqrt(2 * np.log(1.25 / delta)) / epsilon
+            assert kernel.sigma == pytest.approx(expected)
 
     def test_smaller_delta_more_noise(self):
-        loose = GaussianMechanism(1.0, 1e-3)
-        tight = GaussianMechanism(1.0, 1e-9)
+        loose = GaussianKernel.calibrate(1.0, 1e-3)
+        tight = GaussianKernel.calibrate(1.0, 1e-9)
         assert tight.sigma > loose.sigma
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            GaussianMechanism(2.0, 1e-5)  # classical calibration needs eps <= 1
+            GaussianKernel.calibrate(2.0, 1e-5)  # classical calibration needs eps <= 1
         with pytest.raises(ValueError):
-            GaussianMechanism(0.5, 0.0)
+            GaussianKernel.calibrate(0.5, 0.0)
         with pytest.raises(ValueError):
-            GaussianMechanism(0.5, 1e-5, sensitivity=0.0)
-
-    def test_release_centered(self):
-        mechanism = GaussianMechanism(1.0, 1e-5)
-        releases = mechanism.release_many(42.0, 20_000, rng=0)
-        assert np.mean(releases) == pytest.approx(42.0, abs=0.2)
-        assert np.std(releases) == pytest.approx(mechanism.sigma, rel=0.05)
-
-    def test_release_many_validation(self):
-        with pytest.raises(ValueError):
-            GaussianMechanism(1.0, 1e-5).release_many(0.0, 0)
-
-
-class TestRandomizedResponse:
-    def test_truth_probability(self):
-        rr = RandomizedResponse(np.log(3))
-        assert rr.truth_probability == pytest.approx(0.75)
-
-    def test_release_is_binary(self):
-        rr = RandomizedResponse(1.0)
-        out = rr.release(np.array([0, 1, 1, 0]), rng=0)
-        assert set(np.unique(out)) <= {0, 1}
-
-    def test_flip_rate_matches(self):
-        rr = RandomizedResponse(1.0)
-        bits = np.ones(20_000, dtype=int)
-        out = rr.release(bits, rng=1)
-        kept = out.mean()
-        assert kept == pytest.approx(rr.truth_probability, abs=0.01)
-
-    def test_estimator_unbiased(self):
-        rr = RandomizedResponse(1.0)
-        bits = np.array([1] * 300 + [0] * 700)
-        rng = np.random.default_rng(2)
-        estimates = [rr.estimate_count(rr.release(bits, rng)) for _ in range(400)]
-        assert np.mean(estimates) == pytest.approx(300, abs=10)
-
-    def test_estimator_standard_error_decreases_with_epsilon(self):
-        assert RandomizedResponse(2.0).estimator_standard_error(1000) < RandomizedResponse(
-            0.5
-        ).estimator_standard_error(1000)
-
-    def test_non_binary_rejected(self):
-        rr = RandomizedResponse(1.0)
-        with pytest.raises(ValueError):
-            rr.release(np.array([0, 2]))
-        with pytest.raises(ValueError):
-            rr.estimate_count(np.array([0, 2]))
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            RandomizedResponse(0.0)
-
-    def test_empty_responses_rejected(self):
-        with pytest.raises(ValueError):
-            RandomizedResponse(1.0).estimate_count(np.array([], dtype=int))
+            GaussianKernel.calibrate(0.5, 1e-5, sensitivity=0.0)
 
 
 class TestExponentialMechanism:

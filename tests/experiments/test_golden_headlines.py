@@ -6,6 +6,8 @@ quick-mode seed-0 headlines below were recorded pre-refactor and must stay
 bit-identical (hex-float comparison, no tolerance).  E18's full-scale
 headline and E19 (synthetic-data release) are pinned the same way, so any
 drift in the audit or synthesis stacks is a deliberate, reviewed change.
+E8's birthday row runs through the shared isolation estimator, so its quick
+headline and every table row are pinned too.
 """
 
 import pytest
@@ -19,6 +21,22 @@ def test_e11_quick_headline_bit_identical():
     headline = run_experiment("E11", seed=0, quick=True).headline
     assert float(headline["attack_success_exact_counts"]).hex() == "0x1.47ae147ae147bp-1"
     assert float(headline["attack_success_dp_eps2"]).hex() == "0x0.0p+0"
+
+
+def test_e8_quick_headline_and_rows_bit_identical():
+    result = run_experiment("E8", seed=0, quick=True)
+    assert float(result.headline["measured_isolation_at_w_1_over_n"]).hex() == (
+        "0x1.7851eb851eb85p-2"
+    )
+    (table,) = result.tables
+    assert [(row[0], row[2], float(row[3]).hex()) for row in table.rows] == [
+        ("birthday = Apr-30", "0.3675 [0.3217, 0.4158] (147/400)", "0x1.793dd97f62b6bp-2"),
+        ("hash cut, w = 0.1/n", "0.0350 [0.0210, 0.0579] (14/400)", "0x1.0ba1f4b1ee243p-5"),
+        ("hash cut, w = 0.5/n", "0.1300 [0.1005, 0.1665] (52/400)", "0x1.1b71758e21965p-3"),
+        ("hash cut, w = 1.0/n", "0.2150 [0.1776, 0.2579] (86/400)", "0x1.a9c779a6b50b1p-3"),
+        ("hash cut, w = 2.0/n", "0.1800 [0.1455, 0.2206] (72/400)", "0x1.a9930be0ded29p-3"),
+        ("hash cut, w = 5.0/n", "0.0650 [0.0447, 0.0935] (26/400)", "0x1.35f1bef49cf57p-4"),
+    ]
 
 
 def test_e19_quick_headline_bit_identical():

@@ -12,7 +12,6 @@ import pytest
 
 from repro.queries.mechanism import (
     BoundedNoiseAnswerer,
-    BudgetedAnswerer,
     ExactAnswerer,
     GaussianAnswerer,
     LaplaceAnswerer,
@@ -67,12 +66,6 @@ GOLDEN = {
         "0x1.61ca07097ba00p+3", "0x1.384aa5b0abaf6p+3", "0x1.b29dfb8887170p+2",
         "0x1.18f560c6da412p+4", "0x1.3e08731777973p+4", "0x1.b17b7927105c8p+3",
     ],
-    "budgeted-laplace": [
-        "0x1.ea7e5dba4e872p+3", "0x1.975b3ae9f5448p+1", "0x1.31560fa1e9dc4p+3",
-        "0x1.fb467180432d2p+2", "0x1.5d278ccaeebb7p+3", "0x1.9b1a49e842950p+2",
-        "0x1.5076f674e0e87p+3", "0x1.0bc1a9e76d40fp+3", "0x1.0b62fe28f2683p+3",
-        "0x1.13921277ac105p+3", "0x1.472789a0cceb4p+3", "0x1.5f677402d21aep+3",
-    ],
 }
 
 FACTORIES = {
@@ -92,10 +85,6 @@ FACTORIES = {
     ),
     "gaussian": lambda data: GaussianAnswerer(
         data, epsilon_per_query=0.9, delta_per_query=1e-5, rng=derive_rng(7, "g")
-    ),
-    "budgeted-laplace": lambda data: BudgetedAnswerer(
-        LaplaceAnswerer(data, epsilon_per_query=0.5, rng=derive_rng(7, "bl")),
-        max_queries=1000,
     ),
 }
 

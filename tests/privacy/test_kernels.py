@@ -13,7 +13,6 @@ from repro.privacy.kernels import (
     GeometricKernel,
     LaplaceKernel,
     MechanismSpec,
-    RandomizedResponseKernel,
     ZeroKernel,
 )
 
@@ -82,8 +81,17 @@ class TestGaussianKernel:
 
 class TestGeometricKernel:
     def test_calibration(self):
-        kernel = GeometricKernel.calibrate(1.0)
-        assert kernel.p == pytest.approx(1.0 - np.exp(-1.0))
+        for epsilon, sensitivity in [(1.0, 1.0), (0.2, 1.0), (2.0, 1.0), (1.0, 2.0)]:
+            kernel = GeometricKernel.calibrate(epsilon, sensitivity)
+            assert kernel.p == pytest.approx(1.0 - np.exp(-epsilon / sensitivity))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            GeometricKernel.calibrate(0.0)
+        with pytest.raises(ValueError, match="sensitivity must be positive"):
+            GeometricKernel.calibrate(1.0, sensitivity=0)
+        with pytest.raises(ValueError, match="p must lie in"):
+            GeometricKernel(1.0)
 
     def test_scalar_matches_interleaved_pair(self):
         # The scalar path draws (positive, negative); the vectorized path
@@ -131,30 +139,6 @@ class TestBoundedKernels:
             BoundedExtremesKernel(-0.5)
 
 
-class TestRandomizedResponseKernel:
-    def test_calibration(self):
-        kernel = RandomizedResponseKernel.calibrate(np.log(3.0))
-        assert kernel.truth_probability == pytest.approx(0.75)
-
-    def test_huge_epsilon_allowed(self):
-        # exp(eps)/(1+exp(eps)) rounds to exactly 1.0 for large epsilon.
-        assert RandomizedResponseKernel.calibrate(50.0).truth_probability == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="truth_probability"):
-            RandomizedResponseKernel(0.4)
-        with pytest.raises(ValueError, match="truth_probability"):
-            RandomizedResponseKernel(1.1)
-
-    def test_flip_mask_complements_keep_mask(self):
-        # flips (u >= p) must be the exact complement of keeps (u < p) on
-        # the same uniform stream.
-        kernel = RandomizedResponseKernel(0.75)
-        flips = kernel.sample_n(np.random.default_rng(4), 200)
-        keeps = np.random.default_rng(4).random(200) < 0.75
-        assert np.array_equal(flips.astype(bool), ~keeps)
-
-
 class TestMechanismSpec:
     def test_defaults(self):
         spec = MechanismSpec(name="exact", kernel=ZeroKernel())
@@ -185,6 +169,26 @@ class TestMechanismSpec:
         spec = MechanismSpec(name="exact", kernel=ZeroKernel())
         with pytest.raises(AttributeError):
             spec.name = "other"
+
+
+def _geometric_spread(epsilon: float) -> float:
+    """Standard deviation of a difference of two geometric(1 - e^-eps) draws."""
+    return float(np.sqrt(2.0 * np.exp(-epsilon)) / (1.0 - np.exp(-epsilon)))
+
+
+@pytest.mark.parametrize(
+    "kernel, spread",
+    [
+        (GaussianKernel.calibrate(1.0, 1e-5), np.sqrt(2 * np.log(1.25 / 1e-5))),
+        (GeometricKernel.calibrate(0.2), _geometric_spread(0.2)),
+        (GeometricKernel.calibrate(2.0), _geometric_spread(2.0)),
+    ],
+    ids=["gaussian", "geometric-eps0.2", "geometric-eps2"],
+)
+def test_draws_are_centred_with_the_calibrated_spread(kernel, spread):
+    draws = kernel.sample_n(np.random.default_rng(0), 20_000)
+    assert np.mean(draws) == pytest.approx(0.0, abs=0.05 * spread)
+    assert np.std(draws) == pytest.approx(spread, rel=0.05)
 
 
 @settings(max_examples=40, deadline=None)

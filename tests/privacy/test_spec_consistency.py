@@ -11,7 +11,6 @@ import pytest
 from repro.dp.laplace import LaplaceMechanism
 from repro.dp.verify import verify_spec
 from repro.privacy.kernels import MechanismSpec
-from repro.queries.mechanism import BudgetedAnswerer, LaplaceAnswerer
 from repro.queries.query import SubsetQuery
 from repro.service import BasicAccountant, QueryServer
 from repro.utils.rng import derive_rng
@@ -70,16 +69,6 @@ class TestServerChargesTheSpec:
         session.ask(_query(16, [1, 2]))
         # Fallback still reads the declared epsilon_per_query attribute.
         assert server.accountant.analyst_epsilon("carol") == pytest.approx(0.9)
-
-
-class TestBudgetedAnswererSharesTheSpec:
-    def test_wrapper_exposes_inner_spec(self):
-        data = derive_rng(0, "spec-data").integers(0, 2, size=16)
-        inner = LaplaceAnswerer(data, epsilon_per_query=0.5, rng=derive_rng(0, "b"))
-        budgeted = BudgetedAnswerer(inner, max_queries=4)
-        assert budgeted.spec is inner.spec
-        budgeted.answer(_query(16, [0, 1]))
-        assert budgeted.epsilon_spent == pytest.approx(budgeted.spec.spend.epsilon)
 
 
 class TestVerifierConsumesTheSpec:

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from repro.queries.mechanism import (
     BoundedNoiseAnswerer,
-    BudgetedAnswerer,
     ExactAnswerer,
     GaussianAnswerer,
     LaplaceAnswerer,
-    QueryBudgetExceeded,
     RoundingAnswerer,
     SubsamplingAnswerer,
 )
@@ -68,13 +66,6 @@ ANSWERER_FACTORIES = [
         "gaussian",
         lambda data, seed: GaussianAnswerer(
             data, epsilon_per_query=0.9, delta_per_query=1e-5, rng=derive_rng(seed, "g")
-        ),
-    ),
-    (
-        "budgeted",
-        lambda data, seed: BudgetedAnswerer(
-            BoundedNoiseAnswerer(data, alpha=2.0, rng=derive_rng(seed, "b")),
-            max_queries=10_000,
         ),
     ),
 ]
@@ -159,38 +150,6 @@ def test_bit_identity_property(n, m, factory_index, seed):
     loop = np.array([loop_answerer.answer(q) for q in workload])
     batch = factory(data, seed).answer_workload(workload)
     assert np.array_equal(loop, batch)
-
-
-class TestBudgetedWorkloads:
-    def _answerer(self, max_queries: int) -> BudgetedAnswerer:
-        return BudgetedAnswerer(ExactAnswerer(_make_data(8)), max_queries=max_queries)
-
-    def test_oversized_workload_refused_without_consumption(self):
-        answerer = self._answerer(10)
-        workload = Workload.random(8, 11, rng=0)
-        with pytest.raises(QueryBudgetExceeded):
-            answerer.answer_workload(workload)
-        # All-or-nothing: the refused workload consumed no budget at all.
-        assert answerer.queries_answered == 0
-        assert answerer.remaining == 10
-
-    def test_exact_fit_consumes_whole_budget(self):
-        answerer = self._answerer(10)
-        workload = Workload.random(8, 10, rng=0)
-        answerer.answer_workload(workload)
-        assert answerer.remaining == 0
-        with pytest.raises(QueryBudgetExceeded):
-            answerer.answer(workload[0])
-
-    def test_mixed_scalar_and_batched_accounting(self):
-        answerer = self._answerer(10)
-        workload = Workload.random(8, 6, rng=0)
-        answerer.answer(workload[0])
-        answerer.answer_workload(workload)
-        assert answerer.queries_answered == 7
-        with pytest.raises(QueryBudgetExceeded):
-            answerer.answer_workload(workload)  # 6 > 3 remaining
-        assert answerer.queries_answered == 7
 
 
 class TestWorkloadClass:

@@ -126,41 +126,3 @@ class TestLaplaceAnswerer:
     def test_invalid_epsilon(self, data):
         with pytest.raises(ValueError):
             LaplaceAnswerer(data, epsilon_per_query=0.0)
-
-
-class TestBudgetedAnswerer:
-    def test_enforces_budget(self, data):
-        from repro.queries.mechanism import BudgetedAnswerer, QueryBudgetExceeded
-
-        answerer = BudgetedAnswerer(ExactAnswerer(data), max_queries=3)
-        queries = random_subset_queries(50, 4, rng=10)
-        for query in queries[:3]:
-            answerer.answer(query)
-        assert answerer.remaining == 0
-        with pytest.raises(QueryBudgetExceeded):
-            answerer.answer(queries[3])
-
-    def test_passes_through_answers_and_bound(self, data):
-        from repro.queries.mechanism import BudgetedAnswerer
-
-        inner = BoundedNoiseAnswerer(data, alpha=2.0, rng=11)
-        answerer = BudgetedAnswerer(inner, max_queries=10)
-        assert answerer.error_bound == 2.0
-        query = random_subset_queries(50, 1, rng=12)[0]
-        answer = answerer.answer(query)
-        assert abs(answer - query.true_answer(data)) <= 2.0
-
-    def test_blocks_lp_attack_below_budget(self, data):
-        """The 'limit the number of queries' defense in action."""
-        from repro.queries.mechanism import BudgetedAnswerer, QueryBudgetExceeded
-        from repro.reconstruction.lp_decode import lp_reconstruction
-
-        answerer = BudgetedAnswerer(ExactAnswerer(data), max_queries=10)
-        with pytest.raises(QueryBudgetExceeded):
-            lp_reconstruction(answerer, num_queries=8 * 50, rng=13)
-
-    def test_invalid_budget(self, data):
-        from repro.queries.mechanism import BudgetedAnswerer
-
-        with pytest.raises(ValueError):
-            BudgetedAnswerer(ExactAnswerer(data), max_queries=0)

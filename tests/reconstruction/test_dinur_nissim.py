@@ -70,6 +70,14 @@ class TestConsistentCandidates:
         assert candidates  # the truth is always consistent
         for candidate in candidates:
             assert int((candidate != data).sum()) <= 4 * alpha
+        # Exact answers leave many consistent candidates at alpha = 1 and 2
+        # (25 and 121 on this vector), so the bound is checked beyond the truth.
+        data = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        for alpha in (1.0, 2.0):
+            candidates = consistent_candidates(ExactAnswerer(data), alpha=alpha)
+            assert len(candidates) > 1
+            for candidate in candidates:
+                assert int((candidate != data).sum()) <= 4 * alpha
 
     def test_attack_returns_the_first_candidate(self):
         # At alpha = 1 every one-bit flip of the truth is consistent too;

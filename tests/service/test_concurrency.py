@@ -3,14 +3,8 @@
 import threading
 
 import numpy as np
-import pytest
 
-from repro.queries.mechanism import (
-    BudgetedAnswerer,
-    ExactAnswerer,
-    LaplaceAnswerer,
-    QueryBudgetExceeded,
-)
+from repro.queries.mechanism import LaplaceAnswerer
 from repro.queries.workload import Workload
 from repro.service import BasicAccountant, BudgetExhausted, QueryServer
 from repro.utils.rng import derive_rng
@@ -37,55 +31,45 @@ class TestAnswererThreadSafety:
         _run_threads([worker] * 8)
         assert answerer.queries_answered == 8 * 8 * 25
 
-    def test_budgeted_answerer_never_overshoots(self):
-        data = derive_rng(1, "d").integers(0, 2, size=16)
-        budgeted = BudgetedAnswerer(ExactAnswerer(data), max_queries=100)
-        query = Workload.random(16, 1, rng=2)[0]
+
+class TestQueryCap:
+    def test_never_overshoots(self):
+        accountant = BasicAccountant(max_queries_per_analyst=100)
         successes = []
         refusals = []
 
         def worker():
             for _ in range(40):
                 try:
-                    budgeted.answer(query)
+                    accountant.charge("analyst", 1, 0.5)
                     successes.append(1)
-                except QueryBudgetExceeded:
+                except BudgetExhausted:
                     refusals.append(1)
 
         _run_threads([worker] * 8)
-        # The atomic reserve admits exactly max_queries answers, ever.
+        # The atomic charge admits exactly max_queries_per_analyst queries, ever,
+        # and a refused charge leaves no epsilon behind.
         assert len(successes) == 100
-        assert budgeted.queries_answered == 100
+        assert accountant.analyst_queries("analyst") == 100
+        assert accountant.analyst_epsilon("analyst") == 50.0
         assert len(refusals) == 8 * 40 - 100
 
-    def test_budgeted_workloads_all_or_nothing_under_contention(self):
-        data = derive_rng(2, "d").integers(0, 2, size=16)
-        budgeted = BudgetedAnswerer(ExactAnswerer(data), max_queries=60)
-        workload = Workload.random(16, 7, rng=3)
+    def test_workloads_all_or_nothing_under_contention(self):
+        accountant = BasicAccountant(max_queries_per_analyst=60)
         admitted = []
 
         def worker():
             for _ in range(20):
                 try:
-                    budgeted.answer_workload(workload)
-                    admitted.append(len(workload))
-                except QueryBudgetExceeded:
+                    accountant.charge("analyst", 7, 0.0)
+                    admitted.append(7)
+                except BudgetExhausted:
                     pass
 
         _run_threads([worker] * 6)
-        assert sum(admitted) == budgeted.queries_answered
-        assert budgeted.queries_answered <= 60
+        assert sum(admitted) == accountant.analyst_queries("analyst")
         # 7 does not divide 60: the atomic charge leaves a remainder unspent.
-        assert budgeted.queries_answered == 56
-
-    def test_reservation_released_when_inner_fails(self):
-        data = derive_rng(3, "d").integers(0, 2, size=8)
-        budgeted = BudgetedAnswerer(ExactAnswerer(data), max_queries=10)
-        bad_workload = Workload.random(9, 3, rng=4)  # wrong n: inner raises
-        with pytest.raises(ValueError):
-            budgeted.answer_workload(bad_workload)
-        assert budgeted.queries_answered == 0
-        assert budgeted.remaining == 10
+        assert accountant.analyst_queries("analyst") == 56
 
 
 class TestConcurrentSessions:

@@ -12,7 +12,6 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.anonymity.agreement import estimate_agreement_attack_success
 from repro.core.attackers import TrivialAttacker
 from repro.core.isolation import estimate_isolation_rate
 from repro.core.leftover_hash import hash_bit_predicate, hash_threshold_predicate
@@ -36,9 +35,6 @@ CALLS = {
     ).run(2, rng=0, **kw),
     "estimate_isolation_rate": lambda **kw: estimate_isolation_rate(
         hash_threshold_predicate("removed", 0.5), DISTRIBUTION, 8, 2, rng=0, **kw
-    ),
-    "estimate_agreement_attack_success": lambda **kw: (
-        estimate_agreement_attack_success(DISTRIBUTION, 8, 2, 2, rng=0, **kw)
     ),
     "run_experiments": lambda **kw: run_experiments(["E9"], quick=True, **kw),
     "reconstruct_census": lambda **kw: reconstruct_census({}, **kw),
