@@ -13,7 +13,8 @@ the most commonly used entry points are re-exported here:
   :class:`~repro.core.mechanisms.KAnonymityMechanism`,
   :class:`~repro.core.attackers.KAnonymityPSOAttacker`, ...
 * the executable theorem checks —
-  :func:`~repro.core.theorems.run_all_checks` and friends;
+  :class:`~repro.core.theorems.TheoremCheck` and the ``check_*``
+  functions of :mod:`repro.core.theorems`;
 * the legal layer —
   :func:`~repro.legal.theorems.legal_theorem_2_1`,
   :func:`~repro.legal.theorems.differential_privacy_assessment`, and the
@@ -72,7 +73,7 @@ from repro.compliance import (
 )
 from repro.core.predicate import Predicate, attribute_predicate
 from repro.core.pso import PSOContext, PSOGame, PSOGameResult
-from repro.core.theorems import TheoremCheck, run_all_checks
+from repro.core.theorems import TheoremCheck
 from repro.legal.claims import LegalVerdict, TechnicalPremise, derive
 from repro.legal.theorems import (
     differential_privacy_assessment,
@@ -130,7 +131,6 @@ __all__ = [
     "differential_privacy_assessment",
     "legal_corollary_2_1",
     "legal_theorem_2_1",
-    "run_all_checks",
     "snapshot",
     "working_party_comparison",
 ]

@@ -30,10 +30,11 @@ from repro.data.hierarchy import (
 class DataflyAnonymizer:
     """Greedy full-domain k-anonymizer over generalization hierarchies.
 
+    Each quasi-identifier generalizes along
+    :func:`~repro.data.hierarchy.default_hierarchy` of its domain.
+
     Args:
         k: the anonymity parameter.
-        hierarchies: per-QI generalization hierarchies; QIs without an
-            entry get :func:`~repro.data.hierarchy.default_hierarchy`.
         quasi_identifiers: names to generalize; defaults to the schema's
             annotated quasi-identifiers.
         max_suppression: largest *fraction* of records that may be
@@ -43,7 +44,6 @@ class DataflyAnonymizer:
     def __init__(
         self,
         k: int,
-        hierarchies: Mapping[str, GeneralizationHierarchy] | None = None,
         quasi_identifiers: Sequence[str] | None = None,
         max_suppression: float = 0.02,
     ):
@@ -52,7 +52,6 @@ class DataflyAnonymizer:
         if not 0.0 <= max_suppression < 1.0:
             raise ValueError("max_suppression must lie in [0, 1)")
         self.k = int(k)
-        self.hierarchies = dict(hierarchies) if hierarchies else {}
         self.quasi_identifiers = tuple(quasi_identifiers) if quasi_identifiers else None
         self.max_suppression = float(max_suppression)
 
@@ -73,9 +72,7 @@ class DataflyAnonymizer:
             raise ValueError(f"cannot {self.k}-anonymize {len(dataset)} records")
 
         hierarchies = {
-            name: self.hierarchies.get(
-                name, default_hierarchy(dataset.schema.attribute(name).domain)
-            )
+            name: default_hierarchy(dataset.schema.attribute(name).domain)
             for name in qi_names
         }
         levels = {name: 0 for name in qi_names}

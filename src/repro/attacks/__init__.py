@@ -29,7 +29,6 @@ from repro.attacks.graph import (
 )
 from repro.attacks.fingerprint import (
     FingerprintResult,
-    candidate_identities,
     deanonymize,
     fingerprint_experiment,
     similarity_score,
@@ -62,7 +61,6 @@ __all__ = [
     "MembershipResult",
     "MlMembershipResult",
     "active_attack",
-    "candidate_identities",
     "candidate_sensitive_values",
     "deanonymize",
     "degree_signature_uniqueness",

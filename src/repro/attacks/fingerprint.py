@@ -91,31 +91,6 @@ def deanonymize(
     return users[int(order[0])]
 
 
-def candidate_identities(
-    release: RatingsData,
-    aux: Sequence[AuxiliaryRating],
-    top: int = 5,
-) -> list[tuple[int, float]]:
-    """The best-scoring pseudonyms with their scores, descending.
-
-    The paper's hedge — re-identification "or to a small number of
-    candidate identities, one of which is correct" — as an API: when
-    :func:`deanonymize` abstains (no eccentric winner), the top-k list is
-    what the attacker actually holds.
-    """
-    if not aux:
-        raise ValueError("need at least one auxiliary observation")
-    if top <= 0:
-        raise ValueError("top must be positive")
-    popularity = release.movie_popularity()
-    scored = [
-        (user, similarity_score(release.profile(user), aux, popularity))
-        for user in release.users
-    ]
-    scored.sort(key=lambda pair: -pair[1])
-    return scored[:top]
-
-
 @dataclass(frozen=True)
 class FingerprintResult:
     """Aggregate outcome of a fingerprinting experiment.

@@ -196,13 +196,6 @@ class GraphAttackResult:
     targets: int
     reidentified: int
 
-    @property
-    def recovery_rate(self) -> float:
-        """Correctly re-identified targets over all targets."""
-        if self.targets == 0:
-            raise ValueError("no targets planted")
-        return self.reidentified / self.targets
-
     def __str__(self) -> str:
         status = "located" if self.located else "NOT located (ambiguous/absent)"
         return (

@@ -46,9 +46,3 @@ def k_anonymity_level(dataset: Dataset, names: Sequence[str]) -> int:
         raise ValueError("k-anonymity level of an empty dataset is undefined")
     groups = dataset.group_by(list(names))
     return min(len(rows) for rows in groups.values())
-
-
-def singled_out_count(dataset: Dataset, names: Sequence[str]) -> int:
-    """How many records are unique (class size 1) under ``names``."""
-    groups = dataset.group_by(list(names))
-    return sum(1 for rows in groups.values() if len(rows) == 1)

@@ -8,7 +8,7 @@ must hold a :class:`ComplianceCertificate` — minted by a
 :class:`~repro.compliance.verifiers.Verifier` s that *re-derive* every
 claim with the repository's own machinery (empirical DP on the exact
 charged spec, ledger recomposition, k re-derivation, a replayed
-reconstruction attack, HIPAA safe harbor, exact deletion), feed the
+reconstruction attack, HIPAA safe harbor), feed the
 evidence through the legal layer's falsifiability gate
 (:func:`repro.legal.claims.derive`), and bind release + policy + evidence
 + verdict under one blake2b content address.  At runtime the
@@ -37,7 +37,6 @@ from repro.compliance.policy import Policy
 from repro.compliance.verifiers import (
     CheckResult,
     CompositionPolicyVerifier,
-    DeletionVerifier,
     DpClaimVerifier,
     KAnonymityClaimVerifier,
     ReconstructionResistanceVerifier,
@@ -53,7 +52,6 @@ __all__ = [
     "ComplianceGate",
     "CompliancePipeline",
     "CompositionPolicyVerifier",
-    "DeletionVerifier",
     "DpClaimVerifier",
     "KAnonymityClaimVerifier",
     "Policy",

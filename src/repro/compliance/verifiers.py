@@ -9,18 +9,14 @@ trusting any label:
   against the exact :class:`~repro.privacy.kernels.MechanismSpec` the
   accountant charges;
 * :class:`CompositionPolicyVerifier` recomputes the total spend from the
-  :class:`~repro.privacy.accounting.PrivacyAccountant` /
-  :class:`~repro.privacy.accounting.ShardedAccountant` ledger;
+  accountant's ledger (:mod:`repro.privacy.accounting`);
 * :class:`SafeHarborVerifier` re-runs
   :func:`repro.legal.hipaa.is_safe_harbor_compliant` on the data;
 * :class:`KAnonymityClaimVerifier` re-derives k from
   :mod:`repro.anonymity` equivalence classes;
 * :class:`ReconstructionResistanceVerifier` replays the release through
   :func:`repro.reconstruction.l2_decode.l2_decode` — the auditor's screen,
-  run *before* approval instead of after damage;
-* :class:`DeletionVerifier` replays
-  :func:`repro.legal.deletion.verify_exact_deletion` so the service can
-  prove it honors erasure before it ever serves.
+  run *before* approval instead of after damage.
 
 A verifier never raises on a non-compliant or inapplicable release — it
 returns a failed :class:`CheckResult` (what cannot be checked cannot be
@@ -40,7 +36,6 @@ from repro.anonymity.checks import equivalence_classes_on
 from repro.data.dataset import Dataset
 from repro.data.generalized import GeneralizedDataset
 from repro.dp.verify import verify_spec
-from repro.legal.deletion import verify_exact_deletion
 from repro.legal.hipaa import is_safe_harbor_compliant
 from repro.privacy.kernels import MechanismSpec
 from repro.queries.workload import Workload
@@ -50,7 +45,6 @@ from repro.synth.base import SyntheticRelease
 __all__ = [
     "CheckResult",
     "CompositionPolicyVerifier",
-    "DeletionVerifier",
     "DpClaimVerifier",
     "KAnonymityClaimVerifier",
     "ReconstructionResistanceVerifier",
@@ -219,12 +213,14 @@ class DpClaimVerifier(Verifier):
 class CompositionPolicyVerifier(Verifier):
     """Total spend re-derived from the ledger, against the policy cap.
 
-    Trusts no reported number: reads the accountant's own composed
-    ``(epsilon, delta)`` total (``total()`` on
-    :class:`~repro.privacy.accounting.PrivacyAccountant` and
-    :class:`~repro.privacy.accounting.ShardedAccountant` alike) and adds
-    the release's not-yet-charged spend when the release carries a spec
-    that has not been booked.
+    Trusts no reported number: reads the ledger's own ``(epsilon, delta)``
+    total, the sum of every charge booked so far.  ``total()`` gives it on
+    a :class:`~repro.privacy.accounting.PrivacyAccountant` (the
+    synthesizers' single ledger), a
+    :class:`~repro.privacy.accounting.BasicAccountant` (whose inherited
+    ledger mirrors every analyst's charges) and a
+    :class:`~repro.privacy.accounting.ShardedAccountant` alike.  A release
+    not yet charged adds nothing: certify it after its charge is booked.
     """
 
     identifier = "COMPOSE"
@@ -423,56 +419,4 @@ class ReconstructionResistanceVerifier(Verifier):
                 f"{agreement:.4f} >= {policy.reconstruction_agreement_max:g} "
                 "(blatant non-privacy)"
             ),
-        )
-
-
-class DeletionVerifier(Verifier):
-    """Exact-unlearning compliance, replayed on the serving corpus.
-
-    Wraps :func:`repro.legal.deletion.verify_exact_deletion`: unlearning
-    the probe document must leave the model bit-identical to one never
-    trained on it.  ``context.data`` is the training corpus (a sequence of
-    documents); the release under certification is whatever the corpus
-    backs.
-
-    Args:
-        delete_index: which document's erasure to probe.
-        order: n-gram order of the probe model.
-    """
-
-    identifier = "DELETION"
-    _requirement = (
-        "unlearning a probe document leaves the model bit-identical to "
-        "one never trained on it (GDPR Art. 17 erasure, exactly)"
-    )
-
-    def __init__(self, delete_index: int = 0, order: int = 5):
-        self.delete_index = int(delete_index)
-        self.order = int(order)
-
-    def check(self, context, policy, rng) -> CheckResult:
-        corpus = context.data
-        if not isinstance(corpus, Sequence) or not all(
-            isinstance(doc, str) for doc in corpus
-        ):
-            return self._fail(
-                self._requirement,
-                "deletion check needs a corpus of documents in context.data",
-            )
-        try:
-            deleted = verify_exact_deletion(
-                list(corpus), self.delete_index, order=self.order
-            )
-        except ValueError as error:
-            return self._fail(self._requirement, str(error))
-        return CheckResult(
-            identifier=self.identifier,
-            requirement=self._requirement,
-            passed=bool(deleted),
-            measurements={
-                "corpus_documents": len(corpus),
-                "delete_index": self.delete_index,
-                "order": self.order,
-            },
-            detail="" if deleted else "unlearned model retained trained state",
         )

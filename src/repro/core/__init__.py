@@ -24,11 +24,8 @@ on exactly one record of the hidden dataset (Definitions 2.1-2.4).
 """
 
 from repro.core.analysis import (
-    composition_attack_success_bound,
     expected_agreement_bits,
     refinement_success_probability,
-    required_width_for_negligibility,
-    trivial_attacker_ceiling,
 )
 from repro.core.attackers import (
     CompositionAttacker,
@@ -64,7 +61,6 @@ from repro.core.theorems import (
     check_laplace_is_dp,
     check_ldiversity_fails_pso,
     check_post_processing_robustness,
-    run_all_checks,
 )
 
 __all__ = [
@@ -96,12 +92,8 @@ __all__ = [
     "check_laplace_is_dp",
     "check_ldiversity_fails_pso",
     "check_post_processing_robustness",
-    "composition_attack_success_bound",
     "expected_agreement_bits",
     "refinement_success_probability",
-    "required_width_for_negligibility",
-    "run_all_checks",
-    "trivial_attacker_ceiling",
     "hash_bit_predicate",
     "hash_threshold_predicate",
     "isolates",

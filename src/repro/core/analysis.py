@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from repro.utils.negligible import isolation_probability
-
 
 def refinement_success_probability(class_size: int) -> float:
     """Theorem 2.10's success rate: ``(1 - 1/k')^(k'-1)``.
@@ -44,47 +42,3 @@ def expected_agreement_bits(width: int, k: int, n: int) -> float:
     prefix = min(prefix, float(width))
     random_agreement = (width - prefix) * 2.0 ** (1 - k)
     return prefix + random_agreement
-
-
-def required_width_for_negligibility(k: int, n: int, exponent: float = 2.0) -> int:
-    """Data width needed so the Theorem 2.10 class predicate is negligible.
-
-    Solves ``expected_agreement_bits(width, k, n) >= exponent * log2(n)``
-    with a 2x safety margin — the ``d = omega(2^k log n)`` requirement the
-    E12 width schedule implements.
-    """
-    if exponent <= 1:
-        raise ValueError("exponent must exceed 1")
-    target = 2.0 * exponent * math.log2(n)
-    prefix = max(0.0, math.log2(max(n / k, 1.0)))
-    residual = max(target - prefix, 0.0)
-    width = prefix + residual * 2.0 ** (k - 1)
-    return int(math.ceil(width))
-
-
-def composition_attack_success_bound(n: int) -> float:
-    """A crude lower bound on the Theorem 2.8 attack's success probability.
-
-    The attack wins whenever some threshold level of its geometric ladder
-    holds exactly one record.  The ladder brackets the minimum hash value,
-    and the count at the bracketing level is 1 unless a second record lands
-    within a factor-2 window of the minimum; a standard extreme-value
-    computation puts that probability at a constant.  We return the
-    conservative constant 1/4 for n >= 8 — the experiments measure 0.6-0.9.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return 0.25 if n >= 8 else 0.1
-
-
-def trivial_attacker_ceiling(n: int, exponent: float = 2.0) -> float:
-    """The best win rate of any weight-compliant data-independent attacker.
-
-    A predicate of weight ``w <= n^-exponent`` chosen without seeing the
-    output isolates with probability ``n*w*(1-w)^(n-1) <= n^(1-exponent)``;
-    games call a mechanism broken only when an attacker clears this ceiling.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    weight = float(n) ** (-exponent)
-    return isolation_probability(n, min(weight, 1.0))

@@ -117,15 +117,3 @@ def hash_bit_equals_predicate(salt: str, index: int, value: int) -> Predicate:
         f"bit_{index}(h_{salt}(x)) = {value}",
         analytic_weight=0.5,
     )
-
-
-def isolating_weight_predicate(salt: str, n: int) -> Predicate:
-    """The Section 2.2 trivial-attacker predicate: weight exactly ``1/n``.
-
-    Chosen independently of the data, it isolates with probability
-    ``n * (1/n) * (1 - 1/n)^(n-1) -> 1/e ~ 37%`` — the paper's birthday
-    example, generalized via the LHL to any high-min-entropy distribution.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return hash_threshold_predicate(salt, 1.0 / n)

@@ -303,18 +303,3 @@ def predicate_from_conditions(conditions: AttributeConditions) -> Predicate:
         label,
         conditions=frozen,
     )
-
-
-def generalized_record_predicate(generalized_record) -> Predicate:
-    """The equivalence-class predicate of the Theorem 2.10 attack.
-
-    Maps a :class:`~repro.data.generalized.GeneralizedRecord` to the
-    conjunction "every attribute's raw value lies in the released cover
-    set" — the paper's example is ``ZIP in {12340..12349} AND Age in
-    {30..39} AND Disease in PULM``.  Structural, so exact-weight.
-    """
-    conditions = {
-        name: frozenset(generalized_record[name].covers)
-        for name in generalized_record.schema.names
-    }
-    return predicate_from_conditions(conditions)

@@ -408,21 +408,3 @@ def check_laplace_is_dp(
             "events": len(verdict.checks),
         },
     )
-
-
-def run_all_checks(rng: RngSeed = 0, jobs: int = 1) -> list[TheoremCheck]:
-    """Run every theorem check at default scale (the legal layer's input).
-
-    ``jobs`` fans each check's Monte-Carlo trials across workers; verdicts
-    and measurements are identical to a serial run for a fixed ``rng``.
-    """
-    return [
-        check_laplace_is_dp(rng=rng),
-        check_count_mechanism_pso_security(rng=rng, jobs=jobs),
-        check_post_processing_robustness(rng=rng, jobs=jobs),
-        check_composition_attack(rng=rng, jobs=jobs),
-        check_dp_implies_pso_security(rng=rng, jobs=jobs),
-        check_kanonymity_fails_pso(rng=rng, jobs=jobs),
-        check_cohen_singleton_attack(rng=rng, jobs=jobs),
-        check_ldiversity_fails_pso(rng=rng, jobs=jobs),
-    ]

@@ -14,10 +14,8 @@ from repro.data.dataset import Dataset, Record
 from repro.data.distributions import (
     AttributeDistribution,
     ProductDistribution,
-    bernoulli_distribution,
     uniform_bits_distribution,
     uniform_bits_schema,
-    uniform_distribution,
 )
 from repro.data.generalized import GeneralizedDataset, GeneralizedRecord
 from repro.data.genomes import GenomePanel, GenomePanelConfig
@@ -40,8 +38,6 @@ from repro.data.hierarchy import (
     GeneralizationHierarchy,
     IntervalHierarchy,
     SuppressionHierarchy,
-    TaxonomyHierarchy,
-    ZipPrefixHierarchy,
 )
 from repro.data.schema import Attribute, AttributeKind, Schema
 
@@ -68,10 +64,7 @@ __all__ = [
     "Schema",
     "SocialGraphConfig",
     "SuppressionHierarchy",
-    "TaxonomyHierarchy",
     "TupleDomain",
-    "ZipPrefixHierarchy",
-    "bernoulli_distribution",
     "commercial_database",
     "generate_census",
     "generate_population",
@@ -82,6 +75,5 @@ __all__ = [
     "uniform_bits_schema",
     "anonymize_graph",
     "generate_social_graph",
-    "uniform_distribution",
     "voter_registry",
 ]

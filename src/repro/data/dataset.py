@@ -216,10 +216,6 @@ class Dataset:
         """``sum_i p(x_i)`` via the batched evaluation path."""
         return int(np.count_nonzero(self.match_mask(predicate)))
 
-    def replace_records(self, records: Iterable[Sequence[object]]) -> "Dataset":
-        """A dataset with the same schema and new records (unvalidated schema swap)."""
-        return Dataset(self.schema, records, validate=False)
-
     # -- grouping / statistics ---------------------------------------------------
 
     def value_counts(self, name: str) -> Counter:

@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset, Record
-from repro.data.domain import CategoricalDomain, Domain, IntegerDomain
+from repro.data.domain import Domain, IntegerDomain
 from repro.data.schema import Schema
 from repro.utils.rng import RngSeed, ensure_rng
 
@@ -230,33 +230,6 @@ class ProductDistribution:
 
     def __repr__(self) -> str:
         return f"ProductDistribution(schema={self.schema.names})"
-
-
-def uniform_distribution(schema: Schema) -> ProductDistribution:
-    """Shorthand for :meth:`ProductDistribution.uniform`."""
-    return ProductDistribution.uniform(schema)
-
-
-def bernoulli_schema(name: str = "bit") -> Schema:
-    """The binary data domain X = {0,1} used by the reconstruction attacks."""
-    from repro.data.schema import Attribute, AttributeKind
-
-    return Schema([Attribute(name, IntegerDomain(0, 1), AttributeKind.SENSITIVE)])
-
-
-def bernoulli_distribution(p: float = 0.5, name: str = "bit") -> ProductDistribution:
-    """Distribution over {0,1} with P(1) = p (Dinur-Nissim data model)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0,1], got {p}")
-    schema = bernoulli_schema(name)
-    domain = schema.attribute(name).domain
-    marginal = AttributeDistribution(domain, {0: 1.0 - p, 1: p})
-    return ProductDistribution(schema, {name: marginal})
-
-
-def categorical_uniform(name: str, values: Sequence[Hashable]) -> AttributeDistribution:
-    """Uniform marginal over an ad-hoc categorical domain (test convenience)."""
-    return AttributeDistribution.uniform(CategoricalDomain(values))
 
 
 def uniform_bits_schema(width: int, prefix: str = "b") -> Schema:

@@ -126,24 +126,6 @@ class GeneralizedDataset:
             classes[record.values].append(index)
         return dict(classes)
 
-    def class_sizes(self) -> list[int]:
-        """Sizes of the equivalence classes, largest first."""
-        return sorted((len(v) for v in self.equivalence_classes().values()), reverse=True)
-
-    def smallest_class_size(self) -> int:
-        """Size of the smallest equivalence class (the k the data achieves)."""
-        if not self._records:
-            raise ValueError("an empty release has no equivalence classes")
-        return min(len(rows) for rows in self.equivalence_classes().values())
-
-    def is_k_anonymous(self, k: int) -> bool:
-        """Whether every record is identical to at least ``k - 1`` others."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if not self._records:
-            return True
-        return self.smallest_class_size() >= k
-
     # -- consistency with the raw data ---------------------------------------------
 
     def is_consistent_with(self, dataset: Dataset) -> bool:

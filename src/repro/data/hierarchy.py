@@ -5,7 +5,8 @@ The paper's toy example generalizes ZIP ``12345 -> 1234*`` and age
 suppression of ZIP digits, coarsening geography).  A
 :class:`GeneralizationHierarchy` captures one attribute's ladder of
 coarsenings, from level 0 (raw value) to the top level (full suppression,
-``*``).
+``*``).  Two ladders are implemented, the ones :func:`default_hierarchy`
+hands the anonymizers: nested integer intervals and plain suppression.
 
 Every generalized value knows the *set of raw values it covers*
 (:class:`GeneralizedValue`).  That cover set is what makes the paper's PSO
@@ -15,9 +16,9 @@ to an equivalence class is exactly "record lies in the class's cover sets".
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from repro.data.domain import CategoricalDomain, Domain, IntegerDomain
+from repro.data.domain import Domain, IntegerDomain
 
 
 class GeneralizedValue:
@@ -121,41 +122,6 @@ class SuppressionHierarchy(GeneralizationHierarchy):
         return self.suppressed()
 
 
-class ZipPrefixHierarchy(GeneralizationHierarchy):
-    """Digit-suppression ladder for ZIP codes (``12345 -> 1234* -> ... -> *``).
-
-    Level ``l`` masks the last ``l`` digits.  The domain must be a
-    :class:`CategoricalDomain` of equal-length digit strings; cover sets are
-    computed against that domain, so a prefix only covers ZIP codes that
-    actually exist in the data universe.
-    """
-
-    def __init__(self, domain: CategoricalDomain):
-        super().__init__(domain)
-        lengths = {len(str(v)) for v in domain}
-        if len(lengths) != 1:
-            raise ValueError("all ZIP codes must have the same number of digits")
-        self._digits = lengths.pop()
-        self._values = [str(v) for v in domain]
-
-    @property
-    def levels(self) -> int:
-        return self._digits + 1
-
-    def generalize(self, value: Hashable, level: int) -> GeneralizedValue:
-        self._check_level(level)
-        self._check_value(value)
-        text = str(value)
-        if level == 0:
-            return GeneralizedValue.raw(value)
-        if level == self._digits:
-            return self.suppressed()
-        prefix = text[: self._digits - level]
-        label = prefix + "*" * level
-        covered = [v for v in self.domain if str(v).startswith(prefix)]
-        return GeneralizedValue(label, covered)
-
-
 class IntervalHierarchy(GeneralizationHierarchy):
     """Aligned-interval ladder for integers (the paper's ``30 -> 30-39``).
 
@@ -200,61 +166,6 @@ class IntervalHierarchy(GeneralizationHierarchy):
         clipped_high = min(high, self._domain_int.high)
         label = f"{clipped_low}-{clipped_high}"
         return GeneralizedValue(label, range(clipped_low, clipped_high + 1))
-
-
-class TaxonomyHierarchy(GeneralizationHierarchy):
-    """Tree-shaped hierarchy for categories (the paper's ``CF -> PULM``).
-
-    Built from a parent map (child -> parent); leaves are the domain values,
-    internal nodes are category labels.  Level ``l`` walks ``l`` steps up
-    from the leaf, saturating at the root; the level above the root is full
-    suppression.  All leaves must sit at the same depth so full-domain
-    generalization (Datafly) is well-defined.
-    """
-
-    def __init__(self, domain: CategoricalDomain, parents: Mapping[Hashable, Hashable]):
-        super().__init__(domain)
-        self._parents = dict(parents)
-        self._paths: dict[Hashable, list[Hashable]] = {}
-        depths = set()
-        for leaf in domain:
-            path = [leaf]
-            node = leaf
-            seen = {leaf}
-            while node in self._parents:
-                node = self._parents[node]
-                if node in seen:
-                    raise ValueError(f"cycle in taxonomy at {node!r}")
-                seen.add(node)
-                path.append(node)
-            self._paths[leaf] = path
-            depths.add(len(path))
-        if len(depths) != 1:
-            raise ValueError(
-                "all leaves must have the same taxonomy depth; got depths "
-                f"{sorted(depths)}"
-            )
-        self._depth = depths.pop()
-        # Precompute leaves under each internal node.
-        self._leaves_under: dict[Hashable, set[Hashable]] = {}
-        for leaf, path in self._paths.items():
-            for node in path:
-                self._leaves_under.setdefault(node, set()).add(leaf)
-
-    @property
-    def levels(self) -> int:
-        # level 0..depth-1 walk up the tree; one extra level suppresses fully.
-        return self._depth + 1
-
-    def generalize(self, value: Hashable, level: int) -> GeneralizedValue:
-        self._check_level(level)
-        self._check_value(value)
-        if level == 0:
-            return GeneralizedValue.raw(value)
-        if level == self.levels - 1:
-            return self.suppressed()
-        node = self._paths[value][level]
-        return GeneralizedValue(str(node), self._leaves_under[node])
 
 
 def default_hierarchy(domain: Domain) -> GeneralizationHierarchy:

@@ -8,8 +8,6 @@ sensitivity 1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.privacy.accounting import PrivacySpend
 from repro.privacy.kernels import LaplaceKernel, MechanismSpec
 from repro.utils.rng import RngSeed, ensure_rng
@@ -52,27 +50,6 @@ class LaplaceMechanism:
         """One noisy release of ``true_value``."""
         generator = ensure_rng(rng)
         return float(true_value + self.kernel.sample(generator))
-
-    def release_many(self, true_value: float, count: int, rng: RngSeed = None) -> np.ndarray:
-        """``count`` independent releases (each spends epsilon!)."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        generator = ensure_rng(rng)
-        return true_value + self.kernel.sample_n(generator, count)
-
-    def expected_absolute_error(self) -> float:
-        """E|noise| = scale (the mechanism's accuracy cost)."""
-        return self.scale
-
-    def error_quantile(self, probability: float) -> float:
-        """The |noise| bound holding with the given probability.
-
-        ``P(|Lap(b)| <= b * ln(1/(1-probability)))``; used by utility
-        analyses to trade epsilon against accuracy.
-        """
-        if not 0 < probability < 1:
-            raise ValueError("probability must lie in (0, 1)")
-        return float(self.scale * np.log(1.0 / (1.0 - probability)))
 
     def __repr__(self) -> str:
         return f"LaplaceMechanism(epsilon={self.epsilon}, sensitivity={self.sensitivity})"

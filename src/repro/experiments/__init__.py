@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     EXPERIMENTS,
     ExperimentResult,
     register,
-    run_all_experiments,
     run_experiment,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "register",
-    "run_all_experiments",
     "run_experiment",
 ]

@@ -153,10 +153,3 @@ def run_experiments(
         return run_experiment(experiment_id, seed=seed, quick=quick, jobs=1)
 
     return parallel_map(one_experiment, ids, jobs=workers)
-
-
-def run_all_experiments(
-    seed: int = 0, quick: bool = False, jobs: int = 1
-) -> list[ExperimentResult]:
-    """Run every experiment in id order."""
-    return run_experiments(registered_ids(), seed=seed, quick=quick, jobs=jobs)

@@ -54,7 +54,6 @@ class NgramLanguageModel:
         self._counts: dict[str, np.ndarray] = defaultdict(
             lambda: np.zeros(len(self.alphabet), dtype=float)
         )
-        self._documents_seen = 0
         self._dp_epsilon_per_count: float | None = None
 
     # -- training -------------------------------------------------------------
@@ -78,7 +77,6 @@ class NgramLanguageModel:
             raise ValueError("dp_epsilon_per_count must be positive")
         for document in corpus:
             self._validate_text(document)
-            self._documents_seen += 1
             contributions: dict[tuple[str, str], int] = {}
             padded = PAD * (self.order - 1) + document
             for position in range(len(document)):
@@ -144,7 +142,6 @@ class NgramLanguageModel:
             self._counts[context][self._char_index[char]] -= count
             if not self._counts[context].any():
                 del self._counts[context]
-        self._documents_seen -= 1
         return self
 
     def equals_model(self, other: "NgramLanguageModel") -> bool:
@@ -165,11 +162,6 @@ class NgramLanguageModel:
             )
             for context in contexts
         )
-
-    @property
-    def documents_seen(self) -> int:
-        """Number of training documents consumed."""
-        return self._documents_seen
 
     def dp_epsilon_spent(self, document_length: int) -> float | None:
         """Basic-composition budget for one document of the given length.

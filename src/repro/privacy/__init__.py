@@ -1,14 +1,14 @@
 """The layered privacy core every other layer consumes.
 
-The paper's arc — mechanisms (Thm 1.3) through composition (Thm 2.8/2.9)
-to service-level auditing — is implemented here exactly once and consumed
-everywhere::
+The paper's arc — mechanisms (Thm 1.3) through composition (the ledgers
+add epsilons) to service-level auditing — is implemented here exactly
+once and consumed everywhere::
 
     repro.privacy.kernels          NoiseKernel, MechanismSpec
         |  sample()/sample_n() draws; calibrations live on the kernels
         v
     repro.privacy.accounting       PrivacySpend, PrivacyAccountant,
-        |                          ServiceAccountant (multi-analyst)
+        |                          BasicAccountant (multi-analyst)
         v
     repro.queries.mechanism        QueryAnswerer subclasses delegate all
         |                          noise to kernels, budgets to accountants
@@ -20,15 +20,12 @@ everywhere::
 """
 
 from repro.privacy.accounting import (
-    AdvancedAccountant,
     BasicAccountant,
     BudgetExhausted,
     BudgetLease,
     PrivacyAccountant,
     PrivacySpend,
-    ServiceAccountant,
     advanced_composition,
-    basic_composition,
 )
 from repro.privacy.kernels import (
     BoundedExtremesKernel,
@@ -42,7 +39,6 @@ from repro.privacy.kernels import (
 )
 
 __all__ = [
-    "AdvancedAccountant",
     "BasicAccountant",
     "BoundedExtremesKernel",
     "BoundedUniformKernel",
@@ -55,8 +51,6 @@ __all__ = [
     "NoiseKernel",
     "PrivacyAccountant",
     "PrivacySpend",
-    "ServiceAccountant",
     "ZeroKernel",
     "advanced_composition",
-    "basic_composition",
 ]

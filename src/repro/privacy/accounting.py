@@ -1,24 +1,32 @@
-"""One accountant hierarchy for every layer of the reproduction.
+"""The privacy ledger: one composition rule for every layer of the reproduction.
 
 Section 1.1 of the paper singles out closure under composition as the
 property separating differential privacy from k-anonymity; this module is
-where that property lives — once.  It provides:
+where that property lives — once.  Composition is basic everywhere: a
+ledger's epsilon is the sum of its charges (:func:`_epsilon_sum`), and
+across analysts the sums add again.  The module provides:
 
 * :class:`PrivacySpend` — one (epsilon, delta) charge;
-* :func:`basic_composition` / :func:`advanced_composition` — the Theorem
-  2.8/2.9 bounds;
+* :func:`advanced_composition` — the Theorem 2.9 bound, which the DP-SGD
+  report in :mod:`repro.ml.logistic` quotes (no ledger charges by it);
 * :class:`BudgetExhausted` — the refusal raised by *every* budget in the
   repo (a single ledger's, an analyst's, the service's);
 * :class:`PrivacyAccountant` — a thread-safe single ledger with
   all-or-nothing :meth:`~PrivacyAccountant.reserve` /
   :meth:`~PrivacyAccountant.rollback` semantics and an optional query-count
   budget;
-* :class:`ServiceAccountant` and its :class:`BasicAccountant` /
-  :class:`AdvancedAccountant` rules — the multi-analyst extension that
-  keeps one :class:`PrivacyAccountant` sub-ledger per analyst and adds a
-  global cap across analysts.  Its ``max_queries_per_analyst`` is the one
-  query cap in the repo: Theorem 1.1's "limit the number of queries"
-  defense.
+* :class:`BasicAccountant` — the multi-analyst ledger: one
+  :class:`PrivacyAccountant` sub-ledger per analyst plus a global cap
+  across analysts.  Its ``max_queries_per_analyst`` is the one query cap
+  in the repo: Theorem 1.1's "limit the number of queries" defense;
+* :class:`BudgetLease` — the charge-and-hold handle the serve path's
+  BudgetReserve step settles;
+* :class:`ShardedAccountant` — :class:`BasicAccountant` shards under one
+  exact global cap, for the sharded front end.
+
+Every epsilon and budget refusal is written ``not x >= 0`` or ``not x > 0``
+so that a NaN fails it: NaN compares false to everything, and a NaN charge
+that slipped through would turn every later budget comparison false too.
 
 Cohen–Nissim's *Linear Program Reconstruction in Practice* shows that
 drift between accounting layers is where production privacy bugs live, so
@@ -29,23 +37,18 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "AdvancedAccountant",
     "BasicAccountant",
     "BudgetExhausted",
     "BudgetLease",
     "PrivacyAccountant",
     "PrivacySpend",
-    "ServiceAccountant",
     "ShardedAccountant",
     "advanced_composition",
-    "basic_composition",
     "stable_shard",
 ]
 
@@ -63,20 +66,15 @@ class PrivacySpend:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         if not 0 <= self.delta < 1:
             raise ValueError("delta must lie in [0, 1)")
 
 
-def basic_composition(spends: list[PrivacySpend]) -> tuple[float, float]:
-    """Sequential (basic) composition: epsilons and deltas add."""
-    if not spends:
-        return 0.0, 0.0
-    return (
-        float(sum(s.epsilon for s in spends)),
-        float(sum(s.delta for s in spends)),
-    )
+def _epsilon_sum(counts: dict[float, int]) -> float:
+    """Basic composition of an ``{epsilon: count}`` ledger: epsilons add."""
+    return float(sum(eps * count for eps, count in counts.items()))
 
 
 def advanced_composition(
@@ -89,7 +87,7 @@ def advanced_composition(
     (e^epsilon - 1)`` — the sqrt(k) scaling that makes high-query-count
     DP analyses feasible at all.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if k <= 0:
         raise ValueError("k must be positive")
@@ -139,25 +137,12 @@ class PrivacyAccountant:
     """A thread-safe (epsilon, delta) ledger with all-or-nothing charges.
 
     The ledger is stored as ``{epsilon: count}`` aggregates, so budget
-    checks stay O(#distinct epsilon) however many queries are charged; an
-    ordered :attr:`spends` trail is additionally recorded unless
-    ``record_entries=False`` (the high-volume configuration used for
-    per-analyst sub-ledgers).
+    checks stay O(#distinct epsilon) however many queries are charged.
 
-    Composition rule: :meth:`composed_epsilon` (basic composition here) is
-    the single hook subclasses override; a bound ``composition=`` callable
-    may be injected instead, which is how :class:`ServiceAccountant` makes
-    every per-analyst sub-ledger compose by the *service's* rule without
-    subclassing.
-
-    Charging surfaces:
-
-    * :meth:`spend` — the classic single-charge API (kept from the original
-      ``repro.dp.composition`` accountant);
-    * :meth:`reserve` / :meth:`rollback` — the all-or-nothing batch API the
-      synthesizers and the per-analyst service ledgers use: a refused
-      reservation records nothing, and a reservation whose work later fails
-      can be rolled back.
+    Charging is :meth:`reserve` / :meth:`rollback`, the all-or-nothing
+    batch API the synthesizers and the per-analyst service ledgers use: a
+    refused reservation records nothing, and a reservation whose work
+    later fails can be rolled back.
     """
 
     def __init__(
@@ -165,48 +150,22 @@ class PrivacyAccountant:
         epsilon_budget: float | None = None,
         delta_budget: float = 0.0,
         max_queries: int | None = None,
-        *,
-        composition: "Callable[[dict[float, int]], float] | None" = None,
-        record_entries: bool = True,
     ):
-        if epsilon_budget is not None and epsilon_budget <= 0:
+        if epsilon_budget is not None and not epsilon_budget > 0:
             raise ValueError("epsilon_budget must be positive when set")
-        if delta_budget < 0 or delta_budget >= 1:
+        if not 0 <= delta_budget < 1:
             raise ValueError("delta_budget must lie in [0, 1)")
-        if max_queries is not None and max_queries <= 0:
+        if max_queries is not None and not max_queries > 0:
             raise ValueError("max_queries must be positive when set")
         self.epsilon_budget = epsilon_budget
         self.delta_budget = delta_budget
         self.max_queries = max_queries
-        self._composition = composition
-        self._record_entries = record_entries
-        self._entries: list[PrivacySpend] = []
         self._counts: dict[float, int] = {}
         self._delta_total = 0.0
         self._queries = 0
         self._lock = threading.RLock()
 
-    # -- composition rule ---------------------------------------------------
-
-    def composed_epsilon(self, spends: dict[float, int]) -> float:
-        """Total epsilon of an ``{epsilon: count}`` ledger under this rule.
-
-        Basic composition here; subclasses override, and the
-        ``composition=`` constructor hook takes precedence when given.
-        """
-        return float(sum(eps * count for eps, count in spends.items()))
-
-    def _composed(self, counts: dict[float, int]) -> float:
-        rule = self._composition or self.composed_epsilon
-        return rule(counts)
-
     # -- read access --------------------------------------------------------
-
-    @property
-    def spends(self) -> tuple[PrivacySpend, ...]:
-        """All charges so far, in order (empty when entry recording is off)."""
-        with self._lock:
-            return tuple(self._entries)
 
     @property
     def queries_charged(self) -> int:
@@ -216,48 +175,16 @@ class PrivacyAccountant:
 
     @property
     def epsilon_composed(self) -> float:
-        """Composed epsilon of the ledger under this accountant's rule."""
+        """Composed (summed) epsilon of the ledger."""
         with self._lock:
-            return float(self._composed(self._counts))
+            return _epsilon_sum(self._counts)
 
     def total(self) -> tuple[float, float]:
         """Current (epsilon, delta) under basic composition."""
         with self._lock:
-            if self._record_entries:
-                return basic_composition(self._entries)
-            epsilon = float(sum(eps * count for eps, count in self._counts.items()))
-            return epsilon, float(self._delta_total)
-
-    def remaining_epsilon(self) -> float | None:
-        """Unspent epsilon, or ``None`` for an unlimited accountant."""
-        if self.epsilon_budget is None:
-            return None
-        return self.epsilon_budget - self.total()[0]
-
-    def advanced_total(self, delta_prime: float = 1e-6) -> tuple[float, float]:
-        """The advanced-composition view of homogeneous spends.
-
-        Only valid when all recorded spends are pure and share one epsilon;
-        raises otherwise (heterogeneous advanced composition is out of
-        scope for this reproduction).
-        """
-        with self._lock:
-            if not self._queries:
-                return 0.0, 0.0
-            if len(self._counts) != 1 or self._delta_total > 0:
-                raise ValueError(
-                    "advanced_total requires homogeneous pure-DP spends"
-                )
-            ((epsilon, k),) = tuple(self._counts.items())
-        return advanced_composition(epsilon, k, delta_prime)
+            return _epsilon_sum(self._counts), float(self._delta_total)
 
     # -- charging -----------------------------------------------------------
-
-    def spend(self, epsilon: float, delta: float = 0.0, label: str = "") -> PrivacySpend:
-        """Record one charge; raises :class:`BudgetExhausted` when over budget."""
-        charge = PrivacySpend(epsilon=epsilon, delta=delta, label=label)
-        self.reserve(1, epsilon, delta, label=label)
-        return charge
 
     def reserve(
         self,
@@ -265,7 +192,6 @@ class PrivacyAccountant:
         epsilon: float,
         delta: float = 0.0,
         *,
-        label: str = "",
         analyst: str = "",
     ) -> None:
         """Atomically charge ``count`` queries at (``epsilon``, ``delta``) each.
@@ -273,11 +199,11 @@ class PrivacyAccountant:
         All-or-nothing: if any budget (query count, epsilon, delta) would be
         exceeded, raises :class:`BudgetExhausted` and records nothing.  The
         optional ``analyst`` only decorates refusal messages — the
-        multi-analyst bookkeeping lives in :class:`ServiceAccountant`.
+        multi-analyst bookkeeping lives in :class:`BasicAccountant`.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if epsilon < 0:
+        if not epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         if not 0 <= delta < 1:
             raise ValueError("delta must lie in [0, 1)")
@@ -303,8 +229,8 @@ class PrivacyAccountant:
             if self.epsilon_budget is not None:
                 candidate = dict(self._counts)
                 candidate[epsilon] = candidate.get(epsilon, 0) + count
-                before = self._composed(self._counts)
-                after = self._composed(candidate)
+                before = _epsilon_sum(self._counts)
+                after = _epsilon_sum(candidate)
                 if after > self.epsilon_budget + _EPSILON_TOLERANCE:
                     if analyst:
                         message = (
@@ -346,9 +272,6 @@ class PrivacyAccountant:
             self._counts[epsilon] = self._counts.get(epsilon, 0) + count
             self._delta_total = total_delta
             self._queries += count
-            if self._record_entries:
-                entry = PrivacySpend(epsilon=epsilon, delta=delta, label=label)
-                self._entries.extend([entry] * count)
 
     def rollback(self, count: int, epsilon: float, delta: float = 0.0) -> None:
         """Return a reservation to the budget (the work was never done).
@@ -375,8 +298,6 @@ class PrivacyAccountant:
                 self._counts[epsilon] = recorded - count
             self._delta_total = max(0.0, self._delta_total - delta * count)
             self._queries -= count
-            if self._record_entries:
-                del self._entries[-count:]
 
     def __repr__(self) -> str:
         epsilon, delta = self.total()
@@ -386,19 +307,16 @@ class PrivacyAccountant:
         )
 
 
-class ServiceAccountant(PrivacyAccountant, ABC):
+class BasicAccountant(PrivacyAccountant):
     """Per-analyst and global epsilon ledgers with all-or-nothing charges.
 
     The multi-analyst extension of :class:`PrivacyAccountant`: each analyst
-    gets an entry-free sub-ledger whose ``composition=`` hook is bound to
-    *this* accountant's :meth:`composed_epsilon`, so per-analyst budgets
-    compose by the subclass rule with no duplicated math.  The global
-    ledger composes *basically* across analysts — the private data answers
-    all of them, so their losses add — and every charge is also mirrored
-    into the inherited single ledger, which therefore reports the basic
-    (epsilon, delta) total across the whole service via :meth:`total`.
-
-    Subclasses supply the composition rule through :meth:`composed_epsilon`.
+    gets a :class:`PrivacyAccountant` sub-ledger carrying the per-analyst
+    epsilon and query budgets.  The global ledger sums the analysts'
+    epsilons — the private data answers all of them, so their losses add —
+    and every charge is also mirrored into the inherited single ledger,
+    which therefore reports the (epsilon, delta) total across the whole
+    service via :meth:`total` (the compliance COMPOSE verifier reads it).
     """
 
     def __init__(
@@ -407,21 +325,17 @@ class ServiceAccountant(PrivacyAccountant, ABC):
         global_epsilon: float | None = None,
         max_queries_per_analyst: int | None = None,
     ):
-        if per_analyst_epsilon is not None and per_analyst_epsilon <= 0:
+        if per_analyst_epsilon is not None and not per_analyst_epsilon > 0:
             raise ValueError("per_analyst_epsilon must be positive when set")
-        if global_epsilon is not None and global_epsilon <= 0:
+        if global_epsilon is not None and not global_epsilon > 0:
             raise ValueError("global_epsilon must be positive when set")
-        if max_queries_per_analyst is not None and max_queries_per_analyst <= 0:
+        if max_queries_per_analyst is not None and not max_queries_per_analyst > 0:
             raise ValueError("max_queries_per_analyst must be positive when set")
-        super().__init__(record_entries=False)
+        super().__init__()
         self.per_analyst_epsilon = per_analyst_epsilon
         self.global_epsilon = global_epsilon
         self.max_queries_per_analyst = max_queries_per_analyst
         self._ledgers: dict[str, PrivacyAccountant] = {}
-
-    @abstractmethod
-    def composed_epsilon(self, spends: dict[float, int]) -> float:
-        """Total epsilon of ``{epsilon: count}`` under this rule."""
 
     def _ledger_for(self, analyst: str) -> PrivacyAccountant:
         ledger = self._ledgers.get(analyst)
@@ -429,8 +343,6 @@ class ServiceAccountant(PrivacyAccountant, ABC):
             ledger = PrivacyAccountant(
                 epsilon_budget=self.per_analyst_epsilon,
                 max_queries=self.max_queries_per_analyst,
-                composition=self.composed_epsilon,
-                record_entries=False,
             )
             self._ledgers[analyst] = ledger
         return ledger
@@ -448,15 +360,9 @@ class ServiceAccountant(PrivacyAccountant, ABC):
             return ledger.epsilon_composed if ledger is not None else 0.0
 
     def global_spent(self) -> float:
-        """Composed epsilon across all analysts (basic across sessions)."""
+        """Composed epsilon across all analysts (their epsilons add)."""
         with self._lock:
             return sum(ledger.epsilon_composed for ledger in self._ledgers.values())
-
-    def remaining_epsilon(self, analyst: str) -> float | None:
-        """Unspent per-analyst epsilon, or ``None`` for an unlimited ledger."""
-        if self.per_analyst_epsilon is None:
-            return None
-        return self.per_analyst_epsilon - self.analyst_epsilon(analyst)
 
     def charge(self, analyst: str, count: int, epsilon_per_query: float) -> None:
         """Atomically charge ``count`` queries at ``epsilon_per_query`` each.
@@ -468,7 +374,7 @@ class ServiceAccountant(PrivacyAccountant, ABC):
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if epsilon_per_query < 0:
+        if not epsilon_per_query >= 0:
             raise ValueError("epsilon_per_query must be non-negative")
         if count == 0:
             return
@@ -494,7 +400,7 @@ class ServiceAccountant(PrivacyAccountant, ABC):
                         spent=grand - (after - before),
                     )
             # Mirror into the inherited single ledger (no budgets attached)
-            # so the service reports a basic global (epsilon, delta) total.
+            # so the service reports a global (epsilon, delta) total.
             super().reserve(count, epsilon_per_query)
 
     def refund(self, analyst: str, count: int, epsilon_per_query: float) -> None:
@@ -544,8 +450,9 @@ class BudgetLease:
     :meth:`commit` once the answers were actually released, or
     :meth:`rollback` to refund the charge when a later serve step
     (mechanism execution, cache insert, audit append) raises.  Works
-    against any accountant exposing ``charge``/``refund`` with the service
-    signature (:class:`ServiceAccountant` and :class:`ShardedAccountant`).
+    against either service accountant, :class:`BasicAccountant` or
+    :class:`ShardedAccountant`: both expose ``charge``/``refund`` with the
+    same signature.
 
     Settling is idempotent and single-shot: a committed lease refuses to
     roll back, and a rolled-back lease refunds exactly once.
@@ -602,48 +509,6 @@ class BudgetLease:
         )
 
 
-class BasicAccountant(ServiceAccountant):
-    """Basic composition: epsilons add, the worst-case-safe ledger."""
-
-    composed_epsilon = PrivacyAccountant.composed_epsilon
-
-
-class AdvancedAccountant(ServiceAccountant):
-    """Advanced composition: each homogeneous epsilon group pays the
-    ``sqrt(2 k ln(1/delta')) * eps + k eps (e^eps - 1)`` bound of
-    :func:`advanced_composition`, and groups with distinct epsilons add
-    (basic across groups).  Each group carries the configured
-    ``delta_prime``; the resulting delta is reported, not budgeted — the
-    reproduction's budgets are epsilon-denominated.
-    """
-
-    def __init__(
-        self,
-        per_analyst_epsilon: float | None = None,
-        global_epsilon: float | None = None,
-        max_queries_per_analyst: int | None = None,
-        delta_prime: float = 1e-6,
-    ):
-        super().__init__(per_analyst_epsilon, global_epsilon, max_queries_per_analyst)
-        if not 0 < delta_prime < 1:
-            raise ValueError("delta_prime must lie in (0, 1)")
-        self.delta_prime = float(delta_prime)
-
-    def composed_epsilon(self, spends: dict[float, int]) -> float:
-        total = 0.0
-        for eps, count in spends.items():
-            if eps == 0.0 or count == 0:
-                continue
-            # Advanced composition only helps for k > 1; a single spend is
-            # exactly eps, and the bound would be looser.
-            if count == 1:
-                total += eps
-            else:
-                advanced, _delta = advanced_composition(eps, count, self.delta_prime)
-                total += min(advanced, eps * count)
-        return float(total)
-
-
 def stable_shard(name: str, shards: int) -> int:
     """Deterministic, process-independent ``name -> shard`` assignment.
 
@@ -696,17 +561,14 @@ class _EpsilonLease:
 #: service front end, which mirrors it).
 DEFAULT_SHARDS = 16
 
-#: Composition rules a :class:`ShardedAccountant` shard can be built with.
-SHARD_RULES = ("basic", "advanced")
-
 
 class ShardedAccountant:
     """``S`` independent service sub-ledgers under one exact global cap.
 
-    The scaling problem with :class:`ServiceAccountant` is its single
+    The scaling problem with :class:`BasicAccountant` is its single
     re-entrant lock: every fresh query from every analyst serializes on it.
     This accountant hash-partitions analysts across ``shards`` independent
-    :class:`ServiceAccountant` instances (via :func:`stable_shard`), so
+    :class:`BasicAccountant` instances (via :func:`stable_shard`), so
     per-analyst and per-shard bookkeeping contend only within a shard — the
     request hot path never takes a global lock.
 
@@ -723,14 +585,13 @@ class ShardedAccountant:
     * a charge accepted from a lease would also have been accepted by the
       single ledger (the lease invariant keeps the true total <= budget);
     * a refused charge raises a :class:`BudgetExhausted` bit-identical to
-      the one :class:`ServiceAccountant` raises at the same point;
+      the one :class:`BasicAccountant` raises at the same point;
     * spend reads (:meth:`global_spent`, :meth:`analyst_epsilon`,
       :meth:`total`) are reconciled exactly on every call — the leases are
       never part of the reported ledger.
 
-    Args mirror :class:`ServiceAccountant`; ``rule`` picks the per-shard
-    composition (:data:`SHARD_RULES`), ``lease_chunk`` sizes the credit a
-    reconciliation grants (default ``global_epsilon / (4 * shards)``).
+    Args mirror :class:`BasicAccountant`; ``lease_chunk`` sizes the credit
+    a reconciliation grants (default ``global_epsilon / (4 * shards)``).
     """
 
     def __init__(
@@ -740,35 +601,22 @@ class ShardedAccountant:
         max_queries_per_analyst: int | None = None,
         *,
         shards: int = DEFAULT_SHARDS,
-        rule: str = "basic",
-        delta_prime: float = 1e-6,
         lease_chunk: float | None = None,
     ):
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
-        if rule not in SHARD_RULES:
-            raise ValueError(f"unknown rule {rule!r}; known: {SHARD_RULES}")
-        if global_epsilon is not None and global_epsilon <= 0:
+        if global_epsilon is not None and not global_epsilon > 0:
             raise ValueError("global_epsilon must be positive when set")
-        if lease_chunk is not None and lease_chunk <= 0:
+        if lease_chunk is not None and not lease_chunk > 0:
             raise ValueError("lease_chunk must be positive when set")
         self.shards = int(shards)
-        self.rule = rule
         self.per_analyst_epsilon = per_analyst_epsilon
         self.global_epsilon = global_epsilon
         self.max_queries_per_analyst = max_queries_per_analyst
-        if rule == "advanced":
-            self._shard_ledgers = tuple(
-                AdvancedAccountant(
-                    per_analyst_epsilon, None, max_queries_per_analyst, delta_prime
-                )
-                for _ in range(self.shards)
-            )
-        else:
-            self._shard_ledgers = tuple(
-                BasicAccountant(per_analyst_epsilon, None, max_queries_per_analyst)
-                for _ in range(self.shards)
-            )
+        self._shard_ledgers = tuple(
+            BasicAccountant(per_analyst_epsilon, None, max_queries_per_analyst)
+            for _ in range(self.shards)
+        )
         if lease_chunk is None and global_epsilon is not None:
             lease_chunk = global_epsilon / (4.0 * self.shards)
         self.lease_chunk = lease_chunk
@@ -778,7 +626,7 @@ class ShardedAccountant:
         self.reconciliations = 0
         self._telemetry = None
         # First-charge order across all shards: the exact global check must
-        # sum composed epsilons in the same order ServiceAccountant's
+        # sum composed epsilons in the same order BasicAccountant's
         # ledger dict iterates, or float rounding breaks bit-identity.
         self._order: list[tuple[int, str]] = []
         self._known: dict[str, int] = {}
@@ -819,10 +667,6 @@ class ShardedAccountant:
         """The shard the named analyst's ledger lives on."""
         return stable_shard(analyst, self.shards)
 
-    def shard_ledger(self, index: int) -> ServiceAccountant:
-        """The per-shard sub-accountant (diagnostics and tests)."""
-        return self._shard_ledgers[index]
-
     def _register(self, analyst: str, index: int) -> None:
         # Lock-free fast path: registered analysts are never removed, so a
         # plain dict read suffices after the first charge attempt.
@@ -837,14 +681,14 @@ class ShardedAccountant:
     def charge(self, analyst: str, count: int, epsilon_per_query: float) -> None:
         """Atomically charge ``count`` queries at ``epsilon_per_query`` each.
 
-        Semantics of :meth:`ServiceAccountant.charge`, verdicts included:
+        Semantics of :meth:`BasicAccountant.charge`, verdicts included:
         per-analyst refusals come from the analyst's (shard-local) ledger,
         global refusals from the exact reconciliation path.  Only the
         owning shard's lock is taken unless the shard's lease runs dry.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if epsilon_per_query < 0:
+        if not epsilon_per_query >= 0:
             raise ValueError("epsilon_per_query must be non-negative")
         if count == 0:
             return
@@ -904,7 +748,7 @@ class ShardedAccountant:
         """Ordered exact sum of per-analyst composed epsilons.
 
         Same iteration order (first charge attempt) and same ``sum``
-        semantics as ``ServiceAccountant.global_spent`` — freshly created
+        semantics as ``BasicAccountant.global_spent`` — freshly created
         ledgers contribute an exact ``0.0``, so including them is bit-safe.
         """
         return sum(
@@ -935,7 +779,7 @@ class ShardedAccountant:
             self._leases[index].deposit(delta)
 
     def lease(self, analyst: str, count: int, epsilon_per_query: float) -> BudgetLease:
-        """Charge-and-hold, the :meth:`ServiceAccountant.lease` contract."""
+        """Charge-and-hold, the :meth:`BasicAccountant.lease` contract."""
         return BudgetLease.acquire(self, analyst, count, epsilon_per_query)
 
     # -- read access (always exact; leases are invisible here) --------------
@@ -948,16 +792,10 @@ class ShardedAccountant:
         """``analyst``'s composed epsilon so far."""
         return self._shard_ledgers[self.shard_of(analyst)].analyst_epsilon(analyst)
 
-    def remaining_epsilon(self, analyst: str) -> float | None:
-        """Unspent per-analyst epsilon, or ``None`` for an unlimited ledger."""
-        if self.per_analyst_epsilon is None:
-            return None
-        return self.per_analyst_epsilon - self.analyst_epsilon(analyst)
-
     def global_spent(self) -> float:
         """Composed epsilon across all analysts, reconciled exactly.
 
-        Bit-identical to ``ServiceAccountant.global_spent`` for the same
+        Bit-identical to ``BasicAccountant.global_spent`` for the same
         charge history: same per-analyst composed values, summed in the
         same first-charge order.
         """
@@ -981,7 +819,7 @@ class ShardedAccountant:
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(shards={self.shards}, rule={self.rule!r}, "
+            f"{type(self).__name__}(shards={self.shards}, "
             f"global_spent={self.global_spent():.4f}, "
             f"per_analyst_budget={self.per_analyst_epsilon}, "
             f"global_budget={self.global_epsilon})"

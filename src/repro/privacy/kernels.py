@@ -105,7 +105,7 @@ class LaplaceKernel(NoiseKernel):
     @classmethod
     def calibrate(cls, epsilon: float, sensitivity: float = 1.0) -> "LaplaceKernel":
         """Theorem 1.3 calibration: ``scale = sensitivity / epsilon``."""
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if sensitivity <= 0:
             raise ValueError(f"sensitivity must be positive, got {sensitivity}")
@@ -182,7 +182,7 @@ class GeometricKernel(NoiseKernel):
 
     @classmethod
     def calibrate(cls, epsilon: float, sensitivity: float = 1.0) -> "GeometricKernel":
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if sensitivity <= 0:
             raise ValueError(f"sensitivity must be positive, got {sensitivity}")
@@ -287,7 +287,7 @@ class MechanismSpec:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
         if self.error_bound < 0:
             raise ValueError(f"error_bound must be non-negative, got {self.error_bound}")
-        if self.dp and self.spend.epsilon <= 0:
+        if self.dp and not self.spend.epsilon > 0:
             raise ValueError("a DP mechanism must carry a positive epsilon spend")
 
     @property

@@ -19,7 +19,7 @@ from repro.queries.mechanism import (
     SubsamplingAnswerer,
 )
 from repro.queries.query import SubsetQuery
-from repro.queries.workload import Workload, all_subset_queries, random_subset_queries
+from repro.queries.workload import Workload
 
 __all__ = [
     "BoundedNoiseAnswerer",
@@ -31,6 +31,4 @@ __all__ = [
     "SubsamplingAnswerer",
     "SubsetQuery",
     "Workload",
-    "all_subset_queries",
-    "random_subset_queries",
 ]

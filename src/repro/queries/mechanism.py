@@ -38,7 +38,7 @@ All answerers count how many queries they served; the attacks report that
 number, since "too many questions" is half of the Fundamental Law.  The
 matching defense, a cap on the questions one analyst may ask, is the
 service accountant's ``max_queries_per_analyst``
-(:class:`~repro.privacy.accounting.ServiceAccountant`).
+(:class:`~repro.privacy.accounting.BasicAccountant`).
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ class LaplaceAnswerer(QueryAnswerer):
 
     def __init__(self, data: np.ndarray, epsilon_per_query: float, rng: RngSeed = None):
         super().__init__(data)
-        if epsilon_per_query <= 0:
+        if not epsilon_per_query > 0:
             raise ValueError("epsilon_per_query must be positive")
         self.epsilon_per_query = float(epsilon_per_query)
         self._kernel = LaplaceKernel.calibrate(self.epsilon_per_query, sensitivity=1.0)

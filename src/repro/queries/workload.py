@@ -218,35 +218,3 @@ class Workload:
 
     def __repr__(self) -> str:
         return f"Workload(m={self.m}, n={self.n})"
-
-
-def all_subset_queries(n: int, include_empty: bool = False) -> list[SubsetQuery]:
-    """Every subset of ``[n]`` as a query — the Theorem 1.1(i) workload.
-
-    The empty subset carries no information and is skipped unless
-    ``include_empty`` is set.  Bounded to ``n <= 20`` (about a million
-    queries) so a typo cannot take the process down.
-    """
-    queries = list(Workload.all_subsets(n))
-    if include_empty:
-        queries.insert(0, SubsetQuery.from_indices([], n))
-    return queries
-
-
-def random_subset_queries(
-    n: int, count: int, density: float = 0.5, rng: RngSeed = None
-) -> list[SubsetQuery]:
-    """``count`` i.i.d. random subsets, each position included w.p. ``density``.
-
-    This is the polynomial workload of Theorem 1.1(ii); density-1/2 subsets
-    are the standard choice for LP decoding.  Degenerate all-empty masks are
-    resampled so every query is informative.
-    """
-    return list(Workload.random(n, count, density=density, rng=rng))
-
-
-def singleton_queries(n: int) -> list[SubsetQuery]:
-    """The ``n`` singleton queries {i} — maximally invasive, for baselines."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return list(Workload(np.eye(n, dtype=bool), copy=False))

@@ -200,11 +200,6 @@ class ShardedReconstructionResult:
         return sum(1 for report in self.shard_reports if report.escalated)
 
     @property
-    def escalated_blocks(self) -> tuple[int, ...]:
-        """Block indices of the escalated shards."""
-        return tuple(r.block for r in self.shard_reports if r.escalated)
-
-    @property
     def max_residual(self) -> float:
         """Worst per-shard residual of the joined reconstruction."""
         return max((r.max_residual for r in self.shard_reports), default=0.0)

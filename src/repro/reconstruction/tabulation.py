@@ -64,13 +64,6 @@ class BlockTables:
             )
         return dict(by_age)
 
-    def race_counts(self) -> dict[str, int]:
-        """Marginal population by race."""
-        counts: Counter = Counter()
-        for (race, _eth), count in self.race_by_ethnicity.items():
-            counts[race] += count
-        return dict(counts)
-
 
 def tabulate_blocks(census: Dataset) -> dict[int, BlockTables]:
     """Publish the table system for every block of the census microdata.

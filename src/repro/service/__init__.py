@@ -12,9 +12,9 @@ subpackage is that interface, in-process:
   CacheLookup -> BudgetReserve -> Execute -> CachePut -> AuditAppend);
 * :mod:`repro.service.server` — :class:`QueryServer`, multi-analyst
   sessions routing queries and workloads to a configured mechanism;
-* :mod:`repro.privacy.accounting` — pluggable per-analyst/global epsilon
-  ledgers (basic and advanced composition) with all-or-nothing charges,
-  typed :class:`BudgetExhausted` refusals, and the
+* :mod:`repro.privacy.accounting` — the per-analyst/global epsilon
+  ledger :class:`BasicAccountant` (epsilons add) with all-or-nothing
+  charges, typed :class:`BudgetExhausted` refusals, and the
   :class:`~repro.privacy.accounting.BudgetLease` reserve/rollback contract
   the BudgetReserve step holds;
 * :mod:`repro.service.cache` — canonical query fingerprints and the answer
@@ -35,11 +35,9 @@ whole stack end to end.
 """
 
 from repro.privacy.accounting import (
-    AdvancedAccountant,
     BasicAccountant,
     BudgetExhausted,
     BudgetLease,
-    ServiceAccountant,
     ShardedAccountant,
     stable_shard,
 )
@@ -85,7 +83,6 @@ from repro.service.sharded import (
 
 __all__ = [
     "AdmissionControl",
-    "AdvancedAccountant",
     "AnalystCacheView",
     "AnalystSession",
     "AnswerCache",
@@ -109,7 +106,6 @@ __all__ = [
     "Rejected",
     "ReleaseRecord",
     "ServePipeline",
-    "ServiceAccountant",
     "ShardedAccountant",
     "ShardedAnalystSession",
     "ShardedQueryServer",

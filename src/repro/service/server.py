@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.compliance.gate import ComplianceDenied, ComplianceGate
-from repro.privacy.accounting import BasicAccountant, ServiceAccountant
+from repro.privacy.accounting import BasicAccountant
 from repro.privacy.kernels import MechanismSpec
 from repro.queries.mechanism import (
     BoundedNoiseAnswerer,
@@ -163,7 +163,7 @@ class SyntheticFallback:
     account: str = "synthetic-release"
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.rounds <= 0:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
@@ -299,7 +299,7 @@ class QueryServer:
         data: np.ndarray,
         mechanism: str | Callable[..., QueryAnswerer] = "laplace",
         mechanism_params: dict | None = None,
-        accountant: ServiceAccountant | None = None,
+        accountant: BasicAccountant | None = None,
         auditor: ReconstructionAuditor | None = None,
         cache_entries: int | None = None,
         seed: int = 0,

@@ -242,7 +242,7 @@ class ShardedQueryServer:
             tests can drive refills deterministically).
         accountant: defaults to a :class:`ShardedAccountant` with matching
             shard count and no budgets; pass a configured one to enforce
-            per-analyst/global caps.  A plain :class:`ServiceAccountant`
+            per-analyst/global caps.  A plain :class:`BasicAccountant`
             also works (it is simply shared across shards).
         telemetry: observability — a :class:`~repro.telemetry.Telemetry`
             instance, :data:`~repro.telemetry.NULL_TELEMETRY` (off), or

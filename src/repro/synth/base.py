@@ -99,9 +99,7 @@ class Synthesizer(ABC):
         generator = ensure_rng(rng)
         spec = self.spec
         if accountant is not None:
-            accountant.reserve(
-                1, spec.spend.epsilon, spec.spend.delta, label=spec.name
-            )
+            accountant.reserve(1, spec.spend.epsilon, spec.spend.delta)
         try:
             release = self._synthesize(dataset, generator)
         except BaseException:

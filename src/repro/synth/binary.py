@@ -106,7 +106,7 @@ def synthesize_binary(
         dp=True,
     )
     if accountant is not None:
-        accountant.reserve(1, spec.spend.epsilon, spec.spend.delta, label=spec.name)
+        accountant.reserve(1, spec.spend.epsilon, spec.spend.delta)
     try:
         if workload is None:
             if num_queries is None:

@@ -19,11 +19,10 @@ from repro.utils.rng import RngSeed, derive_rng, ensure_rng, spawn_rngs
 from repro.utils.stats import (
     BinomialEstimate,
     clopper_pearson_interval,
-    empirical_cdf,
     estimate_proportion,
     wilson_interval,
 )
-from repro.utils.tables import Table, format_table
+from repro.utils.tables import Table
 
 __all__ = [
     "BinomialEstimate",
@@ -32,11 +31,9 @@ __all__ = [
     "clopper_pearson_interval",
     "derive_rng",
     "effective_jobs",
-    "empirical_cdf",
     "ensure_rng",
     "estimate_proportion",
     "parallel_map",
-    "format_table",
     "isolation_probability",
     "negligible_weight_threshold",
     "optimal_isolation_weight",

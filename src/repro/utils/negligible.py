@@ -73,10 +73,3 @@ def baseline_isolation_probability(n: int) -> float:
     decreases towards ``1/e ~ 0.3679`` — the paper's "~37%" benchmark.
     """
     return isolation_probability(n, optimal_isolation_weight(n))
-
-
-def is_negligible_weight(
-    weight: float, n: int, exponent: float = DEFAULT_NEGLIGIBLE_EXPONENT
-) -> bool:
-    """Whether ``weight`` counts as negligible at dataset size ``n``."""
-    return weight <= negligible_weight_threshold(n, exponent)

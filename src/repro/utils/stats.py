@@ -117,15 +117,6 @@ def estimate_proportion(
     )
 
 
-def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cdf)`` pairs for plotting/threshold lookups."""
-    values = np.sort(np.asarray(samples, dtype=float))
-    if values.size == 0:
-        raise ValueError("need at least one sample")
-    cdf = np.arange(1, values.size + 1) / values.size
-    return values, cdf
-
-
 def _validate_counts(successes: int, trials: int, confidence: float) -> None:
     if trials <= 0:
         raise ValueError("trials must be positive")

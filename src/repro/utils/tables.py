@@ -69,11 +69,3 @@ def format_cell(value: object) -> str:
             return f"{value:.3e}"
         return f"{value:.4g}"
     return str(value)
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Iterable[object]], title: str = "") -> str:
-    """One-shot convenience wrapper around :class:`Table`."""
-    table = Table(list(headers), title=title)
-    for row in rows:
-        table.add_row(row)
-    return table.render()

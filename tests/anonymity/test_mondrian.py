@@ -19,11 +19,21 @@ def release_input():
     return gic_release(population)
 
 
+@pytest.fixture(scope="module")
+def raw_disease_input():
+    # Mondrian keeps the sensitive ``disease`` column raw, so whole released
+    # rows split an equivalence class; k-anonymity groups on the
+    # quasi-identifiers only (smallest whole-row class here: 1).
+    population = generate_population(PopulationConfig(size=300, zip_count=15), rng=2)
+    return gic_release(population)
+
+
 class TestMondrianInvariants:
     @pytest.mark.parametrize("k", [2, 5, 10])
-    def test_output_is_k_anonymous(self, release_input, k):
-        release = MondrianAnonymizer(k=k).anonymize(release_input)
-        assert is_k_anonymous(release, k)
+    def test_output_is_k_anonymous(self, release_input, raw_disease_input, k):
+        for source in (release_input, raw_disease_input):
+            release = MondrianAnonymizer(k=k).anonymize(source)
+            assert is_k_anonymous(release, k)
 
     def test_row_order_preserved(self, release_input):
         release = MondrianAnonymizer(k=5).anonymize(release_input)

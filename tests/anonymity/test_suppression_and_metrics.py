@@ -30,8 +30,8 @@ class TestMetrics:
     def test_discernibility_sums_squares(self):
         data = uniform_bits_distribution(8).sample(40, rng=0)
         release = AgreementAnonymizer(4).anonymize(data)
-        classes = release.class_sizes()
-        assert discernibility_metric(release) == sum(size**2 for size in classes)
+        classes = equivalence_classes_on(release).values()
+        assert discernibility_metric(release) == sum(len(rows) ** 2 for rows in classes)
 
     def test_discernibility_penalizes_suppression(self, release_input):
         release = DataflyAnonymizer(k=10, max_suppression=0.05).anonymize(release_input)

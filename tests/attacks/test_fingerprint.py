@@ -104,29 +104,3 @@ class TestExperiment:
     def test_too_much_required_knowledge(self, corpus):
         with pytest.raises(ValueError):
             fingerprint_experiment(corpus, targets=10, known=10_000)
-
-
-class TestCandidateIdentities:
-    def test_target_in_small_candidate_set(self, corpus):
-        from repro.attacks.fingerprint import candidate_identities
-
-        release, identity = corpus.anonymized(rng=10)
-        true_pseudonym = {user: p for p, user in identity.items()}
-        target = 11
-        profile = corpus.profile(target)
-        # Weak auxiliary knowledge: only two ratings, dates omitted.
-        aux = [AuxiliaryRating(r.movie, r.stars, None) for r in profile[:2]]
-        candidates = candidate_identities(release, aux, top=5)
-        assert len(candidates) == 5
-        assert true_pseudonym[target] in {user for user, _score in candidates}
-        scores = [score for _user, score in candidates]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_validation(self, corpus):
-        from repro.attacks.fingerprint import candidate_identities
-
-        release, _ = corpus.anonymized(rng=11)
-        with pytest.raises(ValueError):
-            candidate_identities(release, [])
-        with pytest.raises(ValueError):
-            candidate_identities(release, [AuxiliaryRating(0, 5, 0)], top=0)

@@ -101,7 +101,7 @@ class TestActiveAttack:
         targets = [5, 17, 60, 123]
         result = active_attack(graph, targets, num_sybils=10, rng=derive_rng(0, "a"))
         assert result.located
-        assert result.recovery_rate >= 0.75
+        assert result.reidentified / result.targets >= 0.75
 
     def test_too_few_sybils_fail(self, graph):
         targets = [5, 17, 60]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.attacks.uniqueness import (
     k_anonymity_level,
-    singled_out_count,
     uniqueness_profile,
 )
 from repro.data.dataset import Dataset
@@ -49,8 +48,3 @@ class TestKAnonymityLevel:
         empty = Dataset(dataset.schema, [])
         with pytest.raises(ValueError):
             k_anonymity_level(empty, ["zip"])
-
-
-def test_singled_out_count(dataset):
-    assert singled_out_count(dataset, ["zip", "age"]) == 2
-    assert singled_out_count(dataset, ["zip"]) == 1

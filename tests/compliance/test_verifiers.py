@@ -8,7 +8,6 @@ import pytest
 from repro.anonymity import MondrianAnonymizer
 from repro.compliance import (
     CompositionPolicyVerifier,
-    DeletionVerifier,
     DpClaimVerifier,
     KAnonymityClaimVerifier,
     Policy,
@@ -17,7 +16,6 @@ from repro.compliance import (
     SafeHarborVerifier,
 )
 from repro.data.population import PopulationConfig, generate_population, gic_release
-from repro.lm.ngram import synthetic_corpus
 from repro.privacy.accounting import PrivacyAccountant
 from repro.privacy.kernels import PrivacySpend
 from repro.synth import BinaryRelease
@@ -191,28 +189,5 @@ class TestReconstructionResistanceVerifier:
             ReleaseContext(release=np.zeros(secret.size + 1), data=secret),
             policy,
             _rng(),
-        )
-        assert not result.passed
-
-
-class TestDeletionVerifier:
-    def test_exact_unlearning_passes(self, dp_release, policy):
-        corpus = synthetic_corpus(12, rng=0)
-        result = DeletionVerifier(delete_index=3, order=4).check(
-            ReleaseContext(release=dp_release, data=corpus), policy, _rng()
-        )
-        assert result.passed
-        assert result.measurements["corpus_documents"] == 12
-
-    def test_invalid_index_fails_not_raises(self, dp_release, policy):
-        corpus = synthetic_corpus(5, rng=0)
-        result = DeletionVerifier(delete_index=99).check(
-            ReleaseContext(release=dp_release, data=corpus), policy, _rng()
-        )
-        assert not result.passed
-
-    def test_non_corpus_data_fails(self, secret, dp_release, policy):
-        result = DeletionVerifier().check(
-            ReleaseContext(release=dp_release, data=secret), policy, _rng()
         )
         assert not result.passed

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core.analysis import (
-    composition_attack_success_bound,
     expected_agreement_bits,
     refinement_success_probability,
-    required_width_for_negligibility,
-    trivial_attacker_ceiling,
 )
 
 
@@ -59,37 +56,3 @@ class TestAgreementBits:
     def test_invalid(self):
         with pytest.raises(ValueError):
             expected_agreement_bits(0, 4, 200)
-
-
-class TestRequiredWidth:
-    def test_e12_schedule_satisfies_requirement(self):
-        """The widths used by E12 meet or beat the analytic requirement."""
-        for k, width in {2: 96, 3: 128, 4: 192, 6: 1024}.items():
-            assert width >= required_width_for_negligibility(k, 250) * 0.5
-
-    def test_grows_exponentially_in_k(self):
-        w4 = required_width_for_negligibility(4, 250)
-        w8 = required_width_for_negligibility(8, 250)
-        assert w8 > 8 * w4
-
-    def test_invalid_exponent(self):
-        with pytest.raises(ValueError):
-            required_width_for_negligibility(4, 250, exponent=1.0)
-
-
-class TestCeilings:
-    def test_trivial_ceiling_tiny(self):
-        assert trivial_attacker_ceiling(200) < 0.01
-        assert trivial_attacker_ceiling(200) == pytest.approx(
-            200 * 200.0**-2, rel=0.05
-        )
-
-    def test_composition_bound_below_measured(self):
-        # E10 measures 0.6-0.9; the crude bound must sit below it.
-        assert composition_attack_success_bound(256) <= 0.5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            trivial_attacker_ceiling(0)
-        with pytest.raises(ValueError):
-            composition_attack_success_bound(1)

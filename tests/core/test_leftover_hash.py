@@ -7,7 +7,6 @@ from repro.core.leftover_hash import (
     hash_bit_equals_predicate,
     hash_bit_predicate,
     hash_threshold_predicate,
-    isolating_weight_predicate,
 )
 from repro.data.distributions import uniform_bits_distribution
 
@@ -65,12 +64,6 @@ class TestHashThresholdPredicate:
             hash_threshold_predicate("s", 0.0)
         with pytest.raises(ValueError):
             hash_threshold_predicate("s", 1.5)
-
-    def test_isolating_weight_predicate(self):
-        predicate = isolating_weight_predicate("s", 100)
-        assert predicate.analytic_weight == pytest.approx(0.01)
-        with pytest.raises(ValueError):
-            isolating_weight_predicate("s", 0)
 
 
 class TestHashBitPredicates:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.anonymity.agreement import AgreementAnonymizer
+from repro.anonymity.checks import is_k_anonymous
 from repro.core.leftover_hash import hash_bit_predicate
 from repro.core.mechanisms import (
     ComposedMechanism,
@@ -88,7 +89,7 @@ class TestKAnonymityMechanism:
         mechanism = KAnonymityMechanism(AgreementAnonymizer(4))
         release = mechanism.release(data)
         assert isinstance(release, GeneralizedDataset)
-        assert release.is_k_anonymous(4)
+        assert is_k_anonymous(release, 4)
 
     def test_rejects_non_anonymizer(self):
         with pytest.raises(TypeError):

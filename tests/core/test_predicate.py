@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.predicate import (
     Predicate,
     attribute_predicate,
-    generalized_record_predicate,
     predicate_from_conditions,
 )
 from repro.data.dataset import Record
@@ -16,8 +15,6 @@ from repro.data.distributions import (
     uniform_bits_distribution,
 )
 from repro.data.domain import CategoricalDomain, IntegerDomain
-from repro.data.generalized import GeneralizedRecord
-from repro.data.hierarchy import GeneralizedValue
 from repro.data.schema import Attribute, AttributeKind, Schema
 
 
@@ -139,16 +136,3 @@ class TestConditionsHelpers:
             predicate_from_conditions({})
         with pytest.raises(ValueError):
             predicate_from_conditions({"zip": frozenset()})
-
-    def test_generalized_record_predicate(self, schema, distribution):
-        cell = GeneralizedRecord(
-            schema,
-            [
-                GeneralizedValue("1234*", ["12340", "12341"]),
-                GeneralizedValue("0-49", range(0, 50)),
-            ],
-        )
-        predicate = generalized_record_predicate(cell)
-        assert predicate(Record(schema, ("12341", 25)))
-        assert not predicate(Record(schema, ("23456", 25)))
-        assert predicate.weight(distribution) == pytest.approx((2 / 3) * 0.5)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.dataset import Dataset, Record
+from repro.data.dataset import Dataset
 from repro.data.domain import CategoricalDomain, IntegerDomain
 from repro.data.schema import Attribute, AttributeKind, Schema
 

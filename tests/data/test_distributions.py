@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.data.distributions import (
     AttributeDistribution,
     ProductDistribution,
-    bernoulli_distribution,
     uniform_bits_distribution,
-    uniform_distribution,
 )
 from repro.data.domain import CategoricalDomain, IntegerDomain
 from repro.data.schema import Attribute, AttributeKind, Schema
@@ -83,7 +81,7 @@ class TestProductDistribution:
         )
 
     def test_uniform_construction(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         assert dist.record_probability(("r", 1)) == pytest.approx(1 / 8)
 
     def test_missing_marginal_rejected(self, schema):
@@ -101,38 +99,38 @@ class TestProductDistribution:
             ProductDistribution(schema, marginals)
 
     def test_sampling_shape_and_validity(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         data = dist.sample(100, rng=0)
         assert len(data) == 100
         for record in data:
             schema.validate_record(record.values)
 
     def test_sample_deterministic(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         assert dist.sample(10, rng=1).rows == dist.sample(10, rng=1).rows
 
     def test_conjunction_weight_exact(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         weight = dist.conjunction_weight({"color": {"r"}, "size": {1, 2}})
         assert weight == pytest.approx(0.5 * 0.5)
 
     def test_conjunction_weight_unconstrained_attribute(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         assert dist.conjunction_weight({"color": {"r", "g"}}) == pytest.approx(1.0)
 
     def test_conjunction_weight_unknown_attribute(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         with pytest.raises(KeyError):
             dist.conjunction_weight({"height": {1}})
 
     def test_estimate_weight_matches_exact(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         exact = dist.conjunction_weight({"color": {"r"}})
         estimate = dist.estimate_weight(lambda r: r["color"] == "r", samples=4_000, rng=0)
         assert estimate == pytest.approx(exact, abs=0.03)
 
     def test_min_entropy_sums(self, schema):
-        dist = uniform_distribution(schema)
+        dist = ProductDistribution.uniform(schema)
         assert dist.min_entropy() == pytest.approx(1.0 + 2.0)
 
     @given(n=st.integers(0, 50))
@@ -143,16 +141,6 @@ class TestProductDistribution:
 
 
 class TestHelpers:
-    def test_bernoulli(self):
-        dist = bernoulli_distribution(0.3)
-        data = dist.sample(4_000, rng=0)
-        mean = sum(data.column("bit")) / len(data)
-        assert mean == pytest.approx(0.3, abs=0.03)
-
-    def test_bernoulli_invalid_p(self):
-        with pytest.raises(ValueError):
-            bernoulli_distribution(1.5)
-
     def test_uniform_bits(self):
         dist = uniform_bits_distribution(16)
         assert dist.min_entropy() == pytest.approx(16.0)

@@ -9,8 +9,6 @@ from repro.data.hierarchy import (
     GeneralizedValue,
     IntervalHierarchy,
     SuppressionHierarchy,
-    TaxonomyHierarchy,
-    ZipPrefixHierarchy,
     default_hierarchy,
 )
 
@@ -60,39 +58,6 @@ class TestSuppressionHierarchy:
             hierarchy.generalize("z", 0)
 
 
-class TestZipPrefixHierarchy:
-    @pytest.fixture
-    def hierarchy(self):
-        zips = CategoricalDomain(["12340", "12341", "12999", "23456"])
-        return ZipPrefixHierarchy(zips)
-
-    def test_levels(self, hierarchy):
-        assert hierarchy.levels == 6  # 5 digits + raw
-
-    def test_paper_example_masking(self, hierarchy):
-        value = hierarchy.generalize("12340", 1)
-        assert value.label == "1234*"
-        assert value.covers == frozenset(["12340", "12341"])
-
-    def test_wider_prefix(self, hierarchy):
-        value = hierarchy.generalize("12340", 3)
-        assert value.label == "12***"
-        assert value.covers == frozenset(["12340", "12341", "12999"])
-
-    def test_top_level_is_suppression(self, hierarchy):
-        value = hierarchy.generalize("12340", 5)
-        assert value.covers == frozenset(["12340", "12341", "12999", "23456"])
-
-    def test_nesting(self, hierarchy):
-        lower = hierarchy.generalize("12340", 1)
-        higher = hierarchy.generalize("12340", 2)
-        assert lower.covers <= higher.covers
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            ZipPrefixHierarchy(CategoricalDomain(["123", "12345"]))
-
-
 class TestIntervalHierarchy:
     @pytest.fixture
     def hierarchy(self):
@@ -130,40 +95,6 @@ class TestIntervalHierarchy:
     def test_value_always_covered(self, value, level):
         hierarchy = IntervalHierarchy(IntegerDomain(0, 100), widths=(5, 10, 20))
         assert hierarchy.generalize(value, level).matches(value)
-
-
-class TestTaxonomyHierarchy:
-    @pytest.fixture
-    def hierarchy(self):
-        domain = CategoricalDomain(["covid", "flu", "cf", "asthma"])
-        parents = {
-            "covid": "RESP", "flu": "RESP",
-            "cf": "PULM", "asthma": "PULM",
-            "RESP": "ANY", "PULM": "ANY",
-        }
-        return TaxonomyHierarchy(domain, parents)
-
-    def test_paper_example_pulm(self, hierarchy):
-        value = hierarchy.generalize("cf", 1)
-        assert value.label == "PULM"
-        assert value.covers == frozenset(["cf", "asthma"])
-
-    def test_root_level(self, hierarchy):
-        value = hierarchy.generalize("cf", 2)
-        assert value.covers == frozenset(["covid", "flu", "cf", "asthma"])
-
-    def test_top_is_suppression(self, hierarchy):
-        assert hierarchy.generalize("cf", hierarchy.levels - 1).label == "*"
-
-    def test_unequal_depths_rejected(self):
-        domain = CategoricalDomain(["a", "b"])
-        with pytest.raises(ValueError):
-            TaxonomyHierarchy(domain, {"a": "P", "P": "ANY"})  # b is a bare leaf
-
-    def test_cycle_rejected(self):
-        domain = CategoricalDomain(["a"])
-        with pytest.raises(ValueError):
-            TaxonomyHierarchy(domain, {"a": "b", "b": "a"})
 
 
 class TestDefaultHierarchy:

@@ -8,7 +8,6 @@ from repro.privacy.accounting import (
     PrivacyAccountant,
     PrivacySpend,
     advanced_composition,
-    basic_composition,
 )
 
 
@@ -22,17 +21,21 @@ class TestShimRemoved:
 
 class TestBasicComposition:
     def test_sums(self):
-        spends = [PrivacySpend(0.5), PrivacySpend(0.3, delta=1e-6)]
-        epsilon, delta = basic_composition(spends)
+        accountant = PrivacyAccountant(delta_budget=1e-5)
+        accountant.reserve(1, 0.5)
+        accountant.reserve(1, 0.3, delta=1e-6)
+        epsilon, delta = accountant.total()
         assert epsilon == pytest.approx(0.8)
         assert delta == pytest.approx(1e-6)
 
     def test_empty(self):
-        assert basic_composition([]) == (0.0, 0.0)
+        assert PrivacyAccountant().total() == (0.0, 0.0)
 
     def test_invalid_spend(self):
         with pytest.raises(ValueError):
             PrivacySpend(-0.1)
+        with pytest.raises(ValueError):
+            PrivacySpend(float("nan"))
         with pytest.raises(ValueError):
             PrivacySpend(0.1, delta=1.0)
 
@@ -54,6 +57,8 @@ class TestAdvancedComposition:
         with pytest.raises(ValueError):
             advanced_composition(0.0, 10, 1e-6)
         with pytest.raises(ValueError):
+            advanced_composition(float("nan"), 10, 1e-6)
+        with pytest.raises(ValueError):
             advanced_composition(0.1, 0, 1e-6)
         with pytest.raises(ValueError):
             advanced_composition(0.1, 10, 0.0)
@@ -62,50 +67,30 @@ class TestAdvancedComposition:
 class TestPrivacyAccountant:
     def test_tracks_total(self):
         accountant = PrivacyAccountant()
-        accountant.spend(0.2, label="q1")
-        accountant.spend(0.3, label="q2")
+        accountant.reserve(1, 0.2)
+        accountant.reserve(1, 0.3)
         assert accountant.total() == (pytest.approx(0.5), 0.0)
-        assert len(accountant.spends) == 2
+        assert accountant.queries_charged == 2
 
     def test_budget_enforced(self):
         accountant = PrivacyAccountant(epsilon_budget=0.5)
-        accountant.spend(0.4)
+        accountant.reserve(1, 0.4)
         with pytest.raises(RuntimeError):
-            accountant.spend(0.2)
-        # The failed spend must not have been recorded.
+            accountant.reserve(1, 0.2)
+        # The failed charge must not have been recorded.
         assert accountant.total()[0] == pytest.approx(0.4)
 
     def test_delta_budget_enforced(self):
         accountant = PrivacyAccountant(delta_budget=1e-6)
         with pytest.raises(RuntimeError):
-            accountant.spend(0.1, delta=1e-5)
-
-    def test_remaining(self):
-        accountant = PrivacyAccountant(epsilon_budget=1.0)
-        accountant.spend(0.25)
-        assert accountant.remaining_epsilon() == pytest.approx(0.75)
-        assert PrivacyAccountant().remaining_epsilon() is None
-
-    def test_advanced_total_homogeneous(self):
-        accountant = PrivacyAccountant()
-        for _ in range(100):
-            accountant.spend(0.05)
-        advanced_epsilon, _ = accountant.advanced_total(delta_prime=1e-6)
-        basic_epsilon, _ = accountant.total()
-        assert advanced_epsilon < basic_epsilon
-
-    def test_advanced_total_rejects_heterogeneous(self):
-        accountant = PrivacyAccountant()
-        accountant.spend(0.1)
-        accountant.spend(0.2)
-        with pytest.raises(ValueError):
-            accountant.advanced_total()
-
-    def test_advanced_total_empty(self):
-        assert PrivacyAccountant().advanced_total() == (0.0, 0.0)
+            accountant.reserve(1, 0.1, delta=1e-5)
 
     def test_invalid_budgets(self):
         with pytest.raises(ValueError):
             PrivacyAccountant(epsilon_budget=0.0)
         with pytest.raises(ValueError):
+            PrivacyAccountant(epsilon_budget=float("nan"))
+        with pytest.raises(ValueError):
             PrivacyAccountant(delta_budget=1.0)
+        with pytest.raises(ValueError):
+            PrivacyAccountant(delta_budget=float("nan"))

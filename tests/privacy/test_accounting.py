@@ -1,15 +1,12 @@
-"""Tests for the unified accountant hierarchy (repro.privacy.accounting)."""
+"""Tests for the privacy ledgers (repro.privacy.accounting)."""
 
 import pytest
 
 from repro.privacy.accounting import (
-    AdvancedAccountant,
     BasicAccountant,
     BudgetExhausted,
     PrivacyAccountant,
     PrivacySpend,
-    ServiceAccountant,
-    advanced_composition,
 )
 
 
@@ -50,7 +47,7 @@ class TestReserveRollback:
 
         by_delta = PrivacyAccountant(delta_budget=1e-6)
         with pytest.raises(BudgetExhausted) as caught:
-            by_delta.spend(0.1, delta=1e-3)
+            by_delta.reserve(1, 0.1, delta=1e-3)
         assert caught.value.scope == "delta"
 
     def test_budget_exhausted_carries_numbers(self):
@@ -66,9 +63,8 @@ class TestReserveRollback:
 
 class TestServiceAccountantUnification:
     def test_service_accountant_is_a_privacy_accountant(self):
-        assert issubclass(ServiceAccountant, PrivacyAccountant)
+        assert issubclass(BasicAccountant, PrivacyAccountant)
         assert isinstance(BasicAccountant(), PrivacyAccountant)
-        assert isinstance(AdvancedAccountant(), PrivacyAccountant)
 
     def test_charges_mirror_into_base_ledger(self):
         accountant = BasicAccountant()
@@ -101,22 +97,6 @@ class TestServiceAccountantUnification:
         assert accountant.analyst_queries("bob") == 0
         assert accountant.global_spent() == pytest.approx(0.75)
 
-    def test_advanced_accountant_composes_sublinearly(self):
-        accountant = AdvancedAccountant(delta_prime=1e-6)
-        count, epsilon = 100, 0.1
-        accountant.charge("alice", count, epsilon)
-        bound, _delta = advanced_composition(epsilon, count, 1e-6)
-        assert accountant.analyst_epsilon("alice") == pytest.approx(
-            min(bound, epsilon * count)
-        )
-        # Sub-linear: far below basic composition at this count.
-        assert accountant.analyst_epsilon("alice") < epsilon * count
-
-    def test_advanced_single_charge_is_exact(self):
-        accountant = AdvancedAccountant()
-        accountant.charge("alice", 1, 0.3)
-        assert accountant.analyst_epsilon("alice") == pytest.approx(0.3)
-
     def test_zero_epsilon_queries_still_counted(self):
         accountant = BasicAccountant(max_queries_per_analyst=3)
         accountant.charge("alice", 3, 0.0)
@@ -131,12 +111,26 @@ class TestSpendValidation:
         with pytest.raises(ValueError):
             PrivacySpend(-0.1)
         with pytest.raises(ValueError):
+            PrivacySpend(float("nan"))
+        with pytest.raises(ValueError):
             PrivacySpend(0.5, delta=1.0)
 
     def test_accountant_validation(self):
+        nan = float("nan")
         with pytest.raises(ValueError, match="epsilon_budget"):
             PrivacyAccountant(epsilon_budget=0.0)
+        with pytest.raises(ValueError, match="epsilon_budget"):
+            PrivacyAccountant(epsilon_budget=nan)
         with pytest.raises(ValueError, match="delta_budget"):
             PrivacyAccountant(delta_budget=1.0)
+        with pytest.raises(ValueError, match="delta_budget"):
+            PrivacyAccountant(delta_budget=nan)
         with pytest.raises(ValueError, match="max_queries"):
             PrivacyAccountant(max_queries=0)
+        with pytest.raises(ValueError, match="max_queries"):
+            PrivacyAccountant(max_queries=nan)
+        # A NaN charge would turn every later budget comparison false.
+        ledger = PrivacyAccountant(epsilon_budget=1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            ledger.reserve(1, nan)
+        assert ledger.total() == (0.0, 0.0)

@@ -43,6 +43,8 @@ class TestLaplaceKernel:
             LaplaceKernel(0.0)
         with pytest.raises(ValueError, match="epsilon must be positive"):
             LaplaceKernel.calibrate(0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            LaplaceKernel.calibrate(float("nan"))
         with pytest.raises(ValueError, match="sensitivity must be positive"):
             LaplaceKernel.calibrate(1.0, sensitivity=-1.0)
 
@@ -88,6 +90,8 @@ class TestGeometricKernel:
     def test_validation(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             GeometricKernel.calibrate(0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            GeometricKernel.calibrate(float("nan"))
         with pytest.raises(ValueError, match="sensitivity must be positive"):
             GeometricKernel.calibrate(1.0, sensitivity=0)
         with pytest.raises(ValueError, match="p must lie in"):
@@ -158,6 +162,10 @@ class TestMechanismSpec:
     def test_dp_claim_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
             MechanismSpec(name="bogus", kernel=ZeroKernel(), dp=True)
+        with pytest.raises(ValueError):
+            MechanismSpec(
+                name="bogus", kernel=ZeroKernel(), spend=PrivacySpend(float("nan")), dp=True
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.queries.mechanism import (
     SubsamplingAnswerer,
 )
 from repro.queries.query import SubsetQuery
-from repro.queries.workload import random_subset_queries
+from repro.queries.workload import Workload
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ class TestExactAnswerer:
 
     def test_query_counter(self, data):
         answerer = ExactAnswerer(data)
-        queries = random_subset_queries(50, 7, rng=1)
+        queries = list(Workload.random(50, 7, rng=1))
         answerer.answer_workload(queries)
         assert answerer.queries_answered == 7
 
@@ -45,7 +45,7 @@ class TestExactAnswerer:
 class TestBoundedNoise:
     def test_error_within_alpha(self, data):
         answerer = BoundedNoiseAnswerer(data, alpha=3.0, rng=0)
-        for query in random_subset_queries(50, 30, rng=1):
+        for query in list(Workload.random(50, 30, rng=1)):
             answer = answerer.answer(query)
             assert abs(answer - query.true_answer(data)) <= 3.0 + 1e-12
 
@@ -72,13 +72,13 @@ class TestBoundedNoise:
 class TestRounding:
     def test_rounds_to_grid(self, data):
         answerer = RoundingAnswerer(data, step=5)
-        for query in random_subset_queries(50, 10, rng=2):
+        for query in list(Workload.random(50, 10, rng=2)):
             assert answerer.answer(query) % 5 == 0
 
     def test_error_bound_is_half_step(self, data):
         answerer = RoundingAnswerer(data, step=5)
         assert answerer.error_bound == 2.5
-        for query in random_subset_queries(50, 20, rng=3):
+        for query in list(Workload.random(50, 20, rng=3)):
             answer = answerer.answer(query)
             assert abs(answer - query.true_answer(data)) <= 2.5
 
@@ -114,7 +114,7 @@ class TestLaplaceAnswerer:
 
     def test_epsilon_accounting(self, data):
         answerer = LaplaceAnswerer(data, epsilon_per_query=0.5, rng=7)
-        answerer.answer_workload(random_subset_queries(50, 4, rng=8))
+        answerer.answer_workload(list(Workload.random(50, 4, rng=8)))
         assert answerer.epsilon_spent == pytest.approx(2.0)
 
     def test_noise_is_centered(self, data):
@@ -126,3 +126,5 @@ class TestLaplaceAnswerer:
     def test_invalid_epsilon(self, data):
         with pytest.raises(ValueError):
             LaplaceAnswerer(data, epsilon_per_query=0.0)
+        with pytest.raises(ValueError):
+            LaplaceAnswerer(data, epsilon_per_query=float("nan"))

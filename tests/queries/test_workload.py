@@ -4,63 +4,54 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from repro.queries.workload import (
-    Workload,
-    all_subset_queries,
-    random_subset_queries,
-    singleton_queries,
-)
+from repro.queries.workload import Workload
 
 
 class TestAllSubsetQueries:
     def test_count(self):
-        queries = all_subset_queries(4)
+        queries = list(Workload.all_subsets(4))
         assert len(queries) == 15  # 2^4 - 1
 
-    def test_include_empty(self):
-        queries = all_subset_queries(3, include_empty=True)
-        assert len(queries) == 8
-
     def test_all_distinct(self):
-        queries = all_subset_queries(5)
+        queries = list(Workload.all_subsets(5))
         assert len(set(queries)) == 31
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            all_subset_queries(25)
+            Workload.all_subsets(25)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            all_subset_queries(0)
+            Workload.all_subsets(0)
 
 
 class TestRandomSubsetQueries:
     def test_count_and_size(self):
-        queries = random_subset_queries(30, 12, rng=0)
+        queries = list(Workload.random(30, 12, rng=0))
         assert len(queries) == 12
         assert all(q.n == 30 for q in queries)
 
     def test_no_empty_queries(self):
-        queries = random_subset_queries(3, 50, density=0.1, rng=1)
+        queries = list(Workload.random(3, 50, density=0.1, rng=1))
         assert all(q.size >= 1 for q in queries)
 
     def test_density_controls_size(self):
-        sparse = random_subset_queries(200, 30, density=0.1, rng=2)
-        dense = random_subset_queries(200, 30, density=0.9, rng=2)
+        sparse = list(Workload.random(200, 30, density=0.1, rng=2))
+        dense = list(Workload.random(200, 30, density=0.9, rng=2))
         assert sum(q.size for q in sparse) < sum(q.size for q in dense)
 
     def test_deterministic(self):
-        a = random_subset_queries(20, 5, rng=3)
-        b = random_subset_queries(20, 5, rng=3)
+        a = list(Workload.random(20, 5, rng=3))
+        b = list(Workload.random(20, 5, rng=3))
         assert a == b
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            random_subset_queries(0, 5)
+            Workload.random(0, 5)
         with pytest.raises(ValueError):
-            random_subset_queries(5, 0)
+            Workload.random(5, 0)
         with pytest.raises(ValueError):
-            random_subset_queries(5, 5, density=1.0)
+            Workload.random(5, 5, density=1.0)
 
 
 class TestCsrBackedWorkloads:
@@ -89,16 +80,3 @@ class TestCsrBackedWorkloads:
             Workload.from_csr(scipy.sparse.csr_matrix((0, 5)))
         with pytest.raises(ValueError):
             Workload.from_csr(scipy.sparse.csr_matrix((5, 0)))
-
-
-class TestSingletonQueries:
-    def test_identity_structure(self):
-        queries = singleton_queries(4)
-        assert len(queries) == 4
-        for i, query in enumerate(queries):
-            assert query.size == 1
-            assert list(query.indices()) == [i]
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            singleton_queries(0)

@@ -30,7 +30,7 @@ class TestTabulation:
         for block_tables in tables.values():
             sex_counts = block_tables.sex_counts()  # raises on inconsistency
             assert sum(sex_counts.values()) == block_tables.total
-            assert sum(block_tables.race_counts().values()) == block_tables.total
+            assert sum(block_tables.race_by_ethnicity.values()) == block_tables.total
 
     def test_missing_attribute_rejected(self, census):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.queries.mechanism import BoundedNoiseAnswerer, ExactAnswerer, LaplaceAnswerer
-from repro.queries.workload import Workload, random_subset_queries
+from repro.queries.workload import Workload
 from repro.reconstruction.dinur_nissim import (
     consistent_candidates,
     exhaustive_reconstruction,
@@ -78,14 +78,14 @@ class TestReconstructFromAnswers:
         rng = np.random.default_rng(15)
         n = 48
         data = rng.integers(0, 2, size=n)
-        queries = random_subset_queries(n, 8 * n, rng=rng)
+        queries = list(Workload.random(n, 8 * n, rng=rng))
         answerer = ExactAnswerer(data)
         answers = answerer.answer_workload(queries)
         result = reconstruct_from_answers(queries, answers, alpha=0.0)
         assert result.agreement_with(data) >= 0.98
 
     def test_answers_alignment_checked(self):
-        queries = random_subset_queries(10, 5, rng=0)
+        queries = list(Workload.random(10, 5, rng=0))
         with pytest.raises(ValueError):
             reconstruct_from_answers(queries, np.zeros(4))
 
@@ -93,7 +93,7 @@ class TestReconstructFromAnswers:
         rng = np.random.default_rng(16)
         n = 32
         data = rng.integers(0, 2, size=n)
-        queries = random_subset_queries(n, 6 * n, rng=rng)
+        queries = list(Workload.random(n, 6 * n, rng=rng))
         answers = ExactAnswerer(data).answer_workload(queries)
         result = reconstruct_from_answers(queries, answers)
         assert result.mode == "least-l1"

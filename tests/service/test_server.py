@@ -6,7 +6,6 @@ import pytest
 from repro.queries.mechanism import LaplaceAnswerer
 from repro.queries.workload import Workload
 from repro.service import (
-    AdvancedAccountant,
     BasicAccountant,
     BudgetExhausted,
     CircuitBreakerTripped,
@@ -139,18 +138,17 @@ class TestBudgets:
         # The refused query was not logged.
         assert len(server.audit_log.records("a")) == 1
 
-    def test_advanced_accountant_plugs_in(self):
-        # 1000 x eps=0.01 is 10.0 under basic composition (refused at budget
-        # 5) but ~1.8 under advanced composition — the sqrt(k) ledger is what
-        # makes high-query-count sessions fit.
+    def test_nan_epsilon_serves_nothing(self):
+        # A NaN per-query epsilon would compose to a NaN ledger that no cap
+        # ever refuses; the mechanism refuses it before anything is served.
         server = _server(
-            mechanism_params={"epsilon_per_query": 0.01},
-            accountant=AdvancedAccountant(per_analyst_epsilon=5.0, delta_prime=1e-6),
+            mechanism_params={"epsilon_per_query": float("nan")},
+            accountant=BasicAccountant(per_analyst_epsilon=1.0),
         )
-        session = server.session("a")
-        session.ask_workload(Workload.random(32, 1000, rng=12))
-        assert session.queries_charged == 1000
-        assert session.epsilon_spent < 5.0
+        with pytest.raises(ValueError, match="epsilon_per_query"):
+            server.session("a").ask_workload(Workload.random(32, 50, rng=12))
+        assert server.accountant.analyst_queries("a") == 0
+        assert len(server.audit_log) == 0
 
     def test_exact_mechanism_bounded_by_query_count(self):
         server = QueryServer(

@@ -50,6 +50,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             SyntheticFallback(epsilon=0.0)
         with pytest.raises(ValueError):
+            SyntheticFallback(epsilon=float("nan"))
+        with pytest.raises(ValueError):
             SyntheticFallback(rounds=0)
         with pytest.raises(ValueError):
             SyntheticFallback(density=1.5)

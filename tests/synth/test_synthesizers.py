@@ -77,7 +77,7 @@ class TestMWEMSynthesizer:
         synthesizer = MWEMSynthesizer(workload, 1.0, rounds=5, domain=domain)
         synthesizer.synthesize(census, accountant=accountant, rng=derive_rng(2, "m"))
         assert accountant.total() == (pytest.approx(1.0), 0.0)
-        assert len(accountant.spends) == 1
+        assert accountant.queries_charged == 1
 
     def test_refused_budget_synthesizes_nothing(self, census, domain, workload):
         accountant = PrivacyAccountant(epsilon_budget=0.5)
@@ -88,6 +88,7 @@ class TestMWEMSynthesizer:
             synthesizer.synthesize(census, accountant=accountant, rng=rng)
         # Nothing recorded, and the stream was never advanced.
         assert accountant.total() == (0.0, 0.0)
+        assert accountant.queries_charged == 0
         assert rng.bit_generator.state == state_before
         # The budget still admits a release that fits.
         MWEMSynthesizer(workload, 0.5, rounds=5, domain=domain).synthesize(
@@ -106,7 +107,7 @@ class TestMWEMSynthesizer:
                 census, accountant=accountant, rng=derive_rng(0, "m")
             )
         assert accountant.total() == (0.0, 0.0)
-        assert accountant.spends == ()
+        assert accountant.queries_charged == 0
 
 
 class TestHierarchicalSynthesizer:

@@ -1,12 +1,14 @@
-"""One implementation per job in the DP and k-anonymity substrates.
+"""Public names that only their own tests used are gone, and stay gone.
 
-Each module and name below was run only by its own tests, or repeated a
-job that live code does: the query cap is the service accountant's
-``max_queries_per_analyst``, a private count is
+Each module, name, attribute and keyword below was run only by its own
+tests, or repeated a job that live code does: the query cap is the
+service accountant's ``max_queries_per_analyst``, a private count is
 ``LaplaceMechanism(epsilon).release(dataset.count(p))``, a release is
-l-diverse when ``distinct_l_diversity(...) >= l``, and Datafly is the
-full-domain generalizer.  The accounting names live in
-:mod:`repro.privacy.accounting` only.
+l-diverse when ``distinct_l_diversity(...) >= l``, k-anonymity is
+:func:`repro.anonymity.checks.is_k_anonymous` on the quasi-identifiers,
+and Datafly is the full-domain generalizer.  The accounting names live in
+:mod:`repro.privacy.accounting` only, and its ledgers compose by one rule:
+epsilons add.
 """
 
 import importlib
@@ -15,7 +17,9 @@ import inspect
 
 import pytest
 
+from repro.anonymity.datafly import DataflyAnonymizer
 from repro.core.theorems import check_ldiversity_fails_pso
+from repro.privacy.accounting import PrivacyAccountant, ShardedAccountant
 
 REMOVED_MODULES = [
     "repro.dp.gaussian",
@@ -56,7 +60,86 @@ REMOVED_NAMES = [
     ("repro.core", "matching_count"),
     ("repro.core.isolation", "matching_count"),
     ("repro.core.isolation", "matching_indices"),
+    ("repro", "run_all_checks"),
+    ("repro.privacy", "AdvancedAccountant"),
+    ("repro.privacy", "ServiceAccountant"),
+    ("repro.privacy", "basic_composition"),
+    ("repro.privacy.accounting", "AdvancedAccountant"),
+    ("repro.privacy.accounting", "ServiceAccountant"),
+    ("repro.privacy.accounting", "SHARD_RULES"),
+    ("repro.privacy.accounting", "basic_composition"),
+    ("repro.service", "AdvancedAccountant"),
+    ("repro.service", "ServiceAccountant"),
+    ("repro.data", "ZipPrefixHierarchy"),
+    ("repro.data", "TaxonomyHierarchy"),
+    ("repro.data", "uniform_distribution"),
+    ("repro.data", "bernoulli_distribution"),
+    ("repro.data.hierarchy", "ZipPrefixHierarchy"),
+    ("repro.data.hierarchy", "TaxonomyHierarchy"),
+    ("repro.data.distributions", "uniform_distribution"),
+    ("repro.data.distributions", "bernoulli_distribution"),
+    ("repro.data.distributions", "bernoulli_schema"),
+    ("repro.data.distributions", "categorical_uniform"),
+    ("repro.queries", "all_subset_queries"),
+    ("repro.queries", "random_subset_queries"),
+    ("repro.queries.workload", "all_subset_queries"),
+    ("repro.queries.workload", "random_subset_queries"),
+    ("repro.queries.workload", "singleton_queries"),
+    ("repro.core", "required_width_for_negligibility"),
+    ("repro.core", "composition_attack_success_bound"),
+    ("repro.core", "trivial_attacker_ceiling"),
+    ("repro.core", "run_all_checks"),
+    ("repro.core.analysis", "required_width_for_negligibility"),
+    ("repro.core.analysis", "composition_attack_success_bound"),
+    ("repro.core.analysis", "trivial_attacker_ceiling"),
+    ("repro.core.theorems", "run_all_checks"),
+    ("repro.core.predicate", "generalized_record_predicate"),
+    ("repro.core.leftover_hash", "isolating_weight_predicate"),
+    ("repro.attacks", "candidate_identities"),
+    ("repro.attacks.fingerprint", "candidate_identities"),
+    ("repro.attacks.uniqueness", "singled_out_count"),
+    ("repro.compliance", "DeletionVerifier"),
+    ("repro.compliance.verifiers", "DeletionVerifier"),
+    ("repro.utils", "empirical_cdf"),
+    ("repro.utils", "format_table"),
+    ("repro.utils.stats", "empirical_cdf"),
+    ("repro.utils.tables", "format_table"),
+    ("repro.utils.negligible", "is_negligible_weight"),
+    ("repro.experiments", "run_all_experiments"),
+    ("repro.experiments.runner", "run_all_experiments"),
 ]
+
+REMOVED_ATTRIBUTES = [
+    ("repro.privacy.accounting", "PrivacyAccountant", "composed_epsilon"),
+    ("repro.privacy.accounting", "PrivacyAccountant", "_composed"),
+    ("repro.privacy.accounting", "PrivacyAccountant", "spends"),
+    ("repro.privacy.accounting", "PrivacyAccountant", "spend"),
+    ("repro.privacy.accounting", "PrivacyAccountant", "advanced_total"),
+    ("repro.privacy.accounting", "PrivacyAccountant", "remaining_epsilon"),
+    ("repro.privacy.accounting", "BasicAccountant", "remaining_epsilon"),
+    ("repro.privacy.accounting", "ShardedAccountant", "remaining_epsilon"),
+    ("repro.privacy.accounting", "ShardedAccountant", "shard_ledger"),
+    ("repro.dp.laplace", "LaplaceMechanism", "release_many"),
+    ("repro.dp.laplace", "LaplaceMechanism", "expected_absolute_error"),
+    ("repro.dp.laplace", "LaplaceMechanism", "error_quantile"),
+    ("repro.data.dataset", "Dataset", "replace_records"),
+    ("repro.data.generalized", "GeneralizedDataset", "is_k_anonymous"),
+    ("repro.data.generalized", "GeneralizedDataset", "smallest_class_size"),
+    ("repro.data.generalized", "GeneralizedDataset", "class_sizes"),
+    ("repro.attacks.graph", "GraphAttackResult", "recovery_rate"),
+    ("repro.reconstruction.tabulation", "BlockTables", "race_counts"),
+    ("repro.reconstruction.sharding", "ShardedReconstructionResult", "escalated_blocks"),
+    ("repro.lm.ngram", "NgramLanguageModel", "documents_seen"),
+]
+
+REMOVED_KEYWORDS = {
+    "ShardedAccountant-rule": lambda: ShardedAccountant(rule="basic"),
+    "ShardedAccountant-delta_prime": lambda: ShardedAccountant(delta_prime=1e-6),
+    "PrivacyAccountant-composition": lambda: PrivacyAccountant(composition=None),
+    "PrivacyAccountant-record_entries": lambda: PrivacyAccountant(record_entries=False),
+    "reserve-label": lambda: PrivacyAccountant().reserve(1, 0.1, label="q"),
+    "DataflyAnonymizer-hierarchies": lambda: DataflyAnonymizer(5, hierarchies={}),
+}
 
 
 @pytest.mark.parametrize("module", REMOVED_MODULES)
@@ -71,6 +154,21 @@ def test_removed_name_is_gone(module, name):
     imported = importlib.import_module(module)
     assert not hasattr(imported, name)
     assert name not in getattr(imported, "__all__", ())
+
+
+@pytest.mark.parametrize(
+    "module, owner, name",
+    REMOVED_ATTRIBUTES,
+    ids=[f"{o}.{n}" for _m, o, n in REMOVED_ATTRIBUTES],
+)
+def test_removed_attribute_is_gone(module, owner, name):
+    assert not hasattr(getattr(importlib.import_module(module), owner), name)
+
+
+@pytest.mark.parametrize("build", REMOVED_KEYWORDS.values(), ids=REMOVED_KEYWORDS.keys())
+def test_removed_keyword_is_refused(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_ldiversity_check_takes_diversity():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.utils.negligible import (
     baseline_isolation_probability,
-    is_negligible_weight,
     isolation_probability,
     negligible_weight_threshold,
     optimal_isolation_weight,
@@ -71,10 +70,6 @@ class TestThresholds:
     def test_exponent_must_exceed_one(self):
         with pytest.raises(ValueError):
             negligible_weight_threshold(100, exponent=1.0)
-
-    def test_is_negligible_weight(self):
-        assert is_negligible_weight(1e-6, 100)
-        assert not is_negligible_weight(1e-3, 100)
 
     def test_baseline_approaches_one_over_e(self):
         assert baseline_isolation_probability(100_000) == pytest.approx(

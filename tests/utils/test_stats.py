@@ -1,6 +1,5 @@
 """Tests for binomial estimates and confidence intervals."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from repro.utils.stats import (
     BinomialEstimate,
     clopper_pearson_interval,
-    empirical_cdf,
     estimate_proportion,
     wilson_interval,
 )
@@ -110,15 +108,3 @@ class TestEstimateProportion:
             BinomialEstimate(successes=5, trials=0, estimate=0, lower=0, upper=0, confidence=0.95)
         with pytest.raises(ValueError):
             BinomialEstimate(successes=5, trials=3, estimate=0, lower=0, upper=0, confidence=0.95)
-
-
-class TestEmpiricalCdf:
-    def test_sorted_and_normalized(self):
-        values, cdf = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert cdf[-1] == pytest.approx(1.0)
-        assert cdf[0] == pytest.approx(1.0 / 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf(np.array([]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import Table, format_cell, format_table
+from repro.utils.tables import Table, format_cell
 
 
 class TestTable:
@@ -13,6 +13,8 @@ class TestTable:
         assert "T" in text
         assert "a" in text and "bb" in text
         assert "1" in text and "2" in text
+        # title + separator + header + rule + 1 row = 5 lines.
+        assert len(text.splitlines()) == 5
 
     def test_alignment(self):
         table = Table(["col", "x"])
@@ -62,10 +64,3 @@ class TestFormatCell:
 
     def test_int_not_science(self):
         assert format_cell(123456) == "123456"
-
-
-def test_format_table_one_shot():
-    text = format_table(["x", "y"], [[1, 2], [3, 4]], title="demo")
-    assert "demo" in text
-    # title + separator + header + rule + 2 rows = 6 lines.
-    assert len(text.splitlines()) == 6
