@@ -1,34 +1,24 @@
 """A GDPR singling-out audit: the paper's Section 2, as a pipeline.
 
-Given a set of candidate release mechanisms over the same data model, this
-audit plays the predicate-singling-out game against each with the library's
-adversary battery, classifies each mechanism, and derives the legal
-conclusions the measurements support — refusing to conclude anything a
-failed measurement cannot back (the paper's falsifiability discipline).
+The audit runs the theorem checks of ``repro.core.theorems``: each plays
+the predicate-singling-out game against a candidate release mechanism with
+its strongest known adversary.  It tabulates every game the checks played,
+classifies each mechanism, and derives the legal conclusions the same
+checks support — refusing to conclude anything a failed measurement cannot
+back (the paper's falsifiability discipline).
 
 Run:  python examples/gdpr_singling_out_audit.py
 """
 
-from repro.anonymity import AgreementAnonymizer
-from repro.core import (
-    ConstantMechanism,
-    CountMechanism,
-    IdentityMechanism,
-    KAnonymityMechanism,
-    KAnonymityPSOAttacker,
-    PSOGame,
-    TrivialAttacker,
-)
-from repro.core.attackers import IdentityAttacker, build_composition_suite
-from repro.core.leftover_hash import hash_bit_predicate
-from repro.core.mechanisms import ComposedMechanism, DPCountMechanism
 from repro.core.theorems import (
     check_cohen_singleton_attack,
+    check_composition_attack,
+    check_count_mechanism_pso_security,
     check_dp_implies_pso_security,
     check_kanonymity_fails_pso,
     check_laplace_is_dp,
+    check_ldiversity_fails_pso,
 )
-from repro.data.distributions import uniform_bits_distribution
 from repro.legal import (
     differential_privacy_assessment,
     legal_corollary_2_1,
@@ -39,47 +29,43 @@ from repro.utils.tables import Table
 
 N = 250
 TRIALS = 50
-distribution = uniform_bits_distribution(96)
 
-# --- 1. the mechanism line-up, each with its strongest known adversary --------
-suite = build_composition_suite(N)
-dp_composed = ComposedMechanism(
-    [DPCountMechanism(m.query, 1.0 / suite.num_counts) for m in suite.mechanism.mechanisms]
-)
-lineup = [
-    ("identity (raw release)", IdentityMechanism(), IdentityAttacker()),
-    ("constant (no release)", ConstantMechanism(), TrivialAttacker("optimal")),
-    ("single exact count", CountMechanism(hash_bit_predicate("audit-q", 0)), TrivialAttacker("negligible")),
-    ("composed exact counts", suite.mechanism, suite.adversary),
-    ("composed DP counts (eps=1)", dp_composed, suite.adversary),
-    ("k-anonymizer (k=4)", KAnonymityMechanism(AgreementAnonymizer(4), label="agreement"), KAnonymityPSOAttacker("refine")),
-]
+# --- 1. the theorem checks: every game played once ----------------------------
+print("Running the theorem checks (this takes a minute)...")
+counts = check_count_mechanism_pso_security(n=N, trials=TRIALS)
+composed = check_composition_attack(n=N, trials=TRIALS)
+dp = check_dp_implies_pso_security(n=N, trials=30)
+kanon = check_kanonymity_fails_pso(n=N, trials=TRIALS)
+cohen = check_cohen_singleton_attack(n=N, trials=TRIALS)
+ldiversity = check_ldiversity_fails_pso(n=N, trials=TRIALS)
+laplace = check_laplace_is_dp()
 
+# --- 2. the mechanism line-up, from the games the checks played ---------------
 report = Table(
-    ["mechanism", "PSO success", "isolation", "verdict"],
-    title=f"Singling-out audit (n={N}, {TRIALS} trials per game)",
+    ["mechanism", "adversary", "PSO success", "isolation", "verdict"],
+    title=f"Singling-out audit (n={N})",
 )
-for label, mechanism, adversary in lineup:
-    result = PSOGame(distribution, N, mechanism, adversary).run(TRIALS, rng=hash(label) % 2**31)
-    broken = result.beats_baseline()
-    report.add_row(
-        [
-            label,
-            str(result.success),
-            result.isolation_rate.estimate,
-            "FAILS (singles out)" if broken else "consistent with PSO security",
-        ]
-    )
+for check in (counts, composed, dp, kanon, cohen):
+    for result in check.results:
+        report.add_row(
+            [
+                result.mechanism_name,
+                result.adversary_name,
+                str(result.success),
+                result.isolation_rate.estimate,
+                "FAILS (singles out)"
+                if result.beats_baseline()
+                else "consistent with PSO security",
+            ]
+        )
 print(report.render())
+print()
+for check in (counts, composed, dp, kanon, cohen, ldiversity, laplace):
+    print(check)
+    print("    " + ", ".join(f"{key}={value}" for key, value in check.measurements.items()))
 
-# --- 2. the legal layer, fed by the full theorem checks -----------------------
-print("\nRunning theorem-level evidence (this takes a minute)...")
-kanon = check_kanonymity_fails_pso(trials=TRIALS, rng=0)
-cohen = check_cohen_singleton_attack(trials=TRIALS, rng=0)
-dp = check_dp_implies_pso_security(trials=30, rng=0)
-laplace = check_laplace_is_dp(rng=0)
-
-theorem = legal_theorem_2_1(kanon, cohen)
+# --- 3. the legal layer, fed by the same checks -------------------------------
+theorem = legal_theorem_2_1(kanon, cohen, ldiversity)
 print()
 print(theorem.render())
 print()

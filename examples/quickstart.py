@@ -66,7 +66,7 @@ evidence = TheoremCheck(
     passed=kanon_result.success.estimate > 0.2,
     measurements={"success": str(kanon_result.success)},
 )
-verdict = legal_theorem_2_1(evidence, evidence)
+verdict = legal_theorem_2_1(evidence, evidence, evidence)
 print()
 print(verdict.render())
 print()

@@ -140,12 +140,6 @@ class ComplianceGate:
             self._approved[certificate.release_fingerprint] = certificate
         return certificate.release_fingerprint
 
-    def revoke(self, release: object) -> bool:
-        """Withdraw a prior approval; True if one was registered."""
-        fingerprint = release_fingerprint(release)
-        with self._lock:
-            return self._approved.pop(fingerprint, None) is not None
-
     def require(
         self, release: object, *, subject: str = "release", analyst: str = ""
     ) -> ComplianceCertificate:
@@ -197,24 +191,6 @@ class ComplianceGate:
                 reason="no-certificate",
             )
         return certificate
-
-    def is_approved(self, release: object) -> bool:
-        """Whether the release's exact bits hold a registered approval."""
-        try:
-            fingerprint = release_fingerprint(release)
-        except TypeError:
-            return False
-        with self._lock:
-            return fingerprint in self._approved
-
-    def certificate_for(self, release: object) -> ComplianceCertificate | None:
-        """The registered certificate binding ``release``, if any."""
-        try:
-            fingerprint = release_fingerprint(release)
-        except TypeError:
-            return None
-        with self._lock:
-            return self._approved.get(fingerprint)
 
     @property
     def approved_count(self) -> int:

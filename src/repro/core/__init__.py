@@ -60,7 +60,6 @@ from repro.core.theorems import (
     check_kanonymity_fails_pso,
     check_laplace_is_dp,
     check_ldiversity_fails_pso,
-    check_post_processing_robustness,
 )
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "check_kanonymity_fails_pso",
     "check_laplace_is_dp",
     "check_ldiversity_fails_pso",
-    "check_post_processing_robustness",
     "expected_agreement_bits",
     "refinement_success_probability",
     "hash_bit_predicate",

@@ -11,7 +11,7 @@ datasets, which keeps the provenance of each experiment auditable.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -52,10 +52,6 @@ class Record:
         if name in self._schema:
             return self[name]
         return default
-
-    def as_dict(self) -> dict[str, object]:
-        """The record as an attribute-name -> value mapping."""
-        return dict(zip(self._schema.names, self._values))
 
     def replace(self, **updates: object) -> "Record":
         """A copy of the record with the named attributes changed."""
@@ -98,14 +94,6 @@ class Dataset:
             rows.append(values)
         self._rows: tuple[tuple, ...] = tuple(rows)
         self._column_cache: dict[str, tuple] = {}
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_dicts(cls, schema: Schema, rows: Iterable[Mapping[str, object]]) -> "Dataset":
-        """Build a dataset from attribute-name -> value mappings."""
-        names = schema.names
-        return cls(schema, (tuple(row[name] for name in names) for row in rows))
 
     # -- basic access ----------------------------------------------------------
 
@@ -161,14 +149,6 @@ class Dataset:
         self.schema.drop(names)
         return self.project(keep)
 
-    def filter(self, condition: Callable[[Record], bool]) -> "Dataset":
-        """Records satisfying ``condition``, as a new dataset."""
-        return Dataset(
-            self.schema,
-            (row for row in self._rows if condition(Record(self.schema, row))),
-            validate=False,
-        )
-
     def count(self, condition: Callable[[Record], bool]) -> int:
         """Number of records satisfying ``condition`` (the paper's M#q)."""
         return sum(1 for row in self._rows if condition(Record(self.schema, row)))
@@ -218,10 +198,6 @@ class Dataset:
 
     # -- grouping / statistics ---------------------------------------------------
 
-    def value_counts(self, name: str) -> Counter:
-        """Multiplicity of each value of attribute ``name``."""
-        return Counter(self.column(name))
-
     def group_by(self, names: Sequence[str]) -> dict[tuple, list[int]]:
         """Row indices grouped by their values on the attributes ``names``.
 
@@ -252,10 +228,6 @@ class Dataset:
         groups = self.group_by(names)
         unique_rows = sum(len(rows) for rows in groups.values() if len(rows) == 1)
         return unique_rows / len(self._rows)
-
-    def head(self, count: int = 5) -> "Dataset":
-        """The first ``count`` records (for display)."""
-        return Dataset(self.schema, self._rows[:count], validate=False)
 
     def __repr__(self) -> str:
         return f"Dataset({len(self)} records, schema={self.schema.names})"

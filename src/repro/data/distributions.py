@@ -162,14 +162,6 @@ class ProductDistribution:
 
     # -- sampling ----------------------------------------------------------------
 
-    def sample_record(self, rng: RngSeed = None) -> Record:
-        """Draw one record ``x ~ D``."""
-        generator = ensure_rng(rng)
-        values = tuple(
-            self.marginals[name].sample(1, generator)[0] for name in self.schema.names
-        )
-        return Record(self.schema, values)
-
     def sample(self, n: int, rng: RngSeed = None) -> Dataset:
         """Draw a dataset ``x ~ D^n``."""
         if n < 0:

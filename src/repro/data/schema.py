@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from repro.data.domain import Domain, TupleDomain
+from repro.data.domain import Domain
 
 
 class AttributeKind(Enum):
@@ -103,10 +103,6 @@ class Schema:
     def sensitive(self) -> tuple[str, ...]:
         """Sensitive attribute names."""
         return self.names_of_kind(AttributeKind.SENSITIVE)
-
-    def record_domain(self) -> TupleDomain:
-        """The product domain ``X`` that records of this schema live in."""
-        return TupleDomain([attribute.domain for attribute in self.attributes])
 
     def validate_record(self, record: Sequence[object]) -> None:
         """Raise ``ValueError`` when ``record`` does not fit the schema."""

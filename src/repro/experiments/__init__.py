@@ -4,8 +4,8 @@ The paper is a keynote without measurement tables, so its "evaluation" is
 the set of quantitative claims indexed in DESIGN.md (Section 5), extended
 by the later subsystem experiments (E13-E20).
 Each module here regenerates one claim end to end — workload, attack,
-baseline, and a paper-vs-measured table — and the benchmark suite under
-``benchmarks/`` wraps each with pytest-benchmark.
+baseline, and a paper-vs-measured table.  The tier-1 tests check each
+quick run's headline ranges and pin its rendered output by digest.
 
 Run everything::
 

@@ -2,21 +2,17 @@
 
 The counting mechanism ``M#q`` is *not* differentially private (it is
 exact), yet it prevents predicate singling out; and post-processing its
-output cannot break that.  We play the PSO game against both, with the
-trivial attacker at each weight preset, and contrast with the identity
+output cannot break that.  The games are those of
+:func:`~repro.core.theorems.check_count_mechanism_pso_security`: the
+trivial attacker at each weight preset, contrasted with the identity
 mechanism (raw-data release) where the game must report ~100% success —
 demonstrating the game detects insecurity when it exists.
 """
 
 from __future__ import annotations
 
-from repro.core.attackers import CountExploitingAttacker, IdentityAttacker, TrivialAttacker
-from repro.core.leftover_hash import hash_bit_predicate
-from repro.core.mechanisms import CountMechanism, IdentityMechanism, PostProcessedMechanism
-from repro.core.pso import PSOGame
-from repro.data.distributions import uniform_bits_distribution
+from repro.core.theorems import check_count_mechanism_pso_security
 from repro.experiments.runner import ExperimentResult, register
-from repro.utils.rng import derive_rng
 from repro.utils.tables import Table
 
 
@@ -24,45 +20,23 @@ from repro.utils.tables import Table
 def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     """PSO game outcomes for count mechanisms and their post-processings."""
     n = 200
-    width = 64
     trials = 60 if quick else 250
-    distribution = uniform_bits_distribution(width)
-
-    count = CountMechanism(hash_bit_predicate("e9-q", 0))
-    parity = PostProcessedMechanism(count, lambda c: c % 2, label="parity")
-    identity = IdentityMechanism()
+    check = check_count_mechanism_pso_security(n, trials=trials, rng=seed, jobs=jobs)
 
     table = Table(
         ["mechanism", "adversary", "PSO success", "isolation rate", "weight-ok rate"],
         title=f"E9: PSO security of counts (n={n}, {trials} trials)",
     )
-    count_worst_success = 0.0
-    identity_success = 0.0
-    configurations = [
-        (count, TrivialAttacker("negligible")),
-        (count, TrivialAttacker("optimal")),
-        (count, CountExploitingAttacker("negligible")),
-        (parity, TrivialAttacker("negligible")),
-        (identity, IdentityAttacker()),
-    ]
-    for mechanism, adversary in configurations:
-        game = PSOGame(distribution, n, mechanism, adversary)
-        result = game.run(
-            trials, derive_rng(seed, "e9", mechanism.name, adversary.name), jobs=jobs
-        )
+    for result in check.results:
         table.add_row(
             [
-                mechanism.name,
-                adversary.name,
+                result.mechanism_name,
+                result.adversary_name,
                 str(result.success),
                 result.isolation_rate.estimate,
                 result.negligible_weight_rate.estimate,
             ]
         )
-        if mechanism is identity:
-            identity_success = result.success.estimate
-        else:
-            count_worst_success = max(count_worst_success, result.success.estimate)
 
     return ExperimentResult(
         experiment_id="E9",
@@ -74,7 +48,7 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
         ),
         tables=(table,),
         headline={
-            "count_mechanisms_worst_success": count_worst_success,
-            "identity_mechanism_success": identity_success,
+            "count_mechanisms_worst_success": check.measurements["worst_count_success"],
+            "identity_mechanism_success": check.measurements["identity_success"],
         },
     )

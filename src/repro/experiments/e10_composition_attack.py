@@ -3,16 +3,14 @@
 Each counting mechanism is individually PSO-secure (E9), yet the
 composition of ``omega(log n)`` of them releases enough bits to isolate a
 record with a negligible-weight predicate.  We run the constructive attack
-of :func:`repro.core.attackers.build_composition_suite` across dataset
+of :func:`~repro.core.theorems.check_composition_attack` across dataset
 sizes and report its win rate against the "secure ceiling" (the best any
 weight-compliant attacker could do without looking at the output).
 """
 
 from __future__ import annotations
 
-from repro.core.attackers import build_composition_suite
-from repro.core.pso import PSOGame
-from repro.data.distributions import uniform_bits_distribution
+from repro.core.theorems import check_composition_attack
 from repro.experiments.runner import ExperimentResult, register
 from repro.utils.rng import derive_rng
 from repro.utils.tables import Table
@@ -21,10 +19,8 @@ from repro.utils.tables import Table
 @register("E10")
 def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     """Composition-attack success vs dataset size."""
-    width = 64
     sizes = [128] if quick else [128, 256, 512]
     trials = 25 if quick else 60
-    distribution = uniform_bits_distribution(width)
 
     table = Table(
         [
@@ -38,17 +34,17 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     )
     worst_success = 1.0
     for n in sizes:
-        suite = build_composition_suite(n)
-        game = PSOGame(distribution, n, suite.mechanism, suite.adversary)
-        result = game.run(trials, derive_rng(seed, "e10", n), jobs=jobs)
-        ceiling = min(1.0, n * result.weight_threshold)
+        check = check_composition_attack(
+            n, trials=trials, rng=derive_rng(seed, "e10", n), jobs=jobs
+        )
+        (result,) = check.results
         table.add_row(
             [
                 n,
-                suite.num_counts,
+                check.measurements["num_count_mechanisms"],
                 str(result.success),
                 result.isolation_rate.estimate,
-                ceiling,
+                min(1.0, n * result.weight_threshold),
             ]
         )
         worst_success = min(worst_success, result.success.estimate)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.attackers import build_composition_suite
-from repro.core.mechanisms import ComposedMechanism, DPCountMechanism
-from repro.core.pso import PSOGame
-from repro.data.distributions import uniform_bits_distribution
-from repro.dp.laplace import LaplaceMechanism
-from repro.dp.verify import verify_dp, verify_spec
+from repro.core.theorems import (
+    NEIGHBOURING_INPUTS,
+    check_composition_attack,
+    check_dp_implies_pso_security,
+    check_laplace_is_dp,
+)
+from repro.dp.verify import verify_dp
 from repro.experiments.runner import ExperimentResult, register
 from repro.utils.rng import derive_rng
 from repro.utils.tables import Table
@@ -31,24 +32,16 @@ from repro.utils.tables import Table
 def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     """Empirical DP verification plus the PSO game under DP releases."""
     verify_trials = 1_500 if quick else 6_000
-    x = np.array([1, 0, 1, 1, 0, 1])
-    x_prime = np.array([1, 0, 1, 1, 0, 0])
 
     dp_table = Table(
         ["mechanism", "claimed eps", "max |log ratio|", "verdict"],
         title="E11a: empirical DP verification (Theorem 1.3)",
     )
     for epsilon in (0.5, 1.0, 2.0):
-        # Verify the MechanismSpec itself: the kernel that samples and the
-        # epsilon the accountant would charge are one object under test.
-        spec = LaplaceMechanism(epsilon).spec()
-        verdict = verify_spec(
-            spec,
-            x,
-            x_prime,
-            trials=verify_trials,
-            rng=derive_rng(seed, "e11-verify", epsilon),
+        check = check_laplace_is_dp(
+            epsilon, verify_trials, rng=derive_rng(seed, "e11-verify", epsilon)
         )
+        (verdict,) = check.results
         dp_table.add_row(
             [
                 f"Laplace(eps={epsilon})",
@@ -60,8 +53,7 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     # Falsifiability control: the exact count must be flagged.
     broken = verify_dp(
         lambda data, rng: float(np.sum(data)),
-        x,
-        x_prime,
+        *NEIGHBOURING_INPUTS,
         epsilon=1.0,
         trials=verify_trials,
         rng=derive_rng(seed, "e11-broken"),
@@ -72,30 +64,31 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     )
 
     n = 256
-    width = 64
     trials = 25 if quick else 60
-    distribution = uniform_bits_distribution(width)
-    suite = build_composition_suite(n)
+    exact = check_composition_attack(
+        n, trials=trials, rng=derive_rng(seed, "e11-exact"), jobs=jobs
+    )
+    (exact_result,) = exact.results
 
     pso_table = Table(
         ["release of the l counts", "total eps", "PSO success", "isolation rate"],
         title=f"E11b: the Theorem 2.8 attack vs DP releases (n={n}, "
-        f"l={suite.num_counts})",
+        f"l={exact.measurements['num_count_mechanisms']})",
     )
-    exact_game = PSOGame(distribution, n, suite.mechanism, suite.adversary)
-    exact_result = exact_game.run(trials, derive_rng(seed, "e11-exact"), jobs=jobs)
     pso_table.add_row(
         ["exact (no privacy)", "inf", str(exact_result.success),
          exact_result.isolation_rate.estimate]
     )
     dp_success = {}
     for total_epsilon in (0.5, 2.0, 8.0):
-        per_count = total_epsilon / suite.num_counts
-        dp_mechanism = ComposedMechanism(
-            [DPCountMechanism(m.query, per_count) for m in suite.mechanism.mechanisms]
+        check = check_dp_implies_pso_security(
+            total_epsilon,
+            n,
+            trials=trials,
+            rng=derive_rng(seed, "e11-dp", total_epsilon),
+            jobs=jobs,
         )
-        game = PSOGame(distribution, n, dp_mechanism, suite.adversary)
-        result = game.run(trials, derive_rng(seed, "e11-dp", total_epsilon), jobs=jobs)
+        (result,) = check.results
         pso_table.add_row(
             [
                 "Laplace, eps/l each",

@@ -17,28 +17,16 @@ Three measurements:
 
 from __future__ import annotations
 
-from repro.anonymity.agreement import AgreementAnonymizer
 from repro.anonymity.mondrian import MondrianAnonymizer
 from repro.attacks.downcoding import downcoding_experiment
-from repro.core.analysis import refinement_success_probability
 from repro.core.attackers import KAnonymityPSOAttacker
 from repro.core.mechanisms import KAnonymityMechanism
 from repro.core.pso import PSOGame
-from repro.data.distributions import ProductDistribution, uniform_bits_schema
-from repro.data.domain import CategoricalDomain
-from repro.data.schema import Attribute, AttributeKind, Schema
+from repro.core.theorems import check_cohen_singleton_attack, check_kanonymity_fails_pso
+from repro.data.distributions import ProductDistribution, uniform_bits_distribution
 from repro.experiments.runner import ExperimentResult, register
 from repro.utils.rng import derive_rng
 from repro.utils.tables import Table
-
-
-def _schema_with_secret(width: int, secret_values: int = 50) -> Schema:
-    """Wide QI bits plus one raw sensitive column (standard k-anon setting)."""
-    bits = uniform_bits_schema(width)
-    return Schema(
-        list(bits.attributes)
-        + [Attribute("secret", CategoricalDomain(range(secret_values)), AttributeKind.SENSITIVE)]
-    )
 
 
 @register("E12")
@@ -62,27 +50,30 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     ks = [4] if quick else [2, 3, 4, 6]
     success_by_k = {}
     for k in ks:
-        width = width_by_k[k]
-        refine_distribution = ProductDistribution.uniform(uniform_bits_schema(width))
-        mechanism = KAnonymityMechanism(AgreementAnonymizer(k), label="agreement")
-        game = PSOGame(refine_distribution, n, mechanism, KAnonymityPSOAttacker("refine"))
-        result = game.run(trials, derive_rng(seed, "e12a", k), jobs=jobs)
-        expected = refinement_success_probability(k)
+        check = check_kanonymity_fails_pso(
+            k, n, width_by_k[k], trials, rng=derive_rng(seed, "e12a", k), jobs=jobs
+        )
+        (result,) = check.results
         refine_table.add_row(
-            [k, width, str(result.success), expected, result.isolation_rate.estimate]
+            [
+                k,
+                width_by_k[k],
+                str(result.success),
+                check.measurements["expected_(1-1/k)^(k-1)"],
+                result.isolation_rate.estimate,
+            ]
         )
         success_by_k[k] = result.success.estimate
 
     # (2) Cohen singleton attack (sensitive column raw).
-    singleton_schema = _schema_with_secret(96)
-    singleton_distribution = ProductDistribution.uniform(singleton_schema)
     singleton_table = Table(
         ["anonymizer", "k", "PSO success", "isolation rate"],
         title="E12b: the Cohen singleton attack (sensitive column released raw)",
     )
-    mechanism = KAnonymityMechanism(AgreementAnonymizer(4), label="agreement")
-    game = PSOGame(singleton_distribution, n, mechanism, KAnonymityPSOAttacker("singleton"))
-    singleton_result = game.run(trials, derive_rng(seed, "e12b"), jobs=jobs)
+    cohen = check_cohen_singleton_attack(
+        4, n, trials=trials, rng=derive_rng(seed, "e12b"), jobs=jobs
+    )
+    (singleton_result,) = cohen.results
     singleton_table.add_row(
         ["agreement", 4, str(singleton_result.success),
          singleton_result.isolation_rate.estimate]
@@ -91,7 +82,7 @@ def run(seed: int = 0, quick: bool = False, jobs: int = 1) -> ExperimentResult:
     # (3) Ablation: full-domain-partitioning Mondrian — high isolation but
     # non-negligible weight, so PSO success is (correctly) ~0.
     ablation_width = 24
-    ablation_distribution = ProductDistribution.uniform(uniform_bits_schema(ablation_width))
+    ablation_distribution = uniform_bits_distribution(ablation_width)
     ablation_table = Table(
         ["anonymizer", "PSO success", "isolation rate", "weight-ok rate"],
         title="E12c: ablation — partitioning cells are not negligible-weight",

@@ -1,9 +1,9 @@
 """Experiment registry and result type.
 
 Every experiment module registers a ``run(seed=..., quick=...)`` callable
-under its DESIGN.md identifier.  ``quick=True`` shrinks the workload for CI
-and pytest-benchmark loops; the default scale is what EXPERIMENTS.md
-records.
+under its DESIGN.md identifier.  ``quick=True`` shrinks the workload for the
+tier-1 tests, which pin each quick, seed-0 output; the default scale is what
+EXPERIMENTS.md records.
 
 Experiments are independent given the master seed (each derives its own
 sub-streams by id), so :func:`run_experiments` can fan experiment ids out
@@ -36,6 +36,9 @@ class ExperimentResult:
         tables: the measured series, as renderable tables.
         headline: named headline numbers (what EXPERIMENTS.md quotes).
         figures: ASCII charts for claims that are curves (optional).
+        timings: wall-clock measurements.  ``render`` prints them last;
+            they are not reproducible, so the golden output digests skip
+            them.
     """
 
     experiment_id: str
@@ -44,9 +47,10 @@ class ExperimentResult:
     tables: tuple[Table, ...]
     headline: dict[str, object] = field(default_factory=dict)
     figures: tuple[str, ...] = ()
+    timings: dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
-        """Full text report: claim, headline, tables, figures."""
+        """Full text report: claim, headline, tables, figures, timings."""
         lines = [
             f"{self.experiment_id}: {self.title}",
             f"Paper claim: {self.paper_claim}",
@@ -60,6 +64,10 @@ class ExperimentResult:
         for figure in self.figures:
             lines.append("")
             lines.append(figure)
+        if self.timings:
+            lines.append("")
+            lines.append("Timings (wall-clock):")
+            lines.extend(f"  {key} = {value:,.2f}" for key, value in self.timings.items())
         return "\n".join(lines)
 
     def __str__(self) -> str:

@@ -15,13 +15,7 @@ Section 2.4's outputs:
 
 from __future__ import annotations
 
-from repro.core.theorems import (
-    TheoremCheck,
-    check_cohen_singleton_attack,
-    check_dp_implies_pso_security,
-    check_kanonymity_fails_pso,
-    check_laplace_is_dp,
-)
+from repro.core.theorems import TheoremCheck
 from repro.legal.claims import (
     LegalClaim,
     LegalVerdict,
@@ -34,7 +28,6 @@ from repro.legal.concepts import (
     SinglingOutAnswer,
     WorkingPartyAssessment,
 )
-from repro.utils.rng import RngSeed
 from repro.utils.tables import Table
 
 #: A1: the paper's central modeling step (Section 2.2).
@@ -72,23 +65,17 @@ ASSUMPTION_VARIANTS = ModelingAssumption(
 
 
 def legal_theorem_2_1(
-    kanon_evidence: TheoremCheck | None = None,
-    cohen_evidence: TheoremCheck | None = None,
-    ldiversity_evidence: TheoremCheck | None = None,
-    rng: RngSeed = 0,
+    kanon_evidence: TheoremCheck,
+    cohen_evidence: TheoremCheck,
+    ldiversity_evidence: TheoremCheck,
 ) -> LegalVerdict:
     """Legal Theorem 2.1: k-anonymity fails to prevent GDPR singling out.
 
-    Evidence defaults to running the Theorem 2.10 and Cohen checks at
-    default scale; pass pre-computed checks to reuse benchmark runs.  When
-    ``ldiversity_evidence`` (the footnote-3 check) is supplied, the
-    extension to l-diversity rests on a measurement instead of on
-    assumption A3 alone.
+    The evidence is the Theorem 2.10, Cohen and footnote-3 checks of
+    :mod:`repro.core.theorems`.  The footnote-3 premise makes the extension
+    to l-diversity rest on a measurement; assumption A3 carries it on to
+    t-closeness.
     """
-    if kanon_evidence is None:
-        kanon_evidence = check_kanonymity_fails_pso(rng=rng)
-    if cohen_evidence is None:
-        cohen_evidence = check_cohen_singleton_attack(rng=rng)
     premises = [
         TechnicalPremise(
             identifier="T2.10",
@@ -106,18 +93,15 @@ def legal_theorem_2_1(
             ),
             evidence=cohen_evidence,
         ),
+        TechnicalPremise(
+            identifier="T-fn3",
+            statement=(
+                "Releases that are simultaneously k-anonymous and "
+                "distinct-l-diverse admit the same PSO attack (measured)"
+            ),
+            evidence=ldiversity_evidence,
+        ),
     ]
-    if ldiversity_evidence is not None:
-        premises.append(
-            TechnicalPremise(
-                identifier="T-fn3",
-                statement=(
-                    "Releases that are simultaneously k-anonymous and "
-                    "distinct-l-diverse admit the same PSO attack (measured)"
-                ),
-                evidence=ldiversity_evidence,
-            )
-        )
     claim = LegalClaim(
         identifier="Legal Theorem 2.1",
         conclusion=(
@@ -125,9 +109,10 @@ def legal_theorem_2_1(
             "prevent singling out as required by the GDPR."
         ),
         rule=(
-            "T2.10 (and T2.10+) show k-anonymity fails PSO security; by A1, "
-            "failing the weaker PSO requirement implies failing the GDPR "
-            "requirement; A3 extends the construction to the variants."
+            "T2.10 (and T2.10+) show k-anonymity fails PSO security, and "
+            "T-fn3 shows l-diverse releases fail it too; by A1, failing the "
+            "weaker PSO requirement implies failing the GDPR requirement; A3 "
+            "extends the construction to the other variants."
         ),
     )
     return derive(
@@ -137,10 +122,8 @@ def legal_theorem_2_1(
     )
 
 
-def legal_corollary_2_1(theorem: LegalVerdict | None = None, rng: RngSeed = 0) -> LegalVerdict:
+def legal_corollary_2_1(theorem: LegalVerdict) -> LegalVerdict:
     """Legal Corollary 2.1: k-anonymity does not meet the GDPR anonymization standard."""
-    if theorem is None:
-        theorem = legal_theorem_2_1(rng=rng)
     claim = LegalClaim(
         identifier="Legal Corollary 2.1",
         conclusion=(
@@ -161,20 +144,16 @@ def legal_corollary_2_1(theorem: LegalVerdict | None = None, rng: RngSeed = 0) -
 
 
 def differential_privacy_assessment(
-    dp_evidence: TheoremCheck | None = None,
-    laplace_evidence: TheoremCheck | None = None,
-    rng: RngSeed = 0,
+    dp_evidence: TheoremCheck, laplace_evidence: TheoremCheck
 ) -> LegalVerdict:
     """Section 2.4.1: DP satisfies the *necessary* condition — no more.
 
-    Deliberately qualified: the paper stresses that preventing (even full)
-    singling out is necessary but not sufficient for the GDPR
-    anonymization standard, so no compliance theorem is derivable.
+    The evidence is the Theorem 2.9 and Theorem 1.3 checks of
+    :mod:`repro.core.theorems`.  Deliberately qualified: the paper stresses
+    that preventing (even full) singling out is necessary but not
+    sufficient for the GDPR anonymization standard, so no compliance
+    theorem is derivable.
     """
-    if dp_evidence is None:
-        dp_evidence = check_dp_implies_pso_security(rng=rng)
-    if laplace_evidence is None:
-        laplace_evidence = check_laplace_is_dp(rng=rng)
     premises = [
         TechnicalPremise(
             identifier="T1.3",

@@ -8,7 +8,7 @@ workloads with matrix arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,21 +26,6 @@ class SubsetQuery:
             raise ValueError("a query must be over at least one position")
         self._mask = array
         self._mask.setflags(write=False)
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "SubsetQuery":
-        """Build a query over dataset size ``n`` from explicit indices."""
-        mask = np.zeros(n, dtype=bool)
-        index_array = np.array(list(indices))
-        if index_array.size:
-            if index_array.dtype.kind not in "iu":
-                raise ValueError("indices must be integers")
-            out_of_range = (index_array < 0) | (index_array >= n)
-            if out_of_range.any():
-                offender = int(index_array[out_of_range][0])
-                raise ValueError(f"index {offender} outside [0, {n})")
-            mask[index_array] = True
-        return cls(mask)
 
     @property
     def mask(self) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Theorem 1.1 distinguishes two regimes by workload: *all* ``2^n`` subset
 queries (exponential attack) versus polynomially many random subsets
-(LP-decoding attack).  Both workloads are generated here, and the
-:class:`Workload` class packs a whole workload into one ``(m, n)`` boolean
-matrix so the answering mechanisms and the LP decoder can process every
-query at once instead of looping in Python.
+(LP-decoding attack).  The random workload is generated here (the
+exhaustive attack builds its own masks), and the :class:`Workload` class
+packs a whole workload into one ``(m, n)`` boolean matrix so the answering
+mechanisms and the LP decoder can process every query at once instead of
+looping in Python.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import scipy.sparse
 
 from repro.queries.query import SubsetQuery, _validate_binary
 from repro.utils.rng import RngSeed, ensure_rng
-
-#: Refuse to materialize exponential workloads beyond this n.
-MAX_EXHAUSTIVE_N = 20
 
 
 class Workload:
@@ -129,28 +127,6 @@ class Workload:
         while empty.any():
             masks[empty] = generator.random((int(empty.sum()), n)) < density
             empty = ~masks.any(axis=1)
-        return cls(masks, copy=False)
-
-    @classmethod
-    def all_subsets(cls, n: int) -> "Workload":
-        """Every non-empty subset of ``[n]`` — the Theorem 1.1(i) workload.
-
-        Row ``b - 1`` is the little-endian bit expansion of ``b`` for
-        ``b = 1 .. 2^n - 1``, matching the candidate enumeration used by the
-        exhaustive attack.  Bounded to ``n <= 20``.
-        """
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        if n > MAX_EXHAUSTIVE_N:
-            mask_bytes = (2**n - 1) * n
-            raise ValueError(
-                f"refusing to materialize 2^{n} - 1 = {2**n - 1:,} queries: "
-                f"the boolean mask matrix alone would need {mask_bytes:,} "
-                f"bytes (~{mask_bytes / 2**30:,.1f} GiB); the cap is "
-                f"n={MAX_EXHAUSTIVE_N}"
-            )
-        bits = np.arange(1, 2**n, dtype=np.int64)
-        masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
         return cls(masks, copy=False)
 
     @property

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.attacks.linkage import linkage_attack
+from repro.data.dataset import Dataset
 from repro.data.population import (
     QUASI_IDENTIFIERS,
     PopulationConfig,
@@ -61,7 +62,7 @@ class TestLinkageAttack:
 
     def test_misaligned_truth_rejected(self, population, release):
         voters = voter_registry(population, coverage=0.5, rng=7)
-        truncated = population.head(10)
+        truncated = Dataset(population.schema, population.rows[:10])
         with pytest.raises(ValueError):
             linkage_attack(release, voters, QUASI_IDENTIFIERS, truth=truncated)
 

@@ -32,9 +32,7 @@ class TestApproveAndRequire:
         gate = ComplianceGate()
         fingerprint = gate.approve(approval, laplace_spec)
         assert fingerprint == approval.release_fingerprint
-        assert gate.is_approved(laplace_spec)
         assert gate.require(laplace_spec) is approval
-        assert gate.certificate_for(laplace_spec) is approval
         assert gate.approved_count == 1
 
     def test_unapproved_release_refused(self, laplace_spec):
@@ -50,19 +48,6 @@ class TestApproveAndRequire:
         with pytest.raises(ComplianceDenied) as excinfo:
             gate.require(None, subject="mechanism-spec")
         assert excinfo.value.reason == "unspecified-release"
-
-    def test_revoke_withdraws_approval(self, approval, laplace_spec):
-        gate = ComplianceGate()
-        gate.approve(approval, laplace_spec)
-        assert gate.revoke(laplace_spec)
-        assert not gate.revoke(laplace_spec)  # already gone
-        with pytest.raises(ComplianceDenied):
-            gate.require(laplace_spec)
-
-    def test_unfingerprintable_queries_are_just_false(self):
-        gate = ComplianceGate()
-        assert not gate.is_approved(object())
-        assert gate.certificate_for(object()) is None
 
 
 class TestApproveRefusals:

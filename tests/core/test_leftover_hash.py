@@ -18,22 +18,21 @@ def distribution():
 
 class TestRecordHasher:
     def test_deterministic(self, distribution):
-        record = distribution.sample_record(rng=0)
+        record = distribution.sample(1, rng=0)[0]
         hasher = RecordHasher("salt")
         assert hasher.unit(record) == hasher.unit(record)
         assert hasher.bit(record, 7) == hasher.bit(record, 7)
 
     def test_salts_give_different_functions(self, distribution):
-        records = [distribution.sample_record(rng=i) for i in range(32)]
+        records = list(distribution.sample(32, rng=0))
         a = [RecordHasher("salt-a").bit(r, 0) for r in records]
         b = [RecordHasher("salt-b").bit(r, 0) for r in records]
         assert a != b  # astronomically unlikely to collide on 32 records
 
     def test_unit_in_interval(self, distribution):
         hasher = RecordHasher("x")
-        for i in range(20):
-            value = hasher.unit(distribution.sample_record(rng=i))
-            assert 0.0 <= value < 1.0
+        for record in distribution.sample(20, rng=0):
+            assert 0.0 <= hasher.unit(record) < 1.0
 
     def test_empty_salt_rejected(self):
         with pytest.raises(ValueError):
@@ -41,7 +40,7 @@ class TestRecordHasher:
 
     def test_bit_index_validated(self, distribution):
         hasher = RecordHasher("x")
-        record = distribution.sample_record(rng=0)
+        record = distribution.sample(1, rng=0)[0]
         with pytest.raises(ValueError):
             hasher.bit(record, 192)
         with pytest.raises(ValueError):
@@ -76,7 +75,7 @@ class TestHashBitPredicates:
     def test_bit_equals_complement(self, distribution):
         ones = hash_bit_equals_predicate("s4", 3, 1)
         zeros = hash_bit_equals_predicate("s4", 3, 0)
-        record = distribution.sample_record(rng=2)
+        record = distribution.sample(1, rng=2)[0]
         assert ones(record) != zeros(record)
 
     def test_invalid_value(self):

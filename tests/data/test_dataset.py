@@ -49,11 +49,6 @@ class TestRecord:
     def test_hashable(self, toy):
         assert len({toy[0], toy[1], toy[0]}) == 2
 
-    def test_as_dict(self, toy):
-        assert toy[0].as_dict() == {
-            "zip": "23456", "age": 55, "sex": "F", "disease": "covid",
-        }
-
     def test_replace(self, toy):
         changed = toy[0].replace(age=56)
         assert changed["age"] == 56
@@ -76,10 +71,6 @@ class TestDatasetBasics:
     def test_validation_on_construction(self, schema):
         with pytest.raises(ValueError):
             Dataset(schema, [("99999", 10, "F", "covid")])
-
-    def test_from_dicts(self, schema, toy):
-        rebuilt = Dataset.from_dicts(schema, [record.as_dict() for record in toy])
-        assert rebuilt == toy
 
     def test_column(self, toy):
         assert toy.column("sex") == ("F", "F", "M", "F")
@@ -105,10 +96,6 @@ class TestRelationalOps:
         with pytest.raises(KeyError):
             toy.drop(["height"])
 
-    def test_filter(self, toy):
-        women = toy.filter(lambda r: r["sex"] == "F")
-        assert len(women) == 3
-
     def test_count(self, toy):
         assert toy.count(lambda r: r["disease"] == "covid") == 2
 
@@ -123,10 +110,6 @@ class TestGroupingAndUniqueness:
         assert sorted(groups[("F",)]) == [0, 1, 3]
         assert groups[("M",)] == [2]
 
-    def test_value_counts(self, toy):
-        counts = toy.value_counts("disease")
-        assert counts["covid"] == 2
-
     def test_unique_fraction(self, toy):
         assert toy.unique_fraction(["zip", "age", "sex"]) == 1.0
         assert toy.unique_fraction(["sex"]) == 0.25  # only M is unique
@@ -134,9 +117,6 @@ class TestGroupingAndUniqueness:
     def test_unique_fraction_empty_raises(self, schema):
         with pytest.raises(ValueError):
             Dataset(schema, []).unique_fraction(["sex"])
-
-    def test_head(self, toy):
-        assert len(toy.head(2)) == 2
 
 
 @given(

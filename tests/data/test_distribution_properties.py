@@ -65,7 +65,7 @@ class TestProductDistributionLaws:
     @settings(max_examples=20, deadline=None)
     def test_record_probabilities_product(self, width):
         dist = uniform_bits_distribution(width)
-        record = dist.sample_record(rng=0)
+        record = dist.sample(1, rng=0)[0]
         assert dist.record_probability(record) == pytest.approx(0.5**width)
 
     @given(seed=st.integers(0, 100))

@@ -144,7 +144,7 @@ class TestHelpers:
     def test_uniform_bits(self):
         dist = uniform_bits_distribution(16)
         assert dist.min_entropy() == pytest.approx(16.0)
-        record = dist.sample_record(rng=0)
+        record = dist.sample(1, rng=0)[0]
         assert all(value in (0, 1) for value in record.values)
 
     def test_uniform_bits_invalid_width(self):

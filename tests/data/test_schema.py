@@ -90,7 +90,3 @@ class TestProjection:
     def test_drop_unknown_raises(self, medical_schema):
         with pytest.raises(KeyError):
             medical_schema.drop(["height"])
-
-    def test_record_domain_size(self, medical_schema):
-        domain = medical_schema.record_domain()
-        assert len(domain) == 2 * 2 * 121 * 2

@@ -17,14 +17,14 @@ from repro.experiments import run_experiment
 pytestmark = pytest.mark.slow
 
 
-def test_e11_quick_headline_bit_identical():
-    headline = run_experiment("E11", seed=0, quick=True).headline
+def test_e11_quick_headline_bit_identical(quick_run):
+    headline = quick_run("E11").headline
     assert float(headline["attack_success_exact_counts"]).hex() == "0x1.47ae147ae147bp-1"
     assert float(headline["attack_success_dp_eps2"]).hex() == "0x0.0p+0"
 
 
-def test_e8_quick_headline_and_rows_bit_identical():
-    result = run_experiment("E8", seed=0, quick=True)
+def test_e8_quick_headline_and_rows_bit_identical(quick_run):
+    result = quick_run("E8")
     assert float(result.headline["measured_isolation_at_w_1_over_n"]).hex() == (
         "0x1.7851eb851eb85p-2"
     )
@@ -39,8 +39,8 @@ def test_e8_quick_headline_and_rows_bit_identical():
     ]
 
 
-def test_e19_quick_headline_bit_identical():
-    headline = run_experiment("E19", seed=0, quick=True).headline
+def test_e19_quick_headline_bit_identical(quick_run):
+    headline = quick_run("E19").headline
     assert headline["mwem_defeats_linkage"] is True
     assert headline["independent_leaks"] is True
     assert headline["error_monotone"] is True
@@ -110,8 +110,8 @@ def test_e21_headline_unchanged_by_telemetry(monkeypatch):
     assert float(headline["interactive_epsilon"]).hex() == "0x1.8000000000000p+1"
 
 
-def test_e21_quick_headline_bit_identical():
-    headline = run_experiment("E21", seed=0, quick=True).headline
+def test_e21_quick_headline_bit_identical(quick_run):
+    headline = quick_run("E21").headline
     assert headline["mwem_approved"] is True
     assert headline["independent_failing"] == "DP-CLAIM"
     assert headline["mondrian_failing"] == "DP-CLAIM, K-ANON"

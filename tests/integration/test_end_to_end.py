@@ -83,7 +83,7 @@ class TestPsoNarrative:
             passed=result.success.estimate >= 0.8,
             measurements={"success": str(result.success)},
         )
-        verdict = legal_theorem_2_1(evidence, evidence)
+        verdict = legal_theorem_2_1(evidence, evidence, evidence)
         assert "GDPR" in verdict.claim.conclusion
         corollary = legal_corollary_2_1(verdict)
         assert "anonymization" in corollary.claim.conclusion
@@ -93,7 +93,7 @@ class TestPsoNarrative:
             theorem="2.10", claim="attack failed this time", passed=False
         )
         with pytest.raises(DerivationError):
-            legal_theorem_2_1(bad_evidence, bad_evidence)
+            legal_theorem_2_1(bad_evidence, bad_evidence, bad_evidence)
 
 
 class TestCensusNarrative:

@@ -96,7 +96,7 @@ class TestEvidenceDiscipline:
 
         failed = TheoremCheck(theorem="2.10", claim="attack failed", passed=False)
         with pytest.raises(DerivationError, match="REFUTED"):
-            legal_theorem_2_1(failed, failed)
+            legal_theorem_2_1(failed, failed, failed)
 
     def test_game_scores_garbage_weight_predicates_honestly(self):
         """An attacker claiming an absurd analytic weight still has to

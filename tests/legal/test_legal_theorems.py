@@ -22,26 +22,31 @@ def _check(theorem: str, passed: bool) -> TheoremCheck:
     return TheoremCheck(theorem=theorem, claim="measured", passed=passed)
 
 
+def _evidence(kanon_passed: bool = True) -> tuple[TheoremCheck, ...]:
+    """Evidence for Legal Theorem 2.1's T2.10, T2.10+ and T-fn3 premises."""
+    return _check("2.10", kanon_passed), _check("2.10+", True), _check("fn3", True)
+
+
 class TestLegalTheorem21:
     def test_derivable_from_passed_evidence(self):
-        verdict = legal_theorem_2_1(_check("2.10", True), _check("2.10+", True))
+        verdict = legal_theorem_2_1(*_evidence())
         assert "fails to prevent singling out" in verdict.claim.conclusion
-        assert len(verdict.premises) == 2
+        assert [p.identifier for p in verdict.premises] == ["T2.10", "T2.10+", "T-fn3"]
         assert all(premise.established for premise in verdict.premises)
 
     def test_blocked_by_failed_evidence(self):
         with pytest.raises(DerivationError):
-            legal_theorem_2_1(_check("2.10", False), _check("2.10+", True))
+            legal_theorem_2_1(*_evidence(kanon_passed=False))
 
     def test_assumptions_are_carried(self):
-        verdict = legal_theorem_2_1(_check("2.10", True), _check("2.10+", True))
+        verdict = legal_theorem_2_1(*_evidence())
         identifiers = {assumption.identifier for assumption in verdict.assumptions}
         assert identifiers == {"A1", "A3"}
 
 
 class TestLegalCorollary21:
     def test_builds_on_theorem(self):
-        theorem = legal_theorem_2_1(_check("2.10", True), _check("2.10+", True))
+        theorem = legal_theorem_2_1(*_evidence())
         corollary = legal_corollary_2_1(theorem)
         assert "anonymization" in corollary.claim.conclusion
         identifiers = {assumption.identifier for assumption in corollary.assumptions}
@@ -101,10 +106,11 @@ class TestUsPrivacyExcerpts:
 
 
 class TestLegalTheoremWithFootnote3:
-    def test_optional_footnote3_premise(self):
+    def test_footnote3_premise_is_measured(self):
         good = _check("x", True)
         verdict = legal_theorem_2_1(good, good, ldiversity_evidence=good)
-        assert any(p.identifier == "T-fn3" for p in verdict.premises)
+        (premise,) = [p for p in verdict.premises if p.identifier == "T-fn3"]
+        assert premise.evidence is good
 
     def test_footnote3_failure_blocks(self):
         good = _check("x", True)

@@ -190,13 +190,6 @@ class TestWorkloadClass:
         workload = Workload.random(5, 4, rng=3)
         assert Workload.coerce(workload) is workload
 
-    def test_all_subsets_matches_bit_enumeration(self):
-        workload = Workload.all_subsets(3)
-        assert workload.m == 7
-        # Row b-1 is the little-endian bit expansion of b.
-        assert workload.masks[0].tolist() == [True, False, False]
-        assert workload.masks[6].tolist() == [True, True, True]
-
     def test_random_has_no_empty_queries(self):
         workload = Workload.random(3, 200, density=0.05, rng=4)
         assert workload.masks.any(axis=1).all()

@@ -15,27 +15,6 @@ class TestSubsetQuery:
         data = np.array([1, 1, 0, 1])
         assert query.true_answer(data) == 2
 
-    def test_from_indices(self):
-        query = SubsetQuery.from_indices([0, 3], n=5)
-        assert query.size == 2
-        assert list(query.indices()) == [0, 3]
-
-    def test_from_indices_out_of_range(self):
-        with pytest.raises(ValueError):
-            SubsetQuery.from_indices([5], n=5)
-
-    def test_from_indices_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetQuery.from_indices([-1], n=5)
-
-    def test_from_indices_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetQuery.from_indices([0.5], n=5)
-
-    def test_from_indices_empty(self):
-        query = SubsetQuery.from_indices([], n=3)
-        assert query.size == 0
-
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             SubsetQuery(np.array([], dtype=bool))

@@ -7,24 +7,6 @@ import scipy.sparse
 from repro.queries.workload import Workload
 
 
-class TestAllSubsetQueries:
-    def test_count(self):
-        queries = list(Workload.all_subsets(4))
-        assert len(queries) == 15  # 2^4 - 1
-
-    def test_all_distinct(self):
-        queries = list(Workload.all_subsets(5))
-        assert len(set(queries)) == 31
-
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            Workload.all_subsets(25)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            Workload.all_subsets(0)
-
-
 class TestRandomSubsetQueries:
     def test_count_and_size(self):
         queries = list(Workload.random(30, 12, rng=0))

@@ -14,22 +14,26 @@ from repro.service import (
 )
 
 
+def _query(indices: list[int], n: int) -> SubsetQuery:
+    return SubsetQuery(np.isin(np.arange(n), indices))
+
+
 class TestFingerprints:
     def test_same_subset_same_fingerprint(self):
         a = SubsetQuery(np.array([True, False, True, False]))
-        b = SubsetQuery.from_indices([0, 2], 4)
+        b = _query([0, 2], 4)
         assert query_fingerprint(a) == query_fingerprint(b)
 
     def test_different_subsets_differ(self):
-        a = SubsetQuery.from_indices([0, 2], 4)
-        b = SubsetQuery.from_indices([0, 3], 4)
+        a = _query([0, 2], 4)
+        b = _query([0, 3], 4)
         assert query_fingerprint(a) != query_fingerprint(b)
 
     def test_n_disambiguates_packed_padding(self):
         # [1,0,1] and [1,0,1,0,...,0] pack to the same byte; the length
         # prefix must keep their fingerprints distinct.
         short = SubsetQuery(np.array([True, False, True]))
-        padded = SubsetQuery.from_indices([0, 2], 8)
+        padded = _query([0, 2], 8)
         assert query_fingerprint(short) != query_fingerprint(padded)
 
     def test_accepts_raw_masks(self):
@@ -42,7 +46,7 @@ class TestFingerprints:
         assert batched == [query_fingerprint(query) for query in workload]
 
     def test_fingerprint_is_16_bytes(self):
-        assert len(query_fingerprint(SubsetQuery.from_indices([1], 5))) == 16
+        assert len(query_fingerprint(_query([1], 5))) == 16
 
 
 class TestAnswerCache:

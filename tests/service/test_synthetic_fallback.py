@@ -22,6 +22,10 @@ from repro.service import (
 from repro.utils.rng import derive_rng
 
 
+def _query(indices: list[int], n: int) -> SubsetQuery:
+    return SubsetQuery(np.isin(np.arange(n), indices))
+
+
 def _data(n: int = 48) -> np.ndarray:
     return derive_rng(11, "fallback-data").integers(0, 2, size=n)
 
@@ -80,10 +84,10 @@ class TestFallbackAnswers:
         server = _server(fallback=True)
         session = server.session("alice")
         # Two affordable queries exhaust the 1.0 budget at 0.5 each...
-        session.ask(SubsetQuery.from_indices([0, 1], 48))
-        session.ask(SubsetQuery.from_indices([2, 3], 48))
+        session.ask(_query([0, 1], 48))
+        session.ask(_query([2, 3], 48))
         # ...so the third is answered synthetically, as an exact count.
-        answer = session.ask(SubsetQuery.from_indices([4, 5, 6], 48))
+        answer = session.ask(_query([4, 5, 6], 48))
         assert answer == float(int(answer))
         record = server.audit_log.records("alice")[-1]
         assert record.source == "synthetic"
@@ -159,7 +163,7 @@ class TestFallbackAnswers:
             synthetic_fallback=SyntheticFallback(epsilon=1.0, rounds=2),
         )
         q1, q2, q3 = (
-            SubsetQuery.from_indices(indices, n)
+            _query(indices, n)
             for indices in ([0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10, 11])
         )
         answers = server.session("alice").ask_workload([q1, q2, q3, q3])

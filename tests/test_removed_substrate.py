@@ -8,7 +8,10 @@ l-diverse when ``distinct_l_diversity(...) >= l``, k-anonymity is
 :func:`repro.anonymity.checks.is_k_anonymous` on the quasi-identifiers,
 and Datafly is the full-domain generalizer.  The accounting names live in
 :mod:`repro.privacy.accounting` only, and its ledgers compose by one rule:
-epsilons add.
+epsilons add.  Each Section 2 theorem has one check in
+:mod:`repro.core.theorems` (Theorems 2.5 and 2.6 share one), and the
+legal layer derives its verdicts from evidence it is given, never from a
+default run of its own.
 """
 
 import importlib
@@ -18,8 +21,22 @@ import inspect
 import pytest
 
 from repro.anonymity.datafly import DataflyAnonymizer
-from repro.core.theorems import check_ldiversity_fails_pso
+from repro.core.theorems import (
+    TheoremCheck,
+    check_cohen_singleton_attack,
+    check_composition_attack,
+    check_count_mechanism_pso_security,
+    check_dp_implies_pso_security,
+    check_ldiversity_fails_pso,
+)
+from repro.legal.theorems import (
+    differential_privacy_assessment,
+    legal_corollary_2_1,
+    legal_theorem_2_1,
+)
 from repro.privacy.accounting import PrivacyAccountant, ShardedAccountant
+
+_EVIDENCE = TheoremCheck(theorem="x", claim="measured", passed=True)
 
 REMOVED_MODULES = [
     "repro.dp.gaussian",
@@ -107,6 +124,9 @@ REMOVED_NAMES = [
     ("repro.utils.negligible", "is_negligible_weight"),
     ("repro.experiments", "run_all_experiments"),
     ("repro.experiments.runner", "run_all_experiments"),
+    ("repro.core", "check_post_processing_robustness"),
+    ("repro.core.theorems", "check_post_processing_robustness"),
+    ("repro.queries.workload", "MAX_EXHAUSTIVE_N"),
 ]
 
 REMOVED_ATTRIBUTES = [
@@ -130,6 +150,18 @@ REMOVED_ATTRIBUTES = [
     ("repro.reconstruction.tabulation", "BlockTables", "race_counts"),
     ("repro.reconstruction.sharding", "ShardedReconstructionResult", "escalated_blocks"),
     ("repro.lm.ngram", "NgramLanguageModel", "documents_seen"),
+    ("repro.queries.workload", "Workload", "all_subsets"),
+    ("repro.queries.query", "SubsetQuery", "from_indices"),
+    ("repro.data.dataset", "Dataset", "from_dicts"),
+    ("repro.data.dataset", "Dataset", "filter"),
+    ("repro.data.dataset", "Dataset", "value_counts"),
+    ("repro.data.dataset", "Dataset", "head"),
+    ("repro.data.dataset", "Record", "as_dict"),
+    ("repro.data.distributions", "ProductDistribution", "sample_record"),
+    ("repro.data.schema", "Schema", "record_domain"),
+    ("repro.compliance.gate", "ComplianceGate", "revoke"),
+    ("repro.compliance.gate", "ComplianceGate", "is_approved"),
+    ("repro.compliance.gate", "ComplianceGate", "certificate_for"),
 ]
 
 REMOVED_KEYWORDS = {
@@ -139,6 +171,31 @@ REMOVED_KEYWORDS = {
     "PrivacyAccountant-record_entries": lambda: PrivacyAccountant(record_entries=False),
     "reserve-label": lambda: PrivacyAccountant().reserve(1, 0.1, label="q"),
     "DataflyAnonymizer-hierarchies": lambda: DataflyAnonymizer(5, hierarchies={}),
+    "check_composition_attack-min_success": lambda: check_composition_attack(
+        min_success=0.2
+    ),
+    "check_count_mechanism_pso_security-width": lambda: check_count_mechanism_pso_security(
+        width=64
+    ),
+    "check_composition_attack-width": lambda: check_composition_attack(width=64),
+    "check_dp_implies_pso_security-width": lambda: check_dp_implies_pso_security(width=64),
+    "check_cohen_singleton_attack-width": lambda: check_cohen_singleton_attack(width=96),
+    "check_cohen_singleton_attack-secret_values": lambda: check_cohen_singleton_attack(
+        secret_values=50
+    ),
+    "check_ldiversity_fails_pso-width": lambda: check_ldiversity_fails_pso(width=96),
+    "check_ldiversity_fails_pso-secret_values": lambda: check_ldiversity_fails_pso(
+        secret_values=50
+    ),
+    "legal_theorem_2_1-rng": lambda: legal_theorem_2_1(
+        _EVIDENCE, _EVIDENCE, _EVIDENCE, rng=0
+    ),
+    "legal_corollary_2_1-rng": lambda: legal_corollary_2_1(
+        legal_theorem_2_1(_EVIDENCE, _EVIDENCE, _EVIDENCE), rng=0
+    ),
+    "differential_privacy_assessment-rng": lambda: differential_privacy_assessment(
+        _EVIDENCE, _EVIDENCE, rng=0
+    ),
 }
 
 
@@ -175,3 +232,12 @@ def test_ldiversity_check_takes_diversity():
     parameters = inspect.signature(check_ldiversity_fails_pso).parameters
     assert "diversity" in parameters
     assert "l" not in parameters
+
+
+@pytest.mark.parametrize(
+    "derivation",
+    [legal_theorem_2_1, legal_corollary_2_1, differential_privacy_assessment],
+)
+def test_legal_derivations_need_their_evidence(derivation):
+    parameters = inspect.signature(derivation).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
