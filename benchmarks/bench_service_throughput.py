@@ -60,10 +60,8 @@ certification cost it amortizes.
 **Baseline guard (full mode only).**  The kernel-delegated answering paths
 must stay within ``GUARD_TOLERANCE`` of the recorded baselines: the
 cached-replay and batched numbers in ``BENCH_service.json``, the
-concurrent cached numbers, the uncached (noise-drawing) number at the top
-session count, and the batched-answering numbers in
-``BENCH_reconstruction.json`` (replicated via
-``bench_lp_reconstruction.bench_answering``, best of three passes).
+concurrent cached numbers, and the uncached (noise-drawing) number at the
+top session count.
 
 Results are written to ``BENCH_service.json`` (see ``--output``).
 """
@@ -73,7 +71,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -648,7 +645,6 @@ def guard_against_baselines(
     single: dict,
     concurrent: list[dict],
     repo_root: Path,
-    seed: int,
     compliance: dict | None = None,
     background: dict | None = None,
 ) -> list[str]:
@@ -746,32 +742,6 @@ def guard_against_baselines(
             checks.append(
                 f"background audited_qps: {background['audited_qps']:,.0f} q/s "
                 f">= {floor:,.0f} q/s"
-            )
-
-    reconstruction = _load_baseline(repo_root / "BENCH_reconstruction.json")
-    if reconstruction and not reconstruction.get("smoke") and reconstruction.get("answering"):
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        try:
-            from bench_lp_reconstruction import bench_answering
-        finally:
-            sys.path.pop(0)
-        recon_seed = int(reconstruction.get("seed", seed))
-        for entry in reconstruction["answering"]:
-            n, m = int(entry["n"]), int(entry["m"])
-            best = min(
-                bench_answering(n, recon_seed)["batched_seconds"] for _ in range(3)
-            )
-            live_qps = m / max(best, 1e-9)
-            base_qps = m / max(float(entry["batched_seconds"]), 1e-9)
-            floor = base_qps * (1.0 - GUARD_TOLERANCE)
-            assert live_qps >= floor, (
-                f"batched answering at n={n} regressed: {live_qps:,.0f} q/s < "
-                f"{floor:,.0f} q/s ({(1 - GUARD_TOLERANCE):.0%} of the "
-                f"recorded {base_qps:,.0f} q/s baseline)"
-            )
-            checks.append(
-                f"reconstruction answering n={n}: {live_qps:,.0f} q/s >= "
-                f"{floor:,.0f} q/s"
             )
     return checks
 
@@ -953,7 +923,6 @@ def main(argv: list[str] | None = None) -> int:
             single,
             concurrent,
             repo_root,
-            args.seed,
             compliance=compliance,
             background=background,
         )

@@ -12,8 +12,6 @@ against them.
   Theorem 2.10 proof analyzes: groups of ``k`` keep the values they agree on.
 * :mod:`repro.anonymity.mondrian` — the Mondrian multidimensional
   partitioning anonymizer (greedy median cuts).
-* :mod:`repro.anonymity.datafly` — Datafly-style greedy full-domain
-  generalization over hierarchies, with outlier suppression.
 * :mod:`repro.anonymity.metrics` — discernibility / average-class-size /
   precision utility metrics ("maximizing some measure of information
   content", as the paper puts it).
@@ -26,7 +24,6 @@ from repro.anonymity.checks import (
     is_k_anonymous,
     t_closeness,
 )
-from repro.anonymity.datafly import DataflyAnonymizer
 from repro.anonymity.metrics import (
     average_class_size_ratio,
     discernibility_metric,
@@ -37,7 +34,6 @@ from repro.anonymity.mondrian import MondrianAnonymizer
 
 __all__ = [
     "AgreementAnonymizer",
-    "DataflyAnonymizer",
     "MondrianAnonymizer",
     "average_class_size_ratio",
     "discernibility_metric",

@@ -14,13 +14,10 @@ negligible weight yet matches the ``k' >= k`` class members, and a fresh
 weight-``1/k'`` hash refinement ``p'`` isolates inside the class with
 probability ``(1 - 1/k')^(k'-1) -> 1/e``.
 
-Grouping strategies:
-
-* ``"sorted"`` (default) — lexicographically sort records and group
-  consecutive runs of ``k``; neighbors in sorted order share prefixes, so
-  agreement (and hence utility *and* attack strength) is maximized greedily.
-* ``"sequential"`` — group records in input order (an intentionally
-  utility-poor ablation).
+Grouping: records are sorted lexicographically on the quasi-identifiers and
+consecutive runs of ``k`` form the groups; neighbors in sorted order share
+prefixes, so agreement (and hence utility *and* attack strength) is
+maximized greedily.
 """
 
 from __future__ import annotations
@@ -35,16 +32,12 @@ class AgreementAnonymizer:
 
     Args:
         k: group size floor (the anonymity parameter).
-        strategy: ``"sorted"`` or ``"sequential"`` grouping (see module doc).
     """
 
-    def __init__(self, k: int, strategy: str = "sorted"):
+    def __init__(self, k: int):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if strategy not in ("sorted", "sequential"):
-            raise ValueError(f"unknown grouping strategy: {strategy!r}")
         self.k = int(k)
-        self.strategy = strategy
 
     def anonymize(self, dataset: Dataset) -> GeneralizedDataset:
         """Anonymize ``dataset``; row order follows the grouping order."""
@@ -57,13 +50,10 @@ class AgreementAnonymizer:
         qi_names = dataset.schema.quasi_identifiers or dataset.schema.names
         qi_columns = [dataset.schema.index_of(name) for name in qi_names]
 
-        if self.strategy == "sorted":
-            order = sorted(
-                range(n),
-                key=lambda i: _sort_key(tuple(dataset.rows[i][c] for c in qi_columns)),
-            )
-        else:
-            order = list(range(n))
+        order = sorted(
+            range(n),
+            key=lambda i: _sort_key(tuple(dataset.rows[i][c] for c in qi_columns)),
+        )
 
         # Consecutive groups of k; the remainder joins the last group so no
         # group falls below k.

@@ -6,8 +6,8 @@ quantify that retention, so the experiments can show the causal chain:
 better utility -> tighter equivalence classes -> lower predicate weight ->
 predicate singling out.
 
-* :func:`discernibility_metric` — sum of squared class sizes (plus an
-  ``n``-weighted penalty per suppressed record); lower is better.
+* :func:`discernibility_metric` — sum of squared class sizes; lower is
+  better.
 * :func:`average_class_size_ratio` — the C_avg of the Mondrian paper:
   ``(n_released / #classes) / k``; 1.0 is ideal.
 * :func:`generalization_precision` — mean fraction of each attribute's
@@ -23,17 +23,10 @@ from repro.anonymity.checks import equivalence_classes_on
 from repro.data.generalized import GeneralizedDataset
 
 
-def discernibility_metric(release: GeneralizedDataset, original_size: int | None = None) -> int:
-    """Sum over classes of |class|^2, plus n per suppressed record.
-
-    ``original_size`` defaults to released + suppressed counts; it is the
-    penalty weight for suppressed records, per the standard definition.
-    """
+def discernibility_metric(release: GeneralizedDataset) -> int:
+    """Sum over equivalence classes of |class|^2."""
     classes = equivalence_classes_on(release)
-    if original_size is None:
-        original_size = len(release) + release.suppressed_count
-    penalty = release.suppressed_count * original_size
-    return sum(len(rows) ** 2 for rows in classes.values()) + penalty
+    return sum(len(rows) ** 2 for rows in classes.values())
 
 
 def average_class_size_ratio(release: GeneralizedDataset, k: int) -> float:
@@ -78,7 +71,6 @@ def utility_report(release: GeneralizedDataset, k: int) -> dict[str, float]:
     """All metrics in one mapping (for the experiment tables)."""
     return {
         "records": float(len(release)),
-        "suppressed": float(release.suppressed_count),
         "classes": float(len(equivalence_classes_on(release))),
         "discernibility": float(discernibility_metric(release)),
         "avg_class_size_ratio": average_class_size_ratio(release, k),

@@ -90,12 +90,9 @@ def downcoding_experiment(
 ) -> DowncodingResult:
     """Score a downcoding reconstruction against the original data.
 
-    The release must be order-aligned with ``original`` and unsuppressed
-    (Mondrian's output qualifies; Datafly's suppressed rows would break the
-    alignment).
+    The release must be order-aligned with ``original``, one row per
+    record (Mondrian's output qualifies).
     """
-    if release.suppressed_count != 0:
-        raise ValueError("downcoding scoring requires an unsuppressed release")
     if len(release) != len(original):
         raise ValueError("release and original must have the same length")
     reconstructed = downcode(release, distribution)

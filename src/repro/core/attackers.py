@@ -36,6 +36,7 @@ from repro.core.predicate import Predicate, predicate_from_conditions
 from repro.core.pso import PSOContext
 from repro.data.dataset import Dataset
 from repro.data.generalized import GeneralizedDataset
+from repro.utils.negligible import NEGLIGIBLE_EXPONENT
 
 
 def _fresh_salt(prefix: str, rng: np.random.Generator) -> str:
@@ -204,11 +205,7 @@ class CompositionAttacker:
         return predicate
 
 
-def build_composition_suite(
-    n: int,
-    negligible_exponent: float = 2.0,
-    salt: str = "thm2.8",
-) -> CompositionSuite:
+def build_composition_suite(n: int, salt: str = "thm2.8") -> CompositionSuite:
     """Construct the Theorem 2.8 counterexample for dataset size ``n``.
 
     Returns ``l = L * (1 + B)`` count mechanisms with
@@ -220,7 +217,7 @@ def build_composition_suite(
         raise ValueError("n must exceed 1")
     levels = max(2, math.ceil(math.log2(8 * n)))
     thresholds = tuple(min(0.5, (2.0**j) / (8.0 * n)) for j in range(levels))
-    bits = math.ceil(negligible_exponent * math.log2(n)) + 4
+    bits = math.ceil(NEGLIGIBLE_EXPONENT * math.log2(n)) + 4
 
     threshold_queries = [
         hash_threshold_predicate(f"{salt}-h", threshold) for threshold in thresholds

@@ -131,7 +131,7 @@ class KAnonymityMechanism(Mechanism):
 
     ``anonymizer`` is any object with an ``anonymize(dataset)`` method
     returning a :class:`~repro.data.generalized.GeneralizedDataset` —
-    Mondrian and Datafly both qualify.
+    the agreement anonymizer and Mondrian both qualify.
     """
 
     def __init__(self, anonymizer, label: str | None = None):

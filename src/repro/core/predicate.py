@@ -61,7 +61,7 @@ def clear_weight_bound_cache() -> None:
 
 
 def weight_bound_cache_info() -> dict[str, int]:
-    """Cache statistics: ``{"hits", "misses", "size"}`` (for benchmarks/tests)."""
+    """Cache statistics: ``{"hits", "misses", "size"}`` (the cache tests' probe)."""
     with _WEIGHT_BOUND_CACHE_LOCK:
         return {
             "hits": _WEIGHT_BOUND_CACHE_STATS["hits"],
@@ -214,7 +214,6 @@ class Predicate:
         samples: int = 20_000,
         confidence: float = 0.999,
         rng: RngSeed = None,
-        cache: bool = True,
     ) -> float:
         """A safe *upper bound* on ``w_D(p)`` for negligibility claims.
 
@@ -225,13 +224,13 @@ class Predicate:
         Clopper-Pearson upper confidence bound, so a lucky all-zeros sample
         cannot masquerade as weight zero.
 
-        The Monte-Carlo route is memoized (``cache=True``) under a key of
-        predicate description + distribution identity + sampling
-        parameters, and the cached estimate is drawn with a key-derived
-        RNG; ``rng`` only steers the computation when ``cache=False`` (or
-        when the distribution exposes no identity token).  Key-derived
-        sampling makes each cached value a pure function of its key, which
-        is what keeps parallel and serial game runs bit-identical.
+        The Monte-Carlo route is memoized under a key of predicate
+        description + distribution identity + sampling parameters, and the
+        cached estimate is drawn with a key-derived RNG; ``rng`` only steers
+        the computation when the distribution exposes no identity token.
+        Key-derived sampling makes each cached value a pure function of its
+        key, which is what keeps parallel and serial game runs
+        bit-identical.
         """
         if self.conditions is not None:
             return distribution.conjunction_weight(self.conditions)
@@ -239,17 +238,16 @@ class Predicate:
             return self.analytic_weight
         if self.components:
             return min(
-                component.weight_bound(distribution, samples, confidence, rng, cache)
+                component.weight_bound(distribution, samples, confidence, rng)
                 for component in self.components
             )
         key: tuple | None = None
-        if cache:
-            distribution_token = getattr(distribution, "cache_token", None)
-            if distribution_token is not None:
-                key = (self.description, distribution_token, int(samples), float(confidence))
-                cached = _cache_get(key)
-                if cached is not None:
-                    return cached
+        distribution_token = getattr(distribution, "cache_token", None)
+        if distribution_token is not None:
+            key = (self.description, distribution_token, int(samples), float(confidence))
+            cached = _cache_get(key)
+            if cached is not None:
+                return cached
         generator = derive_rng(0, "weight-bound", key) if key is not None else ensure_rng(rng)
         data = distribution.sample(samples, generator)
         successes = data.match_count(self)

@@ -7,7 +7,7 @@ One trial of the game:
 3. the adversary outputs a predicate ``p := A(y)``;
 4. the adversary **wins** iff ``p`` isolates in ``x``
    (``sum_i p(x_i) = 1``) *and* ``w_D(p)`` is negligible
-   (operationally: at most ``n**-negligible_exponent``).
+   (operationally: at most ``n**-2``).
 
 The mechanism *prevents predicate singling out* when every adversary's win
 probability is negligible; the game estimates one adversary's win rate with
@@ -45,7 +45,7 @@ class PSOContext:
 
     ``mode`` selects which weight regime counts as a win (the paper's
     footnote 11): ``"light"`` — the default, weight must be negligible
-    (below ``n**-negligible_exponent``); ``"heavy"`` — the analogous but
+    (below ``n**-2``); ``"heavy"`` — the analogous but
     "less natural" regime, weight must be ``omega(log n / n)``
     (operationally: at least ``heavy_coefficient * ln(n) / n``).  In both
     regimes a data-independent predicate isolates with negligible
@@ -54,7 +54,6 @@ class PSOContext:
 
     n: int
     distribution: ProductDistribution
-    negligible_exponent: float = 2.0
     mode: str = "light"
     heavy_coefficient: float = 4.0
 
@@ -69,7 +68,7 @@ class PSOContext:
     @property
     def weight_threshold(self) -> float:
         """The finite-n negligibility cutoff for light-mode predicate weights."""
-        return negligible_weight_threshold(self.n, self.negligible_exponent)
+        return negligible_weight_threshold(self.n)
 
     @property
     def heavy_threshold(self) -> float:
@@ -172,8 +171,6 @@ class PSOGame:
         n: dataset size.
         mechanism: the mechanism under attack.
         adversary: the attacker.
-        negligible_exponent: finite-n negligibility exponent (see
-            :mod:`repro.utils.negligible`).
         weight_samples: Monte-Carlo sample size for predicates whose weight
             has no exact/analytic route (rare; structural and hash
             predicates avoid it).
@@ -185,16 +182,10 @@ class PSOGame:
         n: int,
         mechanism: Mechanism,
         adversary: Adversary,
-        negligible_exponent: float = 2.0,
         weight_samples: int = 4_000,
         mode: str = "light",
     ):
-        self.context = PSOContext(
-            n=n,
-            distribution=distribution,
-            negligible_exponent=negligible_exponent,
-            mode=mode,
-        )
+        self.context = PSOContext(n=n, distribution=distribution, mode=mode)
         self.mechanism = mechanism
         self.adversary = adversary
         self.weight_samples = int(weight_samples)

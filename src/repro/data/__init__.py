@@ -4,7 +4,7 @@ The paper's attacks all operate on datasets ``x = (x_1, ..., x_n)`` of
 records drawn from a data domain ``X``.  This subpackage provides that
 substrate: typed attribute domains, schemas, an immutable :class:`Dataset`,
 product data distributions (the i.i.d. data-generation model of Section 2.2),
-generalization hierarchies for k-anonymization, and synthetic generators that
+generalized (k-anonymized) releases, and synthetic generators that
 stand in for the paper's unavailable datasets (GIC medical records, Netflix
 ratings, Census microdata — see DESIGN.md section 2).
 """
@@ -32,12 +32,6 @@ from repro.data.domain import (
     CategoricalDomain,
     Domain,
     IntegerDomain,
-    TupleDomain,
-)
-from repro.data.hierarchy import (
-    GeneralizationHierarchy,
-    IntervalHierarchy,
-    SuppressionHierarchy,
 )
 from repro.data.schema import Attribute, AttributeKind, Schema
 
@@ -49,13 +43,11 @@ __all__ = [
     "CensusConfig",
     "Dataset",
     "Domain",
-    "GeneralizationHierarchy",
     "GeneralizedDataset",
     "GeneralizedRecord",
     "GenomePanel",
     "GenomePanelConfig",
     "IntegerDomain",
-    "IntervalHierarchy",
     "PopulationConfig",
     "ProductDistribution",
     "RatingsConfig",
@@ -63,8 +55,6 @@ __all__ = [
     "Record",
     "Schema",
     "SocialGraphConfig",
-    "SuppressionHierarchy",
-    "TupleDomain",
     "commercial_database",
     "generate_census",
     "generate_population",

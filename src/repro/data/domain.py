@@ -9,7 +9,7 @@ small, immutable value objects.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
 
 class Domain(ABC):
@@ -129,53 +129,3 @@ class IntegerDomain(Domain):
 
     def __repr__(self) -> str:
         return f"IntegerDomain({self.low}, {self.high})"
-
-
-class TupleDomain(Domain):
-    """Cartesian product of component domains; the record domain ``X``.
-
-    Enumerable only when the product of component sizes is modest (the
-    exhaustive Dinur-Nissim attack and exact weight computations check
-    :attr:`is_enumerable` before iterating).
-    """
-
-    #: Products above this size refuse to enumerate.
-    MAX_ENUMERABLE = 2_000_000
-
-    def __init__(self, components: Sequence[Domain]):
-        if not components:
-            raise ValueError("a tuple domain needs at least one component")
-        self.components: tuple[Domain, ...] = tuple(components)
-
-    def __contains__(self, value: object) -> bool:
-        if not isinstance(value, tuple) or len(value) != len(self.components):
-            return False
-        return all(v in domain for v, domain in zip(value, self.components))
-
-    def __len__(self) -> int:
-        size = 1
-        for domain in self.components:
-            size *= len(domain)
-        return size
-
-    @property
-    def is_enumerable(self) -> bool:
-        return len(self) <= self.MAX_ENUMERABLE
-
-    def __iter__(self) -> Iterator[tuple]:
-        if not self.is_enumerable:
-            raise ValueError(
-                f"domain of size {len(self)} exceeds the enumeration cap "
-                f"({self.MAX_ENUMERABLE})"
-            )
-        return self._product(0, ())
-
-    def _product(self, index: int, prefix: tuple) -> Iterator[tuple]:
-        if index == len(self.components):
-            yield prefix
-            return
-        for value in self.components[index]:
-            yield from self._product(index + 1, prefix + (value,))
-
-    def __repr__(self) -> str:
-        return f"TupleDomain({len(self.components)} components, size={len(self)})"

@@ -84,25 +84,15 @@ class GeneralizedRecord:
 
 
 class GeneralizedDataset:
-    """An anonymized release: generalized records plus provenance metadata.
+    """An anonymized release: generalized records under the data's schema.
 
     Attributes:
         schema: the (unchanged) schema of the underlying data.
-        suppressed_count: records the anonymizer dropped entirely (outlier
-            suppression), so utility metrics can account for them.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        records: Iterable[GeneralizedRecord],
-        suppressed_count: int = 0,
-    ):
+    def __init__(self, schema: Schema, records: Iterable[GeneralizedRecord]):
         self.schema = schema
         self._records: tuple[GeneralizedRecord, ...] = tuple(records)
-        if suppressed_count < 0:
-            raise ValueError("suppressed_count must be non-negative")
-        self.suppressed_count = suppressed_count
 
     def __len__(self) -> int:
         return len(self._records)
@@ -131,18 +121,16 @@ class GeneralizedDataset:
     def is_consistent_with(self, dataset: Dataset) -> bool:
         """Whether this release could have come from ``dataset``.
 
-        Tries the cheap row-aligned check first (Mondrian and Datafly
-        preserve row order); when rows do not align — row-permuting
-        anonymizers, or suppression — falls back to a greedy multiset cover
+        Tries the cheap row-aligned check first (Mondrian preserves row
+        order); when rows do not align — row-permuting anonymizers such as
+        the agreement anonymizer — falls back to a greedy multiset cover
         (each raw record consumed by one generalized row).  The greedy
         matching is exact for the anonymizers in this library, whose rows
         each cover their own source record.
         """
-        if len(self) + self.suppressed_count != len(dataset):
+        if len(self) != len(dataset):
             return False
-        if self.suppressed_count == 0 and all(
-            generalized.matches(raw) for generalized, raw in zip(self._records, dataset)
-        ):
+        if all(generalized.matches(raw) for generalized, raw in zip(self._records, dataset)):
             return True
         unmatched = list(dataset)
         for generalized in self._records:
@@ -155,7 +143,4 @@ class GeneralizedDataset:
         return True
 
     def __repr__(self) -> str:
-        return (
-            f"GeneralizedDataset({len(self)} records, "
-            f"{self.suppressed_count} suppressed)"
-        )
+        return f"GeneralizedDataset({len(self)} records)"

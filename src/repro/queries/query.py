@@ -42,10 +42,6 @@ class SubsetQuery:
         """Number of positions in the subset, ``|q|``."""
         return int(self._mask.sum())
 
-    def indices(self) -> np.ndarray:
-        """The positions in the subset, ascending."""
-        return np.flatnonzero(self._mask)
-
     def true_answer(self, data: np.ndarray) -> int:
         """Exact answer ``sum_{i in q} x_i`` on binary data ``x``."""
         data = _validate_binary(data, self.n)

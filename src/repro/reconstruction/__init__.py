@@ -29,7 +29,6 @@ from repro.reconstruction.dinur_nissim import (
 )
 from repro.reconstruction.lp_decode import (
     LpReconstructionResult,
-    lp_reconstruction,
     reconstruct_from_answers,
     solve_least_l1,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "exhaustive_reconstruction",
     "l2_decode",
     "l2_decode_batch",
-    "lp_reconstruction",
     "reconstruct_census",
     "reconstruct_from_answers",
     "reidentify",

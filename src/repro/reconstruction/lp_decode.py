@@ -37,10 +37,8 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize import linprog
 
-from repro.queries.mechanism import QueryAnswerer
 from repro.queries.query import SubsetQuery
 from repro.queries.workload import Workload
-from repro.utils.rng import RngSeed, ensure_rng
 
 #: HiGHS algorithm for the decoding LPs.  Interior point beats dual simplex
 #: by ~10x on these wide, degenerate systems (zero/uniform objective,
@@ -84,54 +82,6 @@ class LpReconstructionResult:
         return int((np.asarray(data) != self.reconstruction).sum())
 
 
-def lp_reconstruction(
-    answerer: QueryAnswerer,
-    num_queries: int | None = None,
-    alpha: float | None = None,
-    density: float = 0.5,
-    rng: RngSeed = None,
-    workload: Workload | None = None,
-) -> LpReconstructionResult:
-    """Run the Theorem 1.1(ii) attack against ``answerer``.
-
-    Args:
-        answerer: mechanism under attack.
-        num_queries: workload size; defaults to ``8 * n`` random subsets,
-            comfortably in the regime where LP decoding succeeds.
-        alpha: consistency slack; defaults to the answerer's declared
-            error bound.  Finite, it selects feasibility mode; infinite
-            (an unbounded-noise answerer), least-l1.
-        density: per-position inclusion probability of the random subsets.
-            Lower densities (e.g. ``64 / n``) keep the constraint matrix
-            genuinely sparse and are how the attack runs at large ``n``.
-        rng: randomness for the workload.
-        workload: a pre-built workload to attack with, reusing its cached
-            sparse assembly; overrides ``num_queries``/``density``/``rng``.
-
-    Returns:
-        The rounded reconstruction with bookkeeping.  A feasibility LP
-        that fails at ``alpha`` (an answerer lying about its accuracy)
-        falls back to least-l1, and the result says so: ``mode`` is
-        ``"least-l1"`` and ``alpha`` is ``nan``.
-    """
-    _check_alpha(alpha)
-    n = answerer.n
-    if workload is None:
-        if num_queries is None:
-            num_queries = 8 * n
-        if num_queries <= 0:
-            raise ValueError("num_queries must be positive")
-        generator = ensure_rng(rng)
-        workload = Workload.random(n, num_queries, density=density, rng=generator)
-    elif workload.n != n:
-        raise ValueError(f"workload addresses n={workload.n}, answerer has n={n}")
-
-    if alpha is None:
-        alpha = answerer.error_bound
-    answers = answerer.answer_workload(workload)
-    return _decode(workload, answers, alpha, warm_start=None)
-
-
 def reconstruct_from_answers(
     queries: Workload | Sequence[SubsetQuery],
     answers: np.ndarray,
@@ -144,14 +94,16 @@ def reconstruct_from_answers(
     mechanism that limits each caller's query budget), and by the
     experiments to reuse one workload — and its one-time sparse assembly —
     across whole noise sweeps.  A finite ``alpha`` selects feasibility
-    mode, anything else least-l1; the least-l1 fallback behaves as in
-    :func:`lp_reconstruction`.  ``warm_start`` is a candidate point in
-    ``[0, 1]^n`` (the service's auditor passes its l2 screen's fractional
-    iterate): in feasibility mode one that already satisfies every
-    constraint is returned without invoking the solver at all — checking
-    the certificate is one matvec.  The sharded pipeline escalates failed
-    l2 shards through here, and the service's reconstruction auditor
-    replays analysts' transcripts through it.
+    mode, anything else least-l1.  A feasibility LP that fails at ``alpha``
+    (answers breaking their stated bound) falls back to least-l1, and the
+    result says so: ``mode`` is ``"least-l1"`` and ``alpha`` is ``nan``.
+    ``warm_start`` is a candidate point in ``[0, 1]^n`` (the service's
+    auditor passes its l2 screen's fractional iterate): in feasibility mode
+    one that already satisfies every constraint is returned without
+    invoking the solver at all — checking the certificate is one matvec.
+    The sharded pipeline escalates failed l2 shards through here, and the
+    service's reconstruction auditor replays analysts' transcripts through
+    it.
     """
     _check_alpha(alpha)
     workload = Workload.coerce(queries)

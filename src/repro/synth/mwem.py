@@ -45,9 +45,8 @@ def multiplicative_update(
     Cells inside the measured query's ``mask`` are scaled by
     ``exp(gap / (2 * total))`` (``gap`` = noisy measurement minus current
     estimate), cells outside are untouched, and the histogram is
-    renormalized back to ``total``.  ``benchmarks/bench_synth.py`` measures
-    this path against an explicit per-cell Python loop and asserts they
-    agree to the last float.
+    renormalized back to ``total``.  ``tests/synth/test_mwem.py`` checks
+    this path against an explicit per-cell Python loop, to the last float.
     """
     updated = np.where(
         mask, weights * np.exp(gap / (2.0 * total)), weights

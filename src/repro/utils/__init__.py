@@ -6,7 +6,7 @@ helpers provide the confidence intervals used by every Monte-Carlo
 experiment, :func:`~repro.utils.parallel.parallel_map` fans trial loops
 out across forked workers (``jobs`` is its one setting) without
 perturbing those seeds, and :mod:`repro.utils.tables`
-renders the paper-vs-measured tables printed by the benchmark harness.
+renders the paper-vs-measured tables printed by the experiment harness.
 """
 
 from repro.utils.negligible import (

@@ -6,9 +6,9 @@ must be negligible.  At a concrete dataset size those asymptotics need an
 operational reading; this module centralizes it so every experiment uses the
 same convention:
 
-* A weight is treated as "negligible at n" when it falls below
-  ``n**-negligible_exponent`` (default exponent 2 — strictly below the 1/n
-  weight at which a data-independent predicate isolates best).
+* A weight is treated as "negligible at n" when it falls below ``n**-2``
+  (exponent 2 — strictly below the 1/n weight at which a data-independent
+  predicate isolates best).
 * The trivial-attacker yardstick is the closed-form isolation probability
   ``n * w * (1 - w)**(n - 1)`` from Section 2.2 of the paper, maximized at
   ``w = 1/n`` where it approaches ``1/e ~ 36.8%``.
@@ -18,26 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default exponent c in the finite-n negligibility cutoff n**-c.
-DEFAULT_NEGLIGIBLE_EXPONENT = 2.0
+#: Exponent c in the finite-n negligibility cutoff n**-c.
+NEGLIGIBLE_EXPONENT = 2.0
 
 
-def negligible_weight_threshold(n: int, exponent: float = DEFAULT_NEGLIGIBLE_EXPONENT) -> float:
+def negligible_weight_threshold(n: int) -> float:
     """Finite-``n`` cutoff under which a predicate weight counts as negligible.
 
     The paper requires ``w_D(p) = negl(n)``; concretely we use ``n**-c`` with
-    ``c`` = ``exponent``.  The default ``c = 2`` sits well below the ``1/n``
-    weight at which data-independent isolation peaks, so a predicate passing
-    this test cannot be explained by the trivial-attacker phenomenon alone.
+    ``c`` = :data:`NEGLIGIBLE_EXPONENT`.  ``c = 2`` sits well below the
+    ``1/n`` weight at which data-independent isolation peaks, so a predicate
+    passing this test cannot be explained by the trivial-attacker phenomenon
+    alone.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if exponent <= 1.0:
-        raise ValueError(
-            "exponent must exceed 1 so the threshold is below the trivial "
-            f"attacker's optimum weight 1/n; got {exponent}"
-        )
-    return float(n) ** (-exponent)
+    return float(n) ** (-NEGLIGIBLE_EXPONENT)
 
 
 def isolation_probability(n: int, weight: float) -> float:

@@ -3,8 +3,8 @@
 Some of the paper's claims are *curves* — the noise/accuracy crossover of
 the Fundamental Law, the n·w·(1−w)ⁿ⁻¹ isolation bell.  The tables carry the
 exact numbers; these ASCII charts carry the shape, so the text output of
-``pytest benchmarks/`` regenerates the "figures" too, with no plotting
-dependency.
+``python -m repro.experiments`` regenerates the "figures" too, with no
+plotting dependency.
 """
 
 from __future__ import annotations

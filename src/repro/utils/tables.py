@@ -1,8 +1,8 @@
 """Plain-text table rendering for the experiment harness.
 
 Every experiment ends by printing a "paper says / we measured" table.  We
-render these as aligned ASCII so the output of ``pytest benchmarks/`` and the
-example scripts reads like the tables in EXPERIMENTS.md.
+render these as aligned ASCII so the output of ``python -m repro.experiments``
+and the example scripts reads like the tables in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

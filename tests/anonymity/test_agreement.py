@@ -38,18 +38,6 @@ class TestAgreementAnonymizer:
         release = AgreementAnonymizer(4).anonymize(wide_data)
         assert release.is_consistent_with(wide_data)
 
-    def test_sorted_beats_sequential_on_agreement(self, wide_data):
-        def suppressed_cells(release):
-            return sum(
-                0 if value.is_singleton else 1
-                for record in release
-                for value in record.values
-            )
-
-        sorted_release = AgreementAnonymizer(4, strategy="sorted").anonymize(wide_data)
-        sequential_release = AgreementAnonymizer(4, strategy="sequential").anonymize(wide_data)
-        assert suppressed_cells(sorted_release) <= suppressed_cells(sequential_release)
-
     def test_sensitive_attribute_released_raw(self):
         bits = uniform_bits_schema(16)
         schema = Schema(
@@ -65,8 +53,6 @@ class TestAgreementAnonymizer:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             AgreementAnonymizer(0)
-        with pytest.raises(ValueError):
-            AgreementAnonymizer(2, strategy="random")
 
     def test_too_few_records(self, wide_data):
         tiny = Dataset(wide_data.schema, wide_data.rows[:2], validate=False)

@@ -1,10 +1,9 @@
-"""Tests for the utility metrics, including their penalty for suppressed records."""
+"""Tests for the utility metrics of anonymized releases."""
 
 import pytest
 
 from repro.anonymity.agreement import AgreementAnonymizer
 from repro.anonymity.checks import equivalence_classes_on
-from repro.anonymity.datafly import DataflyAnonymizer
 from repro.anonymity.metrics import (
     average_class_size_ratio,
     discernibility_metric,
@@ -32,13 +31,6 @@ class TestMetrics:
         release = AgreementAnonymizer(4).anonymize(data)
         classes = equivalence_classes_on(release).values()
         assert discernibility_metric(release) == sum(len(rows) ** 2 for rows in classes)
-
-    def test_discernibility_penalizes_suppression(self, release_input):
-        release = DataflyAnonymizer(k=10, max_suppression=0.05).anonymize(release_input)
-        assert release.suppressed_count > 0
-        penalty = release.suppressed_count * len(release_input)
-        classes = equivalence_classes_on(release).values()
-        assert discernibility_metric(release) == sum(len(rows) ** 2 for rows in classes) + penalty
 
     def test_average_class_size_ratio(self):
         data = uniform_bits_distribution(8).sample(40, rng=1)
@@ -68,7 +60,7 @@ class TestMetrics:
     def test_utility_report_keys(self, release_input):
         release = MondrianAnonymizer(k=5).anonymize(release_input)
         report = utility_report(release, 5)
-        assert {"records", "suppressed", "classes", "discernibility",
+        assert {"records", "classes", "discernibility",
                 "avg_class_size_ratio", "precision"} <= set(report)
 
     def test_empty_release_rejected(self, release_input):

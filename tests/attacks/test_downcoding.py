@@ -89,9 +89,7 @@ class TestExperiment:
         distribution, data, release = skewed_setup
         from repro.data.generalized import GeneralizedDataset
 
-        pruned = GeneralizedDataset(
-            release.schema, list(release)[:-1], suppressed_count=1
-        )
+        pruned = GeneralizedDataset(release.schema, list(release)[:-1])
         with pytest.raises(ValueError):
             downcoding_experiment(data, pruned, distribution)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.anonymity.datafly import DataflyAnonymizer
 from repro.anonymity.mondrian import MondrianAnonymizer
 from repro.attacks.intersection import (
     candidate_sensitive_values,
@@ -31,7 +30,7 @@ def world():
     release_a = MondrianAnonymizer(k=4, quasi_identifiers=QUASI_IDENTIFIERS).anonymize(
         cohort_a
     )
-    release_b = DataflyAnonymizer(k=4, quasi_identifiers=QUASI_IDENTIFIERS).anonymize(
+    release_b = MondrianAnonymizer(k=4, quasi_identifiers=QUASI_IDENTIFIERS).anonymize(
         cohort_b
     )
     return overlap, release_a, release_b

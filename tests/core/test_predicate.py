@@ -1,9 +1,12 @@
 """Tests for predicates and weight computation."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.leftover_hash import hash_threshold_predicate
 from repro.core.predicate import (
     Predicate,
     attribute_predicate,
@@ -16,6 +19,7 @@ from repro.data.distributions import (
 )
 from repro.data.domain import CategoricalDomain, IntegerDomain
 from repro.data.schema import Attribute, AttributeKind, Schema
+from repro.utils.rng import derive_rng
 
 
 @pytest.fixture
@@ -121,6 +125,40 @@ class TestWeightBound:
     def test_invalid_analytic_weight(self):
         with pytest.raises(ValueError):
             Predicate(lambda r: True, "h", analytic_weight=2.0)
+
+    def test_weight_routes_agree_and_structure_is_cheap(self):
+        # Three routes to one true weight of 2^-6: a structural conjunction
+        # (exact), a hash cut (analytic), and the same conjunction as an
+        # opaque function (Monte Carlo with a Clopper-Pearson bound).
+        truth = 2.0**-6
+        distribution = uniform_bits_distribution(24)
+        structural = attribute_predicate("b0", 1)
+        for i in range(1, 6):
+            structural = structural & attribute_predicate(f"b{i}", 1)
+        opaque = Predicate(
+            lambda record: all(record[f"b{i}"] == 1 for i in range(6)),
+            "opaque 6-bit conjunction",
+        )
+        analytic = hash_threshold_predicate("weight-routes", truth)
+
+        def measure(predicate, label):
+            start = time.perf_counter()
+            weight = predicate.weight(distribution, samples=20_000, rng=derive_rng(0, label))
+            bound = predicate.weight_bound(
+                distribution, samples=20_000, rng=derive_rng(1, label)
+            )
+            return weight, bound, time.perf_counter() - start
+
+        exact_weight, exact_bound, exact_seconds = measure(structural, "exact")
+        analytic_weight, analytic_bound, _ = measure(analytic, "analytic")
+        mc_weight, mc_bound, mc_seconds = measure(opaque, "monte-carlo")
+        assert exact_weight == pytest.approx(truth, rel=1e-12)
+        assert exact_bound == pytest.approx(truth, rel=1e-12)
+        assert analytic_weight == pytest.approx(truth, rel=1e-12)
+        assert analytic_bound == pytest.approx(truth, rel=1e-12)
+        assert mc_weight == pytest.approx(truth, rel=0.5)  # sampling error
+        assert mc_bound >= truth  # the CP bound is safe
+        assert exact_seconds < mc_seconds  # structure is the cheap path
 
 
 class TestConditionsHelpers:

@@ -18,10 +18,6 @@ class TestContext:
         context = PSOContext(n=100, distribution=distribution)
         assert context.weight_threshold == pytest.approx(1e-4)
 
-    def test_custom_exponent(self, distribution):
-        context = PSOContext(n=100, distribution=distribution, negligible_exponent=3.0)
-        assert context.weight_threshold == pytest.approx(1e-6)
-
     def test_invalid_n(self, distribution):
         with pytest.raises(ValueError):
             PSOContext(n=0, distribution=distribution)

@@ -104,14 +104,6 @@ class TestCacheKeying:
 
 
 class TestCacheBypass:
-    def test_cache_false_always_resamples(self):
-        spy = SamplingSpy(uniform_bits_distribution(4))
-        predicate = opaque_predicate("p")
-        predicate.weight_bound(spy, samples=SAMPLES, cache=False)
-        predicate.weight_bound(spy, samples=SAMPLES, cache=False)
-        assert spy.sample_calls == 2
-        assert weight_bound_cache_info()["size"] == 0
-
     def test_distribution_without_token_is_not_cached(self):
         class Tokenless(SamplingSpy):
             @property

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.domain import CategoricalDomain, IntegerDomain, TupleDomain
+from repro.data.domain import CategoricalDomain, IntegerDomain
 
 
 class TestCategoricalDomain:
@@ -76,31 +76,3 @@ class TestIntegerDomain:
     def test_len_matches_iteration(self, low, span):
         domain = IntegerDomain(low, low + span)
         assert len(domain) == span + 1
-
-
-class TestTupleDomain:
-    def test_membership(self):
-        domain = TupleDomain([IntegerDomain(0, 1), CategoricalDomain(["a", "b"])])
-        assert (0, "a") in domain
-        assert (1, "b") in domain
-        assert (2, "a") not in domain
-        assert (0,) not in domain
-        assert "nope" not in domain
-
-    def test_size_is_product(self):
-        domain = TupleDomain([IntegerDomain(0, 4), CategoricalDomain(["a", "b", "c"])])
-        assert len(domain) == 15
-
-    def test_enumeration(self):
-        domain = TupleDomain([IntegerDomain(0, 1), IntegerDomain(0, 1)])
-        assert sorted(domain) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_enumeration_cap(self):
-        big = TupleDomain([IntegerDomain(0, 2_000)] * 3)
-        assert not big.is_enumerable
-        with pytest.raises(ValueError):
-            list(big)
-
-    def test_empty_components_rejected(self):
-        with pytest.raises(ValueError):
-            TupleDomain([])

@@ -96,10 +96,6 @@ class TestGeneralizedDataset:
         with pytest.raises(ValueError):
             is_k_anonymous(release, 0)
 
-    def test_negative_suppressed_rejected(self, schema):
-        with pytest.raises(ValueError):
-            GeneralizedDataset(schema, [], suppressed_count=-1)
-
     def test_consistency_with_source(self, schema):
         raw = Dataset(schema, [("23456", 55, "covid"), ("12345", 30, "cf")])
         release = GeneralizedDataset(
@@ -116,16 +112,7 @@ class TestGeneralizedDataset:
         release = GeneralizedDataset(schema, [_cell(schema, ["12345"], [1], ["cf"])])
         assert not release.is_consistent_with(raw)
 
-    def test_consistency_with_suppression(self, schema):
-        raw = Dataset(schema, [("23456", 55, "covid"), ("12345", 30, "cf")])
-        release = GeneralizedDataset(
-            schema,
-            [_cell(schema, ["12345"], [30], ["cf"])],
-            suppressed_count=1,
-        )
-        assert release.is_consistent_with(raw)
-
     def test_length_mismatch_is_inconsistent(self, schema):
         raw = Dataset(schema, [("23456", 55, "covid")])
-        release = GeneralizedDataset(schema, [], suppressed_count=0)
+        release = GeneralizedDataset(schema, [])
         assert not release.is_consistent_with(raw)

@@ -39,10 +39,15 @@ class TestLyingMechanisms:
 
     def test_lp_reconstruction_degrades_gracefully(self):
         """The LP attack falls back to least-l1 when feasibility fails."""
-        from repro.reconstruction.lp_decode import lp_reconstruction
+        from repro.queries.workload import Workload
+        from repro.reconstruction.lp_decode import reconstruct_from_answers
 
         data = np.random.default_rng(0).integers(0, 2, size=32)
-        result = lp_reconstruction(LyingAnswerer(data), rng=1)
+        answerer = LyingAnswerer(data)
+        workload = Workload.random(32, 8 * 32, rng=1)
+        result = reconstruct_from_answers(
+            workload, answerer.answer_workload(workload), alpha=answerer.error_bound
+        )
         # A constant bias shifts every answer equally; the residual
         # minimization still lands somewhere valid.
         assert result.reconstruction.shape == data.shape

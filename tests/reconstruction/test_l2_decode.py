@@ -1,6 +1,7 @@
 """The first-order l2 decoder: agreement with the LP, certificates, determinism."""
 
 import importlib
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,30 @@ class TestL2Decode:
         # agrees with the truth.
         both = float((l2.reconstruction == lp.reconstruction).mean())
         assert both >= 0.95
+
+    def test_10x_faster_than_the_lp_at_full_agreement(self):
+        # The classical regime at n = 256 (m = 8n, density 1/2, noise
+        # 0.5 * sqrt(n/2)): both decoders recover every bit, and the
+        # projection does it at least 10x faster than the LP.  The ratio
+        # grows with n, so the smallest size is the strictest.
+        n = 256
+        workload = Workload.random(n, 8 * n, rng=derive_rng(0, "bench-w", n))
+        data = derive_rng(0, "bench-data", n).integers(0, 2, size=n)
+        alpha = 0.5 * float(np.sqrt(n * 0.5))
+        answers = BoundedNoiseAnswerer(
+            data, alpha=alpha, rng=derive_rng(0, "bench-a", n)
+        ).answer_workload(workload)
+
+        start = time.perf_counter()
+        lp = reconstruct_from_answers(workload, answers, alpha=alpha)
+        lp_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        l2 = l2_decode(workload, answers, alpha)
+        l2_seconds = time.perf_counter() - start
+
+        assert lp.agreement_with(data) == 1.0
+        assert l2.agreement_with(data) == 1.0
+        assert lp_seconds >= 10.0 * l2_seconds, (lp_seconds, l2_seconds)
 
     def test_certificate_is_the_feasibility_condition(self):
         workload, data, answers = _transcript(32, 256, seed=3)

@@ -10,15 +10,21 @@ from repro.reconstruction.dinur_nissim import (
     exhaustive_reconstruction,
 )
 from repro.reconstruction.l2_decode import l2_decode, l2_decode_batch
-from repro.reconstruction.lp_decode import lp_reconstruction, reconstruct_from_answers
+from repro.reconstruction.lp_decode import reconstruct_from_answers
 from repro.service.audit import ReconstructionAuditor
 from repro.utils.rng import derive_rng
+
+
+def _attack(answerer, workload):
+    """Answer ``workload`` and LP-decode the transcript at the stated error bound."""
+    answers = answerer.answer_workload(workload)
+    return reconstruct_from_answers(workload, answers, alpha=answerer.error_bound)
 
 
 class TestLpReconstruction:
     def test_exact_answers_near_perfect(self):
         data = np.random.default_rng(0).integers(0, 2, size=64)
-        result = lp_reconstruction(ExactAnswerer(data), rng=1)
+        result = _attack(ExactAnswerer(data), Workload.random(64, 8 * 64, rng=1))
         assert result.agreement_with(data) >= 0.98
         assert result.mode == "feasibility"
 
@@ -27,7 +33,7 @@ class TestLpReconstruction:
         n = 128
         data = rng.integers(0, 2, size=n)
         answerer = BoundedNoiseAnswerer(data, alpha=0.5 * np.sqrt(n), rng=rng)
-        result = lp_reconstruction(answerer, rng=3)
+        result = _attack(answerer, Workload.random(n, 8 * n, rng=3))
         assert result.agreement_with(data) >= 0.95  # the paper's 95% bar
 
     def test_linear_noise_defends(self):
@@ -35,39 +41,59 @@ class TestLpReconstruction:
         n = 128
         data = rng.integers(0, 2, size=n)
         answerer = BoundedNoiseAnswerer(data, alpha=n / 2.0, rng=rng)
-        result = lp_reconstruction(answerer, rng=5)
+        result = _attack(answerer, Workload.random(n, 8 * n, rng=5))
         assert result.agreement_with(data) <= 0.85
+
+    def test_query_budget_saturates_by_8n(self):
+        # The query-count axis of the Fundamental Law at fixed sqrt(n) noise:
+        # m = 8n queries (the experiments' default budget) reconstruct, m = n
+        # falls short.  Data, workload and noise come off one stream per
+        # (ratio, repeat), in that order.
+        n, repeats = 128, 3
+        alpha = 0.5 * float(np.sqrt(n))
+
+        def mean_agreement(ratio):
+            agreements = []
+            for repeat in range(repeats):
+                rng = derive_rng(0, "ablation-m", ratio, repeat)
+                data = rng.integers(0, 2, size=n)
+                workload = Workload.random(n, ratio * n, rng=rng)
+                answers = BoundedNoiseAnswerer(data, alpha=alpha, rng=rng).answer_workload(
+                    workload
+                )
+                result = reconstruct_from_answers(workload, answers, alpha=alpha)
+                agreements.append(result.agreement_with(data))
+            return float(np.mean(agreements))
+
+        saturated = mean_agreement(8)
+        assert saturated >= 0.95
+        assert mean_agreement(1) < saturated
 
     def test_laplace_auto_selects_least_l1(self):
         data = np.random.default_rng(6).integers(0, 2, size=32)
         answerer = LaplaceAnswerer(data, epsilon_per_query=0.5, rng=7)
-        result = lp_reconstruction(answerer, num_queries=128, rng=8)
+        result = _attack(answerer, Workload.random(32, 128, rng=8))
         assert result.mode == "least-l1"
         assert np.isnan(result.alpha)
 
     def test_explicit_mode(self):
         # An infinite alpha selects least-l1 even against exact answers.
         data = np.random.default_rng(9).integers(0, 2, size=32)
-        result = lp_reconstruction(
-            ExactAnswerer(data), alpha=np.inf, num_queries=160, rng=10
-        )
+        workload = Workload.random(32, 160, rng=10)
+        answers = ExactAnswerer(data).answer_workload(workload)
+        result = reconstruct_from_answers(workload, answers, alpha=np.inf)
         assert result.mode == "least-l1"
         assert np.isnan(result.alpha)
         assert result.agreement_with(data) >= 0.95
 
-    def test_invalid_query_count(self):
-        data = np.zeros(8, dtype=int)
-        with pytest.raises(ValueError):
-            lp_reconstruction(ExactAnswerer(data), num_queries=0)
-
     def test_fractional_solution_in_unit_cube(self):
         data = np.random.default_rng(11).integers(0, 2, size=32)
-        result = lp_reconstruction(ExactAnswerer(data), rng=12)
+        result = _attack(ExactAnswerer(data), Workload.random(32, 8 * 32, rng=12))
         assert (result.fractional >= 0).all() and (result.fractional <= 1).all()
 
     def test_hamming_distance(self):
         data = np.random.default_rng(13).integers(0, 2, size=32)
-        result = lp_reconstruction(ExactAnswerer(data), rng=14)
+        result = _attack(ExactAnswerer(data), Workload.random(32, 8 * 32, rng=14))
         assert result.hamming_distance(data) == int(
             round((1 - result.agreement_with(data)) * 32)
         )
@@ -110,22 +136,6 @@ class TestReconstructFromAnswers:
 
 
 class TestSparsePath:
-    def test_prebuilt_workload_reused(self):
-        rng = np.random.default_rng(18)
-        n = 48
-        data = rng.integers(0, 2, size=n)
-        workload = Workload.random(n, 8 * n, rng=rng)
-        answerer = ExactAnswerer(data)
-        result = lp_reconstruction(answerer, workload=workload)
-        assert result.agreement_with(data) >= 0.98
-        assert answerer.queries_answered == 8 * n
-
-    def test_workload_size_mismatch_rejected(self):
-        data = np.zeros(8, dtype=int)
-        workload = Workload.random(9, 4, rng=0)
-        with pytest.raises(ValueError):
-            lp_reconstruction(ExactAnswerer(data), workload=workload)
-
     def test_sparse_density_large_n(self):
         # Low-density workloads keep the CSR constraint matrix genuinely
         # sparse; the attack still reconstructs in its noise regime.
@@ -134,7 +144,7 @@ class TestSparsePath:
         density = 32.0 / n
         data = rng.integers(0, 2, size=n)
         answerer = BoundedNoiseAnswerer(data, alpha=2.0, rng=rng)
-        result = lp_reconstruction(answerer, density=density, rng=20)
+        result = _attack(answerer, Workload.random(n, 8 * n, density=density, rng=20))
         assert result.agreement_with(data) >= 0.9
 
 
@@ -230,15 +240,6 @@ class TestInfeasibleFeasibility:
         result = reconstruct_from_answers(workload, answers, alpha=self.ALPHA)
         self._assert_least_l1(result, workload, answers)
 
-    def test_lp_reconstruction_reports_the_fallback(self):
-        workload = Workload.random(self.N, self.M, rng=41)
-        # A twin answerer with the same noise stream gives the same answers.
-        answers = self._answerer(seed=1).answer_workload(workload)
-        result = lp_reconstruction(
-            self._answerer(seed=1), alpha=self.ALPHA, workload=workload
-        )
-        self._assert_least_l1(result, workload, answers)
-
     def test_feasible_alpha_still_reports_feasibility(self):
         workload = Workload.random(self.N, self.M, rng=42)
         answers = self._answerer(seed=2).answer_workload(workload)
@@ -252,9 +253,6 @@ class TestInfeasibleFeasibility:
 @pytest.mark.parametrize(
     "decode",
     [
-        lambda w, a: lp_reconstruction(
-            ExactAnswerer(np.zeros(w.n, dtype=int)), alpha=-0.5, workload=w
-        ),
         lambda w, a: reconstruct_from_answers(w, a, alpha=-0.5),
         lambda w, a: l2_decode(w, a, alpha=-0.5),
         lambda w, a: l2_decode_batch(w.matrix()[None], a[None], alpha=-0.5),
@@ -267,7 +265,6 @@ class TestInfeasibleFeasibility:
         ),
     ],
     ids=[
-        "lp_reconstruction",
         "reconstruct_from_answers",
         "l2_decode",
         "l2_decode_batch",

@@ -20,7 +20,6 @@ from repro.reconstruction import (
     exhaustive_reconstruction,
     l2_decode,
     l2_decode_batch,
-    lp_reconstruction,
     reconstruct_from_answers,
     solve_least_l1,
 )
@@ -39,9 +38,6 @@ CALLS = {
     "l2_decode": lambda **kw: l2_decode(WORKLOAD, ANSWERS, 0.5, **kw),
     "l2_decode_batch": lambda **kw: l2_decode_batch(
         WORKLOAD.matrix()[None], ANSWERS[None], 0.5, **kw
-    ),
-    "lp_reconstruction": lambda **kw: lp_reconstruction(
-        ExactAnswerer(DATA), workload=WORKLOAD, **kw
     ),
     "reconstruct_from_answers": lambda **kw: reconstruct_from_answers(
         WORKLOAD, ANSWERS, 0.5, **kw
@@ -80,10 +76,6 @@ REMOVED = [
     ("l2_decode_batch", "max_iters", 2000),
     ("l2_decode_batch", "tol", 1e-6),
     ("l2_decode_batch", "check_every", 25),
-    ("lp_reconstruction", "options", None),
-    ("lp_reconstruction", "solver", "highs-ipm"),
-    ("lp_reconstruction", "mode", "auto"),
-    ("lp_reconstruction", "warm_start", None),
     ("reconstruct_from_answers", "options", None),
     ("reconstruct_from_answers", "solver", "highs-ipm"),
     ("solve_least_l1", "options", None),
@@ -113,6 +105,15 @@ def test_lp_solver_options_is_gone():
         assert "LpSolverOptions" not in getattr(module, "__all__", ()), name
     lp_decode = importlib.import_module("repro.reconstruction.lp_decode")
     assert not hasattr(lp_decode, "_resolve_options")
+
+
+def test_lp_reconstruction_is_gone():
+    # The attack wrapper went with its options: attacks answer a workload
+    # and decode the transcript with reconstruct_from_answers.
+    for name in ("repro.reconstruction", "repro.reconstruction.lp_decode"):
+        module = importlib.import_module(name)
+        assert not hasattr(module, "lp_reconstruction"), name
+        assert "lp_reconstruction" not in getattr(module, "__all__", ()), name
 
 
 def test_test_only_entry_points_are_gone():

@@ -1,4 +1,4 @@
-"""The three generators: determinism, specs, and the accountant discipline."""
+"""The generators: determinism, specs, and the accountant discipline."""
 
 import pathlib
 
@@ -14,6 +14,7 @@ from repro.synth import (
     HierarchicalSynthesizer,
     IndependentSynthesizer,
     MWEMSynthesizer,
+    synthesize_binary,
 )
 from repro.synth.base import Synthesizer, SyntheticRelease
 from repro.utils.rng import derive_rng
@@ -172,6 +173,16 @@ class TestIndependentSynthesizer:
     def test_overlapping_grouping_rejected(self):
         with pytest.raises(ValueError, match="grouped"):
             IndependentSynthesizer(attributes=("block", "age"), group_by=("block",))
+
+
+class TestBinaryRelease:
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_public_total_is_kept(self, n):
+        # The number of ones is MWEM's public histogram total: the release
+        # moves ones between positions but never adds or drops one.
+        data = derive_rng(0, "binary-data", n).integers(0, 2, size=n)
+        release = synthesize_binary(data, 1.0, rounds=10, rng=derive_rng(0, "binary", n))
+        assert release.vector.sum() == data.sum()
 
 
 class TestNoiseDiscipline:

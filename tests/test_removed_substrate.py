@@ -4,11 +4,14 @@ Each module, name, attribute and keyword below was run only by its own
 tests, or repeated a job that live code does: the query cap is the
 service accountant's ``max_queries_per_analyst``, a private count is
 ``LaplaceMechanism(epsilon).release(dataset.count(p))``, a release is
-l-diverse when ``distinct_l_diversity(...) >= l``, k-anonymity is
-:func:`repro.anonymity.checks.is_k_anonymous` on the quasi-identifiers,
-and Datafly is the full-domain generalizer.  The accounting names live in
-:mod:`repro.privacy.accounting` only, and its ledgers compose by one rule:
-epsilons add.  Each Section 2 theorem has one check in
+l-diverse when ``distinct_l_diversity(...) >= l``, and k-anonymity is
+:func:`repro.anonymity.checks.is_k_anonymous` on the quasi-identifiers.
+Releases come from the agreement anonymizer (sorted grouping) or Mondrian,
+and never drop a record.  The finite-n negligibility cutoff is ``n**-2``.
+An LP attack answers a workload and decodes the transcript with
+:func:`repro.reconstruction.reconstruct_from_answers`.  The accounting
+names live in :mod:`repro.privacy.accounting` only, and its ledgers
+compose by one rule: epsilons add.  Each Section 2 theorem has one check in
 :mod:`repro.core.theorems` (Theorems 2.5 and 2.6 share one), and the
 legal layer derives its verdicts from evidence it is given, never from a
 default run of its own.
@@ -20,7 +23,13 @@ import inspect
 
 import pytest
 
-from repro.anonymity.datafly import DataflyAnonymizer
+from repro.anonymity.agreement import AgreementAnonymizer
+from repro.anonymity.metrics import discernibility_metric
+from repro.core.attackers import TrivialAttacker, build_composition_suite
+from repro.core.leftover_hash import hash_bit_predicate
+from repro.core.mechanisms import ConstantMechanism
+from repro.core.predicate import Predicate
+from repro.core.pso import PSOContext, PSOGame
 from repro.core.theorems import (
     TheoremCheck,
     check_cohen_singleton_attack,
@@ -29,14 +38,18 @@ from repro.core.theorems import (
     check_dp_implies_pso_security,
     check_ldiversity_fails_pso,
 )
+from repro.data.distributions import uniform_bits_distribution
+from repro.data.generalized import GeneralizedDataset
 from repro.legal.theorems import (
     differential_privacy_assessment,
     legal_corollary_2_1,
     legal_theorem_2_1,
 )
 from repro.privacy.accounting import PrivacyAccountant, ShardedAccountant
+from repro.utils.negligible import negligible_weight_threshold
 
 _EVIDENCE = TheoremCheck(theorem="x", claim="measured", passed=True)
+_BITS = uniform_bits_distribution(8)
 
 REMOVED_MODULES = [
     "repro.dp.gaussian",
@@ -44,6 +57,7 @@ REMOVED_MODULES = [
     "repro.dp.sparse_vector",
     "repro.anonymity.incognito",
     "repro.anonymity.suppression",
+    "repro.anonymity.datafly",
 ]
 
 REMOVED_NAMES = [
@@ -127,6 +141,18 @@ REMOVED_NAMES = [
     ("repro.core", "check_post_processing_robustness"),
     ("repro.core.theorems", "check_post_processing_robustness"),
     ("repro.queries.workload", "MAX_EXHAUSTIVE_N"),
+    ("repro.anonymity", "DataflyAnonymizer"),
+    ("repro.data", "GeneralizationHierarchy"),
+    ("repro.data", "SuppressionHierarchy"),
+    ("repro.data", "IntervalHierarchy"),
+    ("repro.data.hierarchy", "GeneralizationHierarchy"),
+    ("repro.data.hierarchy", "SuppressionHierarchy"),
+    ("repro.data.hierarchy", "IntervalHierarchy"),
+    ("repro.data.hierarchy", "default_hierarchy"),
+    ("repro.data", "TupleDomain"),
+    ("repro.data.domain", "TupleDomain"),
+    ("repro.reconstruction", "lp_reconstruction"),
+    ("repro.reconstruction.lp_decode", "lp_reconstruction"),
 ]
 
 REMOVED_ATTRIBUTES = [
@@ -162,6 +188,7 @@ REMOVED_ATTRIBUTES = [
     ("repro.compliance.gate", "ComplianceGate", "revoke"),
     ("repro.compliance.gate", "ComplianceGate", "is_approved"),
     ("repro.compliance.gate", "ComplianceGate", "certificate_for"),
+    ("repro.queries.query", "SubsetQuery", "indices"),
 ]
 
 REMOVED_KEYWORDS = {
@@ -170,7 +197,28 @@ REMOVED_KEYWORDS = {
     "PrivacyAccountant-composition": lambda: PrivacyAccountant(composition=None),
     "PrivacyAccountant-record_entries": lambda: PrivacyAccountant(record_entries=False),
     "reserve-label": lambda: PrivacyAccountant().reserve(1, 0.1, label="q"),
-    "DataflyAnonymizer-hierarchies": lambda: DataflyAnonymizer(5, hierarchies={}),
+    "AgreementAnonymizer-strategy": lambda: AgreementAnonymizer(4, strategy="sorted"),
+    "PSOGame-negligible_exponent": lambda: PSOGame(
+        _BITS, 10, ConstantMechanism(), TrivialAttacker(), negligible_exponent=2.0
+    ),
+    "PSOContext-negligible_exponent": lambda: PSOContext(
+        n=10, distribution=_BITS, negligible_exponent=2.0
+    ),
+    "build_composition_suite-negligible_exponent": lambda: build_composition_suite(
+        16, negligible_exponent=2.0
+    ),
+    "negligible_weight_threshold-exponent": lambda: negligible_weight_threshold(
+        100, exponent=2.0
+    ),
+    "GeneralizedDataset-suppressed_count": lambda: GeneralizedDataset(
+        _BITS.schema, [], suppressed_count=0
+    ),
+    "discernibility_metric-original_size": lambda: discernibility_metric(
+        GeneralizedDataset(_BITS.schema, []), original_size=10
+    ),
+    "weight_bound-cache": lambda: Predicate(
+        hash_bit_predicate("gone", 0), "opaque"
+    ).weight_bound(_BITS, samples=100, cache=False),
     "check_composition_attack-min_success": lambda: check_composition_attack(
         min_success=0.2
     ),

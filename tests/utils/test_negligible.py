@@ -67,10 +67,6 @@ class TestThresholds:
     def test_default_exponent_is_square(self):
         assert negligible_weight_threshold(100) == pytest.approx(1e-4)
 
-    def test_exponent_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            negligible_weight_threshold(100, exponent=1.0)
-
     def test_baseline_approaches_one_over_e(self):
         assert baseline_isolation_probability(100_000) == pytest.approx(
             float(np.exp(-1)), abs=1e-4
