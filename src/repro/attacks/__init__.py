@@ -12,6 +12,9 @@ Each module reproduces one attack family on the synthetic stand-in data of
   aggregate genomic statistics.
 * :mod:`repro.attacks.downcoding` — Cohen's post-processing attack on
   generalization-based k-anonymity [12].
+* :mod:`repro.attacks.graph` — Backstrom-Dwork-Kleinberg social-graph
+  de-anonymization [10]; imported by its full path, not re-exported here,
+  so ``import repro`` does not load networkx.
 """
 
 from repro.attacks.downcoding import DowncodingResult, downcode, downcoding_experiment
@@ -20,12 +23,6 @@ from repro.attacks.extraction import (
     exposure,
     extract_secret,
     secret_sharer_experiment,
-)
-from repro.attacks.graph import (
-    GraphAttackResult,
-    active_attack,
-    degree_signature_uniqueness,
-    plant_sybils,
 )
 from repro.attacks.fingerprint import (
     FingerprintResult,
@@ -55,15 +52,12 @@ __all__ = [
     "DowncodingResult",
     "ExtractionResult",
     "FingerprintResult",
-    "GraphAttackResult",
     "IntersectionResult",
     "LinkageResult",
     "MembershipResult",
     "MlMembershipResult",
-    "active_attack",
     "candidate_sensitive_values",
     "deanonymize",
-    "degree_signature_uniqueness",
     "downcode",
     "downcoding_experiment",
     "exposure",
@@ -76,7 +70,6 @@ __all__ = [
     "loss_threshold_attack",
     "membership_experiment",
     "ml_membership_experiment",
-    "plant_sybils",
     "secret_sharer_experiment",
     "similarity_score",
     "uniqueness_profile",

@@ -205,7 +205,11 @@ class CompositionAttacker:
         return predicate
 
 
-def build_composition_suite(n: int, salt: str = "thm2.8") -> CompositionSuite:
+# The hash salt every Theorem 2.8 suite's queries and adversary share.
+COMPOSITION_SALT = "thm2.8"
+
+
+def build_composition_suite(n: int) -> CompositionSuite:
     """Construct the Theorem 2.8 counterexample for dataset size ``n``.
 
     Returns ``l = L * (1 + B)`` count mechanisms with
@@ -220,18 +224,18 @@ def build_composition_suite(n: int, salt: str = "thm2.8") -> CompositionSuite:
     bits = math.ceil(NEGLIGIBLE_EXPONENT * math.log2(n)) + 4
 
     threshold_queries = [
-        hash_threshold_predicate(f"{salt}-h", threshold) for threshold in thresholds
+        hash_threshold_predicate(f"{COMPOSITION_SALT}-h", threshold) for threshold in thresholds
     ]
     # The bit probes conjoin each level's threshold predicate with a shared
     # bank of hash-bit predicates; both factors are built once and reused
     # rather than re-derived per (level, bit) pair.
-    bit_predicates = [hash_bit_predicate(f"{salt}-g{bit}", 0) for bit in range(bits)]
+    bit_predicates = [hash_bit_predicate(f"{COMPOSITION_SALT}-g{bit}", 0) for bit in range(bits)]
     queries = list(threshold_queries)
     for base in threshold_queries:
         queries.extend(base & bit_predicate for bit_predicate in bit_predicates)
 
     mechanism = ComposedMechanism([CountMechanism(query) for query in queries])
-    adversary = CompositionAttacker(salt=salt, thresholds=thresholds, bits=bits)
+    adversary = CompositionAttacker(salt=COMPOSITION_SALT, thresholds=thresholds, bits=bits)
     return CompositionSuite(mechanism=mechanism, adversary=adversary)
 
 

@@ -6,7 +6,9 @@ substrate: typed attribute domains, schemas, an immutable :class:`Dataset`,
 product data distributions (the i.i.d. data-generation model of Section 2.2),
 generalized (k-anonymized) releases, and synthetic generators that
 stand in for the paper's unavailable datasets (GIC medical records, Netflix
-ratings, Census microdata — see DESIGN.md section 2).
+ratings, Census microdata — see DESIGN.md section 2).  The social-graph
+generator is imported by its full path, :mod:`repro.data.socialgraph`, so
+``import repro`` does not load networkx.
 """
 
 from repro.data.censusblocks import CensusConfig, commercial_database, generate_census
@@ -27,7 +29,6 @@ from repro.data.population import (
     voter_registry,
 )
 from repro.data.ratings import RatingsConfig, RatingsData, generate_ratings
-from repro.data.socialgraph import SocialGraphConfig, anonymize_graph, generate_social_graph
 from repro.data.domain import (
     CategoricalDomain,
     Domain,
@@ -54,7 +55,6 @@ __all__ = [
     "RatingsData",
     "Record",
     "Schema",
-    "SocialGraphConfig",
     "commercial_database",
     "generate_census",
     "generate_population",
@@ -63,7 +63,5 @@ __all__ = [
     "population_distribution",
     "uniform_bits_distribution",
     "uniform_bits_schema",
-    "anonymize_graph",
-    "generate_social_graph",
     "voter_registry",
 ]

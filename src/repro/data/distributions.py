@@ -29,8 +29,6 @@ class AttributeDistribution:
     """
 
     def __init__(self, domain: Domain, probabilities: Mapping[Hashable, float]):
-        if not domain.is_enumerable:
-            raise ValueError("attribute distributions require enumerable domains")
         self.domain = domain
         values = list(domain)
         missing = [v for v in values if v not in probabilities]

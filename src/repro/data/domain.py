@@ -21,16 +21,11 @@ class Domain(ABC):
 
     @abstractmethod
     def __iter__(self) -> Iterator[Hashable]:
-        """Iterate the domain's values (raises for non-enumerable domains)."""
+        """Iterate the domain's values."""
 
     @abstractmethod
     def __len__(self) -> int:
         """Number of values in the domain."""
-
-    @property
-    def is_enumerable(self) -> bool:
-        """Whether the domain is small enough to iterate (default: yes)."""
-        return True
 
     def validate(self, value: object) -> None:
         """Raise ``ValueError`` when ``value`` is outside the domain."""

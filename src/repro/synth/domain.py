@@ -92,7 +92,7 @@ class CellDomain:
     def from_dataset(
         cls, dataset: Dataset, names: Sequence[str] | None = None
     ) -> "CellDomain":
-        """The cell domain spanned by a dataset's (enumerable) schema domains.
+        """The cell domain spanned by a dataset's schema domains.
 
         ``names`` defaults to every attribute; identifier columns (e.g.
         ``person_id``) should be excluded by the caller — a synthesizer
@@ -100,12 +100,7 @@ class CellDomain:
         """
         if names is None:
             names = dataset.schema.names
-        levels = []
-        for name in names:
-            domain = dataset.schema.attribute(name).domain
-            if not domain.is_enumerable:
-                raise ValueError(f"attribute {name!r} has a non-enumerable domain")
-            levels.append(tuple(domain))
+        levels = [tuple(dataset.schema.attribute(name).domain) for name in names]
         return cls(names, levels, schema=dataset.schema.project(names))
 
     def index_of(self, values: Sequence[Hashable]) -> int:

@@ -8,6 +8,9 @@ estimates.  Two interval constructions are provided:
 * :func:`wilson_interval` — the default; good coverage at moderate n.
 * :func:`clopper_pearson_interval` — exact (conservative); used by the DP
   verifier where one-sided guarantees matter.
+
+Their quantiles are :mod:`scipy.special`'s ``ndtri`` and ``betaincinv``, the
+functions behind ``scipy.stats``' normal and beta ``ppf``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import betaincinv, ndtri
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     (attack success ~0 for secure mechanisms, ~1 for broken ones).
     """
     _validate_counts(successes, trials, confidence)
-    z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -86,11 +89,11 @@ def clopper_pearson_interval(
     if successes == 0:
         lower = 0.0
     else:
-        lower = float(_scipy_stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        lower = float(betaincinv(successes, trials - successes + 1, alpha / 2))
     if successes == trials:
         upper = 1.0
     else:
-        upper = float(_scipy_stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        upper = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lower, upper
 
 

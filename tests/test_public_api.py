@@ -1,5 +1,10 @@
 """Tests for the curated top-level API."""
 
+import json
+import os
+import subprocess
+import sys
+
 import repro
 
 
@@ -110,3 +115,27 @@ class TestTopLevelExports:
         with recorder.span("root"):
             pass
         assert [span.name for span in recorder.spans()] == ["root"]
+
+
+def test_serving_imports_load_neither_scipy_stats_nor_networkx():
+    # The end-to-end workloads import these modules.  The intervals take
+    # their quantiles from scipy.special, and the graph modules only E17
+    # runs are imported by their full paths.
+    code = (
+        "import json, sys\n"
+        "import repro, repro.service, repro.compliance, repro.queries.mechanism, "
+        "repro.reconstruction.sharding\n"
+        "print(json.dumps([m for m in ('scipy.stats', 'networkx') if m in sys.modules]))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(child.stdout) == []

@@ -1,5 +1,6 @@
 """Tests for binomial estimates and confidence intervals."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,46 @@ class TestClopperPearson:
         trials = successes + extra + 1
         lower, upper = clopper_pearson_interval(successes, trials)
         assert lower <= successes / trials <= upper
+
+
+class TestQuantilesMatchScipyStats:
+    """``scipy.special``'s quantiles give the bits ``scipy.stats``' ``ppf`` gave.
+
+    The references are the intervals as written with ``norm.ppf`` and
+    ``beta.ppf``; ``scipy.stats`` is imported here only, never by the library.
+    """
+
+    CONFIDENCES = (0.8, 0.9, 0.95, 0.99, 0.999)
+
+    @staticmethod
+    def counts():
+        for trials in range(1, 61):
+            for successes in range(trials + 1):
+                yield successes, trials
+        for trials in (100, 300, 393, 1000, 5000):
+            for successes in np.linspace(0, trials, 26).round().astype(int):
+                yield int(successes), trials
+
+    def test_bit_for_bit(self):
+        from scipy import stats
+
+        checked = 0
+        for confidence in self.CONFIDENCES:
+            z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+            alpha = 1.0 - confidence
+            for s, t in self.counts():
+                p_hat = s / t
+                denom = 1.0 + z * z / t
+                center = (p_hat + z * z / (2 * t)) / denom
+                margin = (z / denom) * np.sqrt(p_hat * (1 - p_hat) / t + z * z / (4 * t * t))
+                wilson = (max(0.0, center - margin), min(1.0, center + margin))
+                lower = 0.0 if s == 0 else float(stats.beta.ppf(alpha / 2, s, t - s + 1))
+                upper = 1.0 if s == t else float(stats.beta.ppf(1 - alpha / 2, s + 1, t - s))
+                point = (s, t, confidence)
+                assert wilson_interval(*point) == wilson, point
+                assert clopper_pearson_interval(*point) == (lower, upper), point
+                checked += 1
+        assert checked == 10_100
 
 
 class TestEstimateProportion:
